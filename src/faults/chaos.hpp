@@ -29,10 +29,10 @@ enum class ChaosAction : std::uint8_t {
   kKill = 0,   // SIGKILL the shard process (supervisor must restart it)
   kHang = 1,   // SIGSTOP the shard: alive but silent; health pings time
                // out, supervisor SIGKILLs and restarts it
-  kDrop = 2,   // router drops its backhaul connection to the shard's
-               // group mid-conversation (client-side reset, no process
-               // harm — exercises reconnect, not restart)
-  kDelay = 3,  // router stalls the request delay_ms before forwarding
+  kDrop = 2,   // router drops its backhaul connection to the shard
+               // mid-conversation (client-side reset, no process harm —
+               // exercises reconnect, not restart)
+  kDelay = 3,  // router defers the triggering request delay_ms
 };
 
 const char* chaos_action_name(ChaosAction action);

@@ -1,6 +1,6 @@
 // Blocking client for the serve protocol, shared by the `iotax query`
-// CLI, the serve robustness tests, bench_serve and the fleet router's
-// backhaul (via RetryingClient). Thin by design: it connects, writes
+// CLI, the serve robustness tests, bench_serve and the fleet
+// supervisor's health probes. Thin by design: it connects, writes
 // frames, and reads back framed replies; pipelining is the caller's
 // loop (send k requests, then match replies by id).
 //
@@ -45,7 +45,6 @@ class Client {
   static Client connect_tcp(const std::string& host, std::uint16_t port,
                             std::uint64_t connect_timeout_ms = 0);
 
-  bool connected() const { return fd_ >= 0; }
   void close();
   /// Half-close: signal end-of-requests while still reading replies —
   /// how the truncation tests hand the daemon a partial frame.

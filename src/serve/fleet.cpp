@@ -1,24 +1,30 @@
 #include "src/serve/fleet.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <netdb.h>
 #include <signal.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <sys/wait.h>
-#include <netinet/in.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 #include "src/obs/metrics.hpp"
 #include "src/serve/client.hpp"
+#include "src/serve/listener.hpp"
 
 namespace iotax::serve {
 
@@ -428,68 +434,1114 @@ void Supervisor::monitor_loop() {
 // Router
 // ---------------------------------------------------------------------------
 
-struct Router::Session {
-  int fd = -1;
-  std::size_t index = 0;  // connection ordinal, rotates replica preference
-  std::mutex write_mu;
-  std::atomic<bool> dead{false};
-  /// Per-group backhaul, created on first use. Only the session's own
-  /// reader thread touches these (chaos "drop" fires on the triggering
-  /// session), so they need no lock.
-  std::vector<std::unique_ptr<RetryingClient>> backhaul;
+Endpoint Endpoint::unix_path(std::string p) {
+  Endpoint e;
+  e.kind = Kind::kUnix;
+  e.path = std::move(p);
+  return e;
+}
 
-  ~Session() {
-    if (fd >= 0) ::close(fd);
-  }
-};
+Endpoint Endpoint::tcp(std::string host, std::uint16_t port) {
+  Endpoint e;
+  e.kind = Kind::kTcp;
+  e.host = std::move(host);
+  e.port = port;
+  return e;
+}
+
+std::string Endpoint::describe() const {
+  if (kind == Kind::kUnix) return "unix:" + path;
+  return host + ":" + std::to_string(port);
+}
 
 namespace {
 
-int router_unix_listener(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("fleet: unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("fleet: socket(AF_UNIX) failed");
-  ::unlink(path.c_str());
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("fleet: cannot listen on unix socket " + path +
-                             ": " + std::strerror(err));
-  }
-  return fd;
+using Clock = std::chrono::steady_clock;
+
+/// Replies queued past this stop a session's reads until its peer reads
+/// them: a client that never reads cannot grow router memory.
+constexpr std::size_t kMaxSessionOutput = std::size_t{1} << 20;
+
+/// epoll_event.data tags: the kind in the top byte, an id below it.
+/// Backhaul ids carry a per-connection serial above the backhaul index,
+/// so an event queued for a connection that has since been replaced is
+/// recognised as stale.
+enum class Tag : std::uint64_t { kListener = 1, kWake, kSession, kBackhaul };
+constexpr int kTagShift = 56;
+constexpr int kSerialShift = 20;
+
+std::uint64_t make_tag(Tag kind, std::uint64_t id) {
+  return (static_cast<std::uint64_t>(kind) << kTagShift) | id;
 }
 
-int router_tcp_listener(int port, int* bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("fleet: socket(AF_INET) failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
+/// Owns one descriptor; closes it on destruction.
+struct UniqueFd {
+  int fd = -1;
+  UniqueFd() = default;
+  explicit UniqueFd(int f) : fd(f) {}
+  UniqueFd(const UniqueFd&) = delete;
+  UniqueFd& operator=(const UniqueFd&) = delete;
+  ~UniqueFd() { reset(); }
+  void reset() {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+};
+
+/// A frame's wire bytes with the request id field replaced.
+void append_with_id(std::string* out, std::span<const std::uint8_t> frame,
+                    std::uint64_t id) {
+  const char* bytes = reinterpret_cast<const char*>(frame.data());
+  out->append(bytes, 8);
+  util::put_u64(out, id);
+  out->append(bytes + 16, frame.size() - 16);
+}
+
+/// Start a nonblocking connect. Returns 0 (connected), EINPROGRESS, or
+/// the errno of an immediate failure; *fd is set unless it failed.
+int start_connect(const Endpoint& ep, int* fd) {
+  sockaddr_storage addr{};
+  socklen_t len = 0;
+  int family = AF_UNIX;
+  if (ep.kind == Endpoint::Kind::kUnix) {
+    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    if (ep.path.size() >= sizeof(un->sun_path)) return ENAMETOOLONG;
+    un->sun_family = AF_UNIX;
+    std::memcpy(un->sun_path, ep.path.c_str(), ep.path.size() + 1);
+    len = sizeof(sockaddr_un);
+  } else {
+    addrinfo hints{};
+    hints.ai_family = AF_INET;
+    hints.ai_socktype = SOCK_STREAM;
+    addrinfo* res = nullptr;
+    if (::getaddrinfo(ep.host.c_str(), std::to_string(ep.port).c_str(),
+                      &hints, &res) != 0 ||
+        res == nullptr) {
+      return EHOSTUNREACH;
+    }
+    std::memcpy(&addr, res->ai_addr, res->ai_addrlen);
+    len = res->ai_addrlen;
+    family = res->ai_family;
+    ::freeaddrinfo(res);
+  }
+  const int s = ::socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (s < 0) return errno;
+  while (::connect(s, reinterpret_cast<const sockaddr*>(&addr), len) < 0) {
+    if (errno == EINTR) continue;
     const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("fleet: cannot listen on TCP port " +
-                             std::to_string(port) + ": " + std::strerror(err));
+    if (err == EINPROGRESS) {
+      *fd = s;
+      return EINPROGRESS;
+    }
+    ::close(s);
+    return err;  // unix EAGAIN (backlog full) counts as a failure too
   }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    *bound_port = ntohs(bound.sin_port);
-  }
-  return fd;
+  *fd = s;
+  return 0;
 }
 
 }  // namespace
+
+/// Everything the router's single thread owns. Nothing here is touched
+/// from another thread; Router's atomics and quarantine report are the
+/// only state stats()/quarantine() read.
+struct Router::Loop {
+  /// One nonblocking socket's framed input and buffered output.
+  struct Wire {
+    int fd = -1;
+    std::vector<std::uint8_t> in;
+    std::size_t in_start = 0;
+    std::string out;
+    bool blocked = false;   // the last send could not take all of `out`
+    bool dirty = false;     // queued on this pass's flush list
+    std::uint32_t events = 0;  // epoll interest registered now
+  };
+
+  struct Session : Wire {
+    std::uint64_t id = 0;
+    util::Rng rng{0};  // BUSY / group-down backoff jitter
+    std::size_t pending = 0;
+    bool reading = true;   // cleared by EOF, framing defects and drain
+    bool delayed = false;  // chaos accept_delay_ms: first read deferred
+  };
+
+  struct Backhaul : Wire {
+    std::size_t index = 0;  // position in backhauls
+    std::size_t replica = 0;
+    const Endpoint* endpoint = nullptr;
+    std::uint64_t serial = 0;  // bumped per connection attempt
+    bool connecting = false;
+    bool draining = false;  // replied kShuttingDown: takes no new sends
+    /// Failed: takes no requests until a fresh connection answers a ping.
+    bool suspect = false;
+    std::size_t in_flight = 0;  // requests, or the probe ping
+    Clock::time_point quiet_since{};  // silence clock while in_flight > 0
+    Clock::time_point retry_at{};     // no probe before then
+    std::size_t backoff_step = 0;
+    util::Rng rng{0};  // reconnect backoff jitter
+    Reason failure = Reason::kConnectionReset;  // why it is suspect
+    std::string failure_detail;
+  };
+
+  /// One admitted predict, from admission to its reply.
+  struct Pending {
+    std::uint64_t session = 0;
+    std::uint64_t client_id = 0;
+    std::string frame;  // the request as forwarded, carrying the router id
+    std::size_t group = 0;
+    std::size_t replica = 0;    // where the next attempt starts looking
+    std::size_t attempted = 0;  // replica of the last attempt
+    std::size_t attempts = 0;
+    std::size_t backoff_step = 0;
+    Clock::time_point deadline{};
+    Backhaul* on = nullptr;  // in flight here; null while parked
+    bool parked = false;     // waiting on a kSend timer
+    Reason last_reason = Reason::kDeadlineExpired;
+    std::string last_detail;
+  };
+
+  enum class TimerKind : std::uint8_t { kSend, kRead, kListen };
+  struct Timer {
+    TimerKind kind;
+    std::uint64_t id;  // router id, session id or listener fd
+  };
+
+  Loop(Router& router, std::size_t n_backhauls);
+  void run();
+
+  // -- events
+  void on_accept(int listen_fd);
+  void on_session(Session& s, std::uint32_t events);
+  void on_backhaul(Backhaul& bh, std::uint32_t events);
+  void read_session(Session& s);
+  void read_backhaul(Backhaul& bh);
+  void handle_frame(Session& s, const util::FrameHeader& header,
+                    std::span<const std::uint8_t> payload,
+                    std::span<const std::uint8_t> frame);
+  void admit(Session& s, const util::FrameHeader& header,
+             std::span<const std::uint8_t> payload,
+             std::span<const std::uint8_t> frame);
+  /// False when the reply broke the backhaul (it is closed by then).
+  bool on_reply(Backhaul& bh, const util::FrameHeader& header,
+                std::span<const std::uint8_t> payload,
+                std::span<const std::uint8_t> frame);
+
+  // -- the pending table
+  Backhaul& backhaul(std::size_t group, std::size_t replica) {
+    return backhauls[group_base[group] + replica];
+  }
+  bool usable(const Backhaul& bh) const { return !bh.suspect && !bh.draining; }
+  void send_attempt(std::uint64_t id, Pending& p);
+  void fail_over(std::uint64_t id, Pending& p, Reason reason,
+                 std::string detail);
+  void park(std::uint64_t id, Pending& p, std::uint64_t delay_ms);
+  void open_backhaul(Backhaul& bh);
+  /// Reconnect a suspect replica and ping it; the pong clears it.
+  void probe(Backhaul& bh);
+  void fail_backhaul(Backhaul& bh, Reason reason, const std::string& detail);
+  void degrade(std::map<std::uint64_t, Pending>::iterator it);
+  /// Drop a finished request from the table and its session's count.
+  void retire(std::map<std::uint64_t, Pending>::iterator it);
+  /// Fire every chaos event due at this admission count; returns the
+  /// delay to apply to the triggering request.
+  std::uint64_t apply_chaos(std::uint64_t count);
+
+  // -- sessions and output
+  void queue(Session& s, std::string_view bytes);
+  void error_reply(Session& s, const ErrorResponse& err);
+  void mark_dirty(Session& s);
+  void mark_dirty(Backhaul& bh);
+  void flush_all();
+  /// One send of w.out; false on a transport error.
+  bool flush(Wire& w);
+  void arm(Wire& w, std::uint64_t tag, std::uint32_t want);
+  void arm_session(Session& s);
+  void arm_backhaul(Backhaul& bh);
+  void close_session(Session& s);
+  /// Close an idle, unreadable session; forget it once nothing is pending.
+  /// May erase `s`.
+  void settle(Session& s);
+  Session* find_session(std::uint64_t id) {
+    const auto it = sessions.find(id);
+    return it == sessions.end() ? nullptr : it->second.get();
+  }
+
+  // -- timers and drain
+  int timeout_ms(Clock::time_point now) const;
+  void fire_timers(Clock::time_point now);
+  void begin_drain();
+
+  Router& r;
+  const RouterConfig& cfg;
+  UniqueFd epoll;
+  UniqueFd wake;
+  UniqueFd unix_listener;
+  UniqueFd tcp_listener;
+  std::size_t max_sessions = 0;
+  std::size_t open_sessions = 0;
+  std::vector<std::size_t> group_base;  // first backhaul of each group
+  std::vector<Backhaul> backhauls;      // never resized: Pending::on points in
+  std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions;
+  /// Router id -> request. Ids grow with admission time and the deadline
+  /// budget is fixed, so begin() always holds the earliest deadline.
+  std::map<std::uint64_t, Pending> pending;
+  std::multimap<Clock::time_point, Timer> timers;
+  std::vector<std::uint64_t> dirty_sessions;
+  std::vector<Backhaul*> dirty_backhauls;
+  std::uint64_t next_id = 0;
+  std::size_t chaos_cursor = 0;
+  bool draining = false;
+  Clock::time_point drain_deadline{};
+  std::uint8_t chunk[65536];
+};
+
+Router::Loop::Loop(Router& router, std::size_t n_backhauls)
+    : r(router), cfg(router.config_) {
+  epoll.fd = ::epoll_create1(EPOLL_CLOEXEC);
+  wake.fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll.fd < 0 || wake.fd < 0) {
+    throw std::runtime_error(std::string("fleet: cannot create event loop: ") +
+                             std::strerror(errno));
+  }
+  const auto add = [this](int fd, std::uint64_t tag) {
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = tag;
+    ::epoll_ctl(epoll.fd, EPOLL_CTL_ADD, fd, &ev);
+  };
+  add(wake.fd, make_tag(Tag::kWake, 0));
+  if (!cfg.unix_socket.empty()) {
+    unix_listener.fd = listen_unix(cfg.unix_socket, "fleet");
+    add(unix_listener.fd,
+        make_tag(Tag::kListener, static_cast<std::uint64_t>(unix_listener.fd)));
+  }
+  if (cfg.tcp_port >= 0) {
+    tcp_listener.fd = listen_tcp(cfg.tcp_port, &r.bound_tcp_port_, "fleet");
+    add(tcp_listener.fd,
+        make_tag(Tag::kListener, static_cast<std::uint64_t>(tcp_listener.fd)));
+  }
+  if (unix_listener.fd < 0 && tcp_listener.fd < 0) {
+    throw std::runtime_error("fleet: no listener configured "
+                             "(need --socket and/or --port)");
+  }
+  max_sessions = connection_cap(n_backhauls);
+  backhauls.resize(n_backhauls);
+  const util::Rng base(cfg.seed ^ cfg.chaos.seed);
+  std::size_t index = 0;
+  for (const auto& group : r.groups_) {
+    group_base.push_back(index);
+    for (std::size_t k = 0; k < group.size(); ++k, ++index) {
+      Backhaul& bh = backhauls[index];
+      bh.index = index;
+      bh.replica = k;
+      bh.endpoint = &group[k];
+      // Session streams fork at small ids; backhaul streams count down
+      // from the top so the two never share a stream.
+      bh.rng = base.fork(~static_cast<std::uint64_t>(index));
+    }
+  }
+}
+
+void Router::Loop::run() {
+  epoll_event events[64];
+  while (true) {
+    const int n = ::epoll_wait(epoll.fd, events, 64, timeout_ms(Clock::now()));
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t tag = events[i].data.u64;
+      const std::uint64_t id = tag & ((std::uint64_t{1} << kTagShift) - 1);
+      const std::uint32_t ev = events[i].events;
+      switch (static_cast<Tag>(tag >> kTagShift)) {
+        case Tag::kListener:
+          if (!draining) on_accept(static_cast<int>(id));
+          break;
+        case Tag::kWake: {
+          std::uint64_t count = 0;
+          (void)::read(wake.fd, &count, sizeof(count));
+          break;
+        }
+        case Tag::kSession:
+          if (Session* s = find_session(id); s != nullptr && s->fd >= 0) {
+            on_session(*s, ev);
+          }
+          break;
+        case Tag::kBackhaul: {
+          const std::size_t index = id & ((std::size_t{1} << kSerialShift) - 1);
+          Backhaul& bh = backhauls[index];
+          if (bh.fd >= 0 && bh.serial == id >> kSerialShift) {
+            on_backhaul(bh, ev);
+          }
+          break;
+        }
+      }
+    }
+    if (!draining && r.stopping_.load(std::memory_order_acquire)) {
+      begin_drain();
+    }
+    fire_timers(Clock::now());
+    flush_all();
+    if (draining && pending.empty() &&
+        (sessions.empty() || Clock::now() >= drain_deadline)) {
+      break;
+    }
+  }
+  for (auto& [id, s] : sessions) {
+    if (s->fd >= 0) ::close(s->fd);
+  }
+  sessions.clear();
+  for (auto& bh : backhauls) {
+    if (bh.fd >= 0) ::close(bh.fd);
+    bh.fd = -1;
+  }
+}
+
+int Router::Loop::timeout_ms(Clock::time_point now) const {
+  Clock::time_point next = Clock::time_point::max();
+  if (!pending.empty()) next = pending.begin()->second.deadline;
+  if (!timers.empty()) next = std::min(next, timers.begin()->first);
+  if (cfg.try_timeout_ms > 0) {
+    for (const auto& bh : backhauls) {
+      if (bh.fd >= 0 && bh.in_flight > 0) {
+        next = std::min(next, bh.quiet_since + std::chrono::milliseconds(
+                                                   cfg.try_timeout_ms));
+      }
+    }
+  }
+  if (draining) next = std::min(next, drain_deadline);
+  if (next == Clock::time_point::max()) return -1;
+  if (next <= now) return 0;
+  // Round up: waking a hair early would only spin until the expiry.
+  const auto us =
+      std::chrono::duration_cast<std::chrono::microseconds>(next - now).count();
+  return static_cast<int>(std::min<long long>((us + 999) / 1000, 60000));
+}
+
+void Router::Loop::fire_timers(Clock::time_point now) {
+  // Deadlines first: a request past its budget is answered kDegraded
+  // whatever it was waiting for.
+  while (!pending.empty() && pending.begin()->second.deadline <= now) {
+    degrade(pending.begin());
+  }
+  if (cfg.try_timeout_ms > 0) {
+    const auto silence = std::chrono::milliseconds(cfg.try_timeout_ms);
+    for (auto& bh : backhauls) {
+      if (bh.fd >= 0 && bh.in_flight > 0 && now >= bh.quiet_since + silence) {
+        fail_backhaul(bh, Reason::kDeadlineExpired,
+                      bh.endpoint->describe() + " silent for " +
+                          std::to_string(cfg.try_timeout_ms) + "ms");
+      }
+    }
+  }
+  while (!timers.empty() && timers.begin()->first <= now) {
+    const Timer timer = timers.begin()->second;
+    timers.erase(timers.begin());
+    switch (timer.kind) {
+      case TimerKind::kSend: {
+        const auto it = pending.find(timer.id);
+        if (it != pending.end() && it->second.parked) {
+          it->second.parked = false;
+          send_attempt(it->first, it->second);
+        }
+        break;
+      }
+      case TimerKind::kRead:
+        if (Session* s = find_session(timer.id); s != nullptr) {
+          s->delayed = false;
+          arm_session(*s);
+        }
+        break;
+      case TimerKind::kListen: {
+        const int fd = static_cast<int>(timer.id);
+        if (!draining && (fd == unix_listener.fd || fd == tcp_listener.fd)) {
+          epoll_event ev{};
+          ev.events = EPOLLIN;
+          ev.data.u64 = make_tag(Tag::kListener, timer.id);
+          ::epoll_ctl(epoll.fd, EPOLL_CTL_MOD, fd, &ev);
+        }
+        break;
+      }
+    }
+  }
+}
+
+void Router::Loop::begin_drain() {
+  draining = true;
+  // Every admitted request ends by its deadline at the latest; the
+  // extra second is for flushing the last replies to slow readers.
+  drain_deadline = Clock::now() + std::chrono::milliseconds(cfg.deadline_ms) +
+                   std::chrono::seconds(1);
+  if (unix_listener.fd >= 0) {
+    unix_listener.reset();
+    ::unlink(cfg.unix_socket.c_str());
+  }
+  tcp_listener.reset();
+  std::vector<std::uint64_t> ids;
+  ids.reserve(sessions.size());
+  for (const auto& [id, s] : sessions) ids.push_back(id);
+  for (const std::uint64_t id : ids) {
+    Session& s = *sessions.at(id);
+    s.reading = false;
+    arm_session(s);
+    settle(s);
+  }
+}
+
+void Router::Loop::on_accept(int listen_fd) {
+  for (int k = 0; k < 64; ++k) {
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC | SOCK_NONBLOCK);
+    if (fd < 0) {
+      if (errno == EMFILE || errno == ENFILE) {
+        // Out of fds despite the cap (something else holds them): stop
+        // watching the listener for a moment instead of spinning on it.
+        epoll_event ev{};
+        ev.data.u64 =
+            make_tag(Tag::kListener, static_cast<std::uint64_t>(listen_fd));
+        ::epoll_ctl(epoll.fd, EPOLL_CTL_MOD, listen_fd, &ev);
+        timers.emplace(Clock::now() + std::chrono::milliseconds(10),
+                       Timer{TimerKind::kListen,
+                             static_cast<std::uint64_t>(listen_fd)});
+      }
+      return;
+    }
+    if (open_sessions >= max_sessions) {
+      refuse_busy(fd, max_sessions);
+      r.n_shed_.fetch_add(1, std::memory_order_relaxed);
+      IOTAX_OBS_COUNT("fleet.shed", 1);
+      continue;
+    }
+    auto session = std::make_unique<Session>();
+    Session& s = *session;
+    s.fd = fd;
+    s.id = r.n_connections_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.connections", 1);
+    s.rng = util::Rng(cfg.seed ^ cfg.chaos.seed).fork(s.id);
+    s.delayed = cfg.chaos.accept_delay_ms > 0;
+    s.events = s.delayed ? 0u : EPOLLIN;
+    epoll_event ev{};
+    ev.events = s.events;
+    ev.data.u64 = make_tag(Tag::kSession, s.id);
+    ::epoll_ctl(epoll.fd, EPOLL_CTL_ADD, fd, &ev);
+    if (s.delayed) {
+      timers.emplace(
+          Clock::now() + std::chrono::milliseconds(cfg.chaos.accept_delay_ms),
+          Timer{TimerKind::kRead, s.id});
+    }
+    ++open_sessions;
+    sessions.emplace(s.id, std::move(session));
+  }
+}
+
+void Router::Loop::on_session(Session& s, std::uint32_t events) {
+  if ((events & EPOLLOUT) != 0 && !flush(s)) {
+    close_session(s);
+  } else {
+    if ((events & EPOLLOUT) != 0) arm_session(s);
+    if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && s.reading &&
+        !s.delayed) {
+      read_session(s);
+    }
+    // HUP: both directions are gone, so nothing more can be delivered.
+    if ((events & (EPOLLHUP | EPOLLERR)) != 0 && s.fd >= 0) close_session(s);
+  }
+  settle(s);
+}
+
+void Router::Loop::read_session(Session& s) {
+  while (s.reading && s.fd >= 0 && s.out.size() < kMaxSessionOutput) {
+    const ssize_t n = ::recv(s.fd, chunk, sizeof(chunk), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) close_session(s);
+      return;
+    }
+    if (n == 0) {
+      // EOF. Anything left in the buffer is a frame the peer never
+      // finished; the peer may still read the replies it is owed.
+      if (s.in_start < s.in.size()) {
+        r.note_quarantine(Reason::kTruncated,
+                          "connection closed inside a frame (" +
+                              std::to_string(s.in.size() - s.in_start) +
+                              " byte(s) of partial frame)");
+        ErrorResponse err;
+        err.status = ServeStatus::kBadFrame;
+        err.reason = Reason::kTruncated;
+        err.detail = "truncated frame";
+        error_reply(s, err);
+      }
+      s.reading = false;
+      break;
+    }
+    s.in.insert(s.in.end(), chunk, chunk + n);
+    while (s.reading) {
+      const auto view = std::span<const std::uint8_t>(s.in).subspan(s.in_start);
+      const FrameDecode dec = util::decode_frame(view);
+      if (dec.status == FrameDecode::Status::kNeedMore) break;
+      if (dec.status == FrameDecode::Status::kBad) {
+        // Framing is lost: reply with the typed defect, read no more, and
+        // close once the replies already owed have gone out.
+        r.note_quarantine(dec.reason, dec.detail);
+        ErrorResponse err;
+        err.status = ServeStatus::kBadFrame;
+        err.reason = dec.reason;
+        err.detail = dec.detail;
+        error_reply(s, err);
+        s.reading = false;
+        break;
+      }
+      handle_frame(s, dec.header,
+                   view.subspan(FrameHeader::kWireSize, dec.header.payload_len),
+                   view.subspan(0, dec.consumed));
+      s.in_start += dec.consumed;
+    }
+    if (s.in_start == s.in.size()) {
+      s.in.clear();
+      s.in_start = 0;
+    } else if (s.in_start > 4096 && s.in_start * 2 > s.in.size()) {
+      s.in.erase(s.in.begin(), s.in.begin() + static_cast<long>(s.in_start));
+      s.in_start = 0;
+    }
+    if (static_cast<std::size_t>(n) < sizeof(chunk)) break;  // drained
+  }
+  arm_session(s);
+}
+
+void Router::Loop::handle_frame(Session& s, const FrameHeader& header,
+                                std::span<const std::uint8_t> payload,
+                                std::span<const std::uint8_t> frame) {
+  switch (static_cast<FrameType>(header.type)) {
+    case FrameType::kPing:
+      // The router answers for itself: a pong means "the front door is
+      // up", not "every shard is up" — per-shard health is the
+      // supervisor's job.
+      queue(s, encode_pong(header.request_id));
+      return;
+    case FrameType::kPredictRequest:
+      admit(s, header, payload, frame);
+      return;
+    case FrameType::kControlRequest: {
+      // Promote/rollback address one registry, and the fleet has N of
+      // them. Routing a mutation to a hash-picked shard would fork the
+      // replicas' state; refuse loudly instead.
+      ErrorResponse err;
+      err.request_id = header.request_id;
+      err.status = ServeStatus::kBadRequest;
+      err.detail = "control operations are not routed; "
+                   "address a shard directly";
+      error_reply(s, err);
+      return;
+    }
+    default: {
+      r.note_quarantine(Reason::kMalformedHeader,
+                        "unexpected frame type " + std::to_string(header.type));
+      ErrorResponse err;
+      err.request_id = header.request_id;
+      err.status = ServeStatus::kBadFrame;
+      err.reason = Reason::kMalformedHeader;
+      err.detail = "unexpected frame type";
+      error_reply(s, err);
+      return;
+    }
+  }
+}
+
+void Router::Loop::admit(Session& s, const FrameHeader& header,
+                         std::span<const std::uint8_t> payload,
+                         std::span<const std::uint8_t> frame) {
+  PredictRequest req;
+  ErrorResponse err;
+  if (!decode_predict_request(header, payload, &req, &err)) {
+    r.note_quarantine(*err.reason, err.detail);
+    error_reply(s, err);
+    return;
+  }
+  if (s.pending >= kMaxPendingPerSession) {
+    err.status = ServeStatus::kBusy;
+    err.reason.reset();
+    err.detail = "router session has " +
+                 std::to_string(kMaxPendingPerSession) + " requests pending";
+    queue(s, encode_error_response(err));
+    r.n_shed_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.shed", 1);
+    return;
+  }
+  const std::uint64_t count =
+      r.n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
+  IOTAX_OBS_COUNT("fleet.requests", 1);
+  const std::uint64_t id = ++next_id;
+  Pending& p = pending.emplace_hint(pending.end(), id, Pending{})->second;
+  p.session = s.id;
+  p.client_id = header.request_id;
+  append_with_id(&p.frame, frame, id);
+  p.group = fleet_slot(req, r.groups_.size());
+  // Sessions spread over a group by ordinal instead of all camping on r0.
+  p.replica = s.id % r.groups_[p.group].size();
+  p.deadline = Clock::now() + std::chrono::milliseconds(cfg.deadline_ms);
+  ++s.pending;
+  const std::uint64_t delay_ms =
+      cfg.chaos.events.empty() ? 0 : apply_chaos(count);
+  if (delay_ms > 0) {
+    park(id, p, delay_ms);
+  } else {
+    send_attempt(id, p);
+  }
+}
+
+std::uint64_t Router::Loop::apply_chaos(std::uint64_t count) {
+  std::uint64_t delay_ms = 0;
+  const auto& events = cfg.chaos.events;
+  while (chaos_cursor < events.size() &&
+         events[chaos_cursor].at_request <= count) {
+    const auto& event = events[chaos_cursor++];
+    switch (event.action) {
+      case faults::ChaosAction::kKill:
+        cfg.supervisor->signal_shard(event.group, event.replica, SIGKILL);
+        r.n_chaos_kills_.fetch_add(1, std::memory_order_relaxed);
+        IOTAX_OBS_COUNT("fleet.chaos_kills", 1);
+        break;
+      case faults::ChaosAction::kHang:
+        cfg.supervisor->signal_shard(event.group, event.replica, SIGSTOP);
+        r.n_chaos_hangs_.fetch_add(1, std::memory_order_relaxed);
+        IOTAX_OBS_COUNT("fleet.chaos_hangs", 1);
+        break;
+      case faults::ChaosAction::kDrop: {
+        // Close the target's backhaul; whatever is pending on it goes the
+        // transport-failure way.
+        Backhaul& bh = backhaul(event.group, event.replica);
+        if (bh.fd >= 0) {
+          fail_backhaul(bh, Reason::kConnectionReset,
+                        "chaos drop of " + bh.endpoint->describe());
+        }
+        r.n_chaos_drops_.fetch_add(1, std::memory_order_relaxed);
+        IOTAX_OBS_COUNT("fleet.chaos_drops", 1);
+        break;
+      }
+      case faults::ChaosAction::kDelay:
+        delay_ms += event.delay_ms;
+        r.n_chaos_delays_.fetch_add(1, std::memory_order_relaxed);
+        IOTAX_OBS_COUNT("fleet.chaos_delays", 1);
+        break;
+    }
+  }
+  return delay_ms;
+}
+
+void Router::Loop::send_attempt(std::uint64_t id, Pending& p) {
+  const auto now = Clock::now();
+  const std::size_t n = r.groups_[p.group].size();
+  Backhaul* bh = nullptr;
+  for (std::size_t k = 0; k < n && bh == nullptr; ++k) {
+    Backhaul& candidate = backhaul(p.group, (p.replica + k) % n);
+    if (candidate.suspect && candidate.fd < 0 && now >= candidate.retry_at) {
+      probe(candidate);
+    }
+    if (usable(candidate)) bh = &candidate;
+  }
+  if (bh == nullptr) {
+    // The whole group failed recently; pace the retries like a BUSY. A
+    // request no replica has seen yet reports why its replica is out.
+    const Backhaul& preferred = backhaul(p.group, p.replica);
+    if (p.attempts == 0 && preferred.suspect) {
+      p.last_reason = preferred.failure;
+      p.last_detail = preferred.failure_detail;
+    }
+    Session& s = *find_session(p.session);
+    park(id, p,
+         util::backoff_delay_ms(cfg.retry_backoff, p.backoff_step++, s.rng));
+    return;
+  }
+  if (p.attempts > 0) {
+    r.n_retries_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.retries", 1);
+  }
+  // One failover = one send to a replica other than the one this
+  // request would have used: its previous attempt's, or for a first
+  // attempt its session's preferred replica.
+  if (bh->replica != (p.attempts > 0 ? p.attempted : p.replica)) {
+    r.n_failovers_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.failovers", 1);
+  }
+  ++p.attempts;
+  p.replica = p.attempted = bh->replica;
+  p.on = bh;
+  if (bh->in_flight++ == 0) bh->quiet_since = now;
+  bh->out += p.frame;
+  mark_dirty(*bh);
+  // Last: a connect that fails at once re-dispatches p (and anything
+  // else queued here) before returning.
+  if (bh->fd < 0) open_backhaul(*bh);
+}
+
+void Router::Loop::fail_over(std::uint64_t id, Pending& p, Reason reason,
+                             std::string detail) {
+  p.last_reason = reason;
+  p.last_detail = std::move(detail);
+  p.on = nullptr;
+  p.replica = (p.attempted + 1) % r.groups_[p.group].size();
+  send_attempt(id, p);
+}
+
+void Router::Loop::park(std::uint64_t id, Pending& p, std::uint64_t delay_ms) {
+  p.on = nullptr;
+  p.parked = true;
+  timers.emplace(Clock::now() + std::chrono::milliseconds(
+                                    std::max<std::uint64_t>(delay_ms, 1)),
+                 Timer{TimerKind::kSend, id});
+}
+
+void Router::Loop::open_backhaul(Backhaul& bh) {
+  int fd = -1;
+  const int rc = start_connect(*bh.endpoint, &fd);
+  ++bh.serial;
+  if (rc != 0 && rc != EINPROGRESS) {
+    fail_backhaul(bh, Reason::kConnectionReset,
+                  "cannot connect to " + bh.endpoint->describe() + ": " +
+                      std::strerror(rc));
+    return;
+  }
+  bh.fd = fd;
+  bh.connecting = rc == EINPROGRESS;
+  bh.blocked = false;
+  bh.events = EPOLLIN | (bh.connecting ? EPOLLOUT : 0u);
+  epoll_event ev{};
+  ev.events = bh.events;
+  ev.data.u64 = make_tag(Tag::kBackhaul, (bh.serial << kSerialShift) | bh.index);
+  ::epoll_ctl(epoll.fd, EPOLL_CTL_ADD, fd, &ev);
+}
+
+void Router::Loop::probe(Backhaul& bh) {
+  bh.in_flight = 1;  // a silent replica fails the probe like a request
+  bh.quiet_since = Clock::now();
+  bh.out = encode_ping(0);
+  mark_dirty(bh);
+  open_backhaul(bh);
+}
+
+void Router::Loop::fail_backhaul(Backhaul& bh, Reason reason,
+                                 const std::string& detail) {
+  if (bh.fd >= 0) {
+    ::epoll_ctl(epoll.fd, EPOLL_CTL_DEL, bh.fd, nullptr);
+    ::close(bh.fd);
+    bh.fd = -1;
+  }
+  // Never reused: a reply still on its way cannot match a re-sent id.
+  ++bh.serial;
+  bh.in.clear();
+  bh.in_start = 0;
+  bh.out.clear();
+  bh.events = 0;
+  bh.connecting = false;
+  bh.draining = false;
+  // A connect that succeeds proves nothing (a stopped process still
+  // completes it from its backlog): only an answered ping clears this.
+  bh.suspect = true;
+  bh.failure = reason;
+  bh.failure_detail = detail;
+  bh.in_flight = 0;
+  bh.retry_at = Clock::now() + std::chrono::milliseconds(util::backoff_delay_ms(
+                                   cfg.retry_backoff, bh.backoff_step++, bh.rng));
+  std::vector<std::uint64_t> orphans;
+  for (auto& [id, p] : pending) {
+    if (p.on == &bh) {
+      p.on = nullptr;
+      orphans.push_back(id);
+    }
+  }
+  for (const std::uint64_t id : orphans) {
+    const auto it = pending.find(id);
+    if (it != pending.end() && it->second.on == nullptr && !it->second.parked) {
+      fail_over(id, it->second, reason, detail);
+    }
+  }
+}
+
+void Router::Loop::on_backhaul(Backhaul& bh, std::uint32_t events) {
+  if (bh.connecting) {
+    if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) return;
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(bh.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0) {
+      fail_backhaul(bh, Reason::kConnectionReset,
+                    "cannot connect to " + bh.endpoint->describe() + ": " +
+                        std::strerror(err));
+      return;
+    }
+    bh.connecting = false;
+    events |= EPOLLOUT;
+  }
+  if ((events & EPOLLOUT) != 0) {
+    if (!flush(bh)) {
+      fail_backhaul(bh, Reason::kConnectionReset,
+                    "send to " + bh.endpoint->describe() + " failed: " +
+                        std::strerror(errno));
+      return;
+    }
+    arm_backhaul(bh);
+  }
+  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) read_backhaul(bh);
+}
+
+void Router::Loop::read_backhaul(Backhaul& bh) {
+  const std::uint64_t serial = bh.serial;
+  while (true) {
+    const ssize_t n = ::recv(bh.fd, chunk, sizeof(chunk), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      fail_backhaul(bh, Reason::kConnectionReset,
+                    "recv from " + bh.endpoint->describe() + " failed: " +
+                        std::strerror(errno));
+      return;
+    }
+    if (n == 0) {
+      // The shard is draining or just died.
+      fail_backhaul(bh, Reason::kConnectionReset,
+                    "connection closed by " + bh.endpoint->describe());
+      return;
+    }
+    bh.quiet_since = Clock::now();
+    bh.in.insert(bh.in.end(), chunk, chunk + n);
+    while (true) {
+      const auto view =
+          std::span<const std::uint8_t>(bh.in).subspan(bh.in_start);
+      const FrameDecode dec = util::decode_frame(view);
+      if (dec.status == FrameDecode::Status::kNeedMore) break;
+      if (dec.status == FrameDecode::Status::kBad) {
+        fail_backhaul(bh, Reason::kConnectionReset,
+                      "malformed reply frame from " +
+                          bh.endpoint->describe() + ": " + dec.detail);
+        return;
+      }
+      if (!on_reply(bh, dec.header,
+                    view.subspan(FrameHeader::kWireSize,
+                                 dec.header.payload_len),
+                    view.subspan(0, dec.consumed)) ||
+          bh.serial != serial) {
+        return;
+      }
+      bh.in_start += dec.consumed;
+    }
+    if (bh.in_start == bh.in.size()) {
+      bh.in.clear();
+      bh.in_start = 0;
+    } else if (bh.in_start > 4096 && bh.in_start * 2 > bh.in.size()) {
+      bh.in.erase(bh.in.begin(), bh.in.begin() + static_cast<long>(bh.in_start));
+      bh.in_start = 0;
+    }
+    if (static_cast<std::size_t>(n) < sizeof(chunk)) return;  // drained
+  }
+}
+
+bool Router::Loop::on_reply(Backhaul& bh, const FrameHeader& header,
+                            std::span<const std::uint8_t> payload,
+                            std::span<const std::uint8_t> frame) {
+  const auto type = static_cast<FrameType>(header.type);
+  if (type == FrameType::kPong && bh.suspect) {
+    // The probe came back: the replica takes requests again.
+    bh.suspect = false;
+    bh.in_flight = 0;
+    bh.backoff_step = 0;
+    return true;
+  }
+  PredictResponse resp;
+  ErrorResponse err;
+  const bool parsed =
+      type == FrameType::kPredictResponse
+          ? decode_predict_response(header, payload, &resp)
+          : type == FrameType::kErrorResponse &&
+                decode_error_response(header, payload, &err);
+  if (!parsed) {
+    fail_backhaul(bh, Reason::kConnectionReset,
+                  "unexpected reply (frame type " +
+                      std::to_string(header.type) + ") from " +
+                      bh.endpoint->describe());
+    return false;
+  }
+  const auto it = pending.find(header.request_id);
+  // Not ours any more: the request was already answered kDegraded.
+  if (it == pending.end() || it->second.on != &bh) return true;
+  Pending& p = it->second;
+  Session& s = *find_session(p.session);
+  --bh.in_flight;
+  if (type == FrameType::kErrorResponse) {
+    if (err.status == ServeStatus::kBusy) {
+      // Transient admission-control shed: same replica, after a
+      // jittered pause (its queue needs a moment, not a failover).
+      r.n_busy_retries_.fetch_add(1, std::memory_order_relaxed);
+      IOTAX_OBS_COUNT("fleet.busy_retries", 1);
+      p.replica = p.attempted;
+      park(it->first, p,
+           util::backoff_delay_ms(cfg.retry_backoff, p.backoff_step++, s.rng));
+      return true;
+    }
+    if (err.status == ServeStatus::kShuttingDown) {
+      bh.draining = true;
+      fail_over(it->first, p, Reason::kConnectionReset,
+                bh.endpoint->describe() + " shutting down");
+      return true;
+    }
+    // Model-level verdicts (bad request, unknown model, internal) are
+    // the answer, not a transport failure: relay them.
+    r.n_errors_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.errors", 1);
+  } else {
+    r.n_responses_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.responses", 1);
+  }
+  if (s.fd >= 0) {
+    append_with_id(&s.out, frame, p.client_id);
+    mark_dirty(s);
+  }
+  retire(it);
+  return true;
+}
+
+void Router::Loop::degrade(std::map<std::uint64_t, Pending>::iterator it) {
+  Pending& p = it->second;
+  ErrorResponse err;
+  err.request_id = p.client_id;
+  err.status = ServeStatus::kDegraded;
+  if (p.on != nullptr) {
+    // Still waiting on a connected replica: silence ate the budget.
+    --p.on->in_flight;
+    err.reason = Reason::kDeadlineExpired;
+    p.last_detail = "no reply from " + p.on->endpoint->describe() +
+                    " within the deadline";
+  } else {
+    err.reason = p.last_reason;
+  }
+  err.detail = "replica group unavailable after " +
+               std::to_string(p.attempts) + " attempt(s): " +
+               (p.last_detail.empty() ? "no attempt completed" : p.last_detail);
+  r.n_degraded_.fetch_add(1, std::memory_order_relaxed);
+  IOTAX_OBS_COUNT("fleet.degraded", 1);
+  r.note_quarantine(*err.reason, err.detail);
+  error_reply(*find_session(p.session), err);
+  retire(it);
+}
+
+void Router::Loop::retire(std::map<std::uint64_t, Pending>::iterator it) {
+  Session& s = *find_session(it->second.session);
+  --s.pending;
+  pending.erase(it);
+  settle(s);
+}
+
+void Router::Loop::queue(Session& s, std::string_view bytes) {
+  if (s.fd < 0) return;
+  s.out.append(bytes);
+  mark_dirty(s);
+}
+
+void Router::Loop::error_reply(Session& s, const ErrorResponse& err) {
+  queue(s, encode_error_response(err));
+  r.n_errors_.fetch_add(1, std::memory_order_relaxed);
+  IOTAX_OBS_COUNT("fleet.errors", 1);
+}
+
+void Router::Loop::mark_dirty(Session& s) {
+  if (s.dirty) return;
+  s.dirty = true;
+  dirty_sessions.push_back(s.id);
+}
+
+void Router::Loop::mark_dirty(Backhaul& bh) {
+  if (bh.dirty) return;
+  bh.dirty = true;
+  dirty_backhauls.push_back(&bh);
+}
+
+void Router::Loop::flush_all() {
+  // A backhaul failing here re-sends its requests elsewhere, which can
+  // dirty more connections; loop until the pass is quiet.
+  while (!dirty_backhauls.empty() || !dirty_sessions.empty()) {
+    std::vector<Backhaul*> bhs;
+    bhs.swap(dirty_backhauls);
+    for (Backhaul* bh : bhs) {
+      bh->dirty = false;
+      if (bh->fd < 0 || bh->connecting || bh->blocked) continue;
+      if (!flush(*bh)) {
+        fail_backhaul(*bh, Reason::kConnectionReset,
+                      "send to " + bh->endpoint->describe() + " failed: " +
+                          std::strerror(errno));
+        continue;
+      }
+      arm_backhaul(*bh);
+    }
+    std::vector<std::uint64_t> ids;
+    ids.swap(dirty_sessions);
+    for (const std::uint64_t id : ids) {
+      Session* s = find_session(id);
+      if (s == nullptr) continue;
+      s->dirty = false;
+      if (s->fd < 0 || s->blocked) continue;
+      if (!flush(*s)) {
+        close_session(*s);
+      } else {
+        arm_session(*s);
+      }
+      settle(*s);
+    }
+  }
+}
+
+bool Router::Loop::flush(Wire& w) {
+  if (w.out.empty()) {
+    w.blocked = false;
+    return true;
+  }
+  ssize_t n;
+  do {
+    n = ::send(w.fd, w.out.data(), w.out.size(), MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    n = 0;
+  }
+  w.out.erase(0, static_cast<std::size_t>(n));
+  w.blocked = !w.out.empty();
+  return true;
+}
+
+void Router::Loop::arm(Wire& w, std::uint64_t tag, std::uint32_t want) {
+  if (w.fd < 0 || want == w.events) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.u64 = tag;
+  ::epoll_ctl(epoll.fd, EPOLL_CTL_MOD, w.fd, &ev);
+  w.events = want;
+}
+
+void Router::Loop::arm_session(Session& s) {
+  const bool read = s.reading && !s.delayed && s.out.size() < kMaxSessionOutput;
+  arm(s, make_tag(Tag::kSession, s.id),
+      (read ? EPOLLIN : 0u) | (s.blocked ? EPOLLOUT : 0u));
+}
+
+void Router::Loop::arm_backhaul(Backhaul& bh) {
+  arm(bh, make_tag(Tag::kBackhaul, (bh.serial << kSerialShift) | bh.index),
+      EPOLLIN | (bh.connecting || bh.blocked ? EPOLLOUT : 0u));
+}
+
+void Router::Loop::close_session(Session& s) {
+  if (s.fd < 0) return;
+  ::epoll_ctl(epoll.fd, EPOLL_CTL_DEL, s.fd, nullptr);
+  ::close(s.fd);
+  s.fd = -1;
+  s.reading = false;
+  s.out.clear();
+  s.in.clear();
+  --open_sessions;
+}
+
+void Router::Loop::settle(Session& s) {
+  if (s.fd >= 0 && !s.reading && s.pending == 0 && s.out.empty()) {
+    close_session(s);
+  }
+  // Kept while requests are pending: they still need its backoff stream.
+  if (s.fd < 0 && s.pending == 0) sessions.erase(s.id);
+}
 
 Router::Router(RouterConfig config) : config_(std::move(config)) {}
 
@@ -518,10 +1570,12 @@ void Router::start() {
   } else {
     groups_ = config_.static_groups;
   }
+  std::size_t n_backhauls = 0;
   for (const auto& group : groups_) {
     if (group.empty()) {
       throw std::invalid_argument("fleet: a replica group has no endpoints");
     }
+    n_backhauls += group.size();
   }
   if (config_.deadline_ms == 0) {
     throw std::invalid_argument("fleet: deadline_ms must be > 0");
@@ -542,21 +1596,11 @@ void Router::start() {
     }
   }
   config_.chaos.validate();
-  chaos_cursor_ = 0;
 
-  if (!config_.unix_socket.empty()) {
-    unix_fd_ = router_unix_listener(config_.unix_socket);
-  }
-  if (config_.tcp_port >= 0) {
-    tcp_fd_ = router_tcp_listener(config_.tcp_port, &bound_tcp_port_);
-  }
-  if (unix_fd_ < 0 && tcp_fd_ < 0) {
-    throw std::runtime_error("fleet: no listener configured "
-                             "(need --socket and/or --port)");
-  }
+  loop_ = std::make_unique<Loop>(*this, n_backhauls);
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  thread_ = std::thread([this] { loop_->run(); });
 }
 
 void Router::stop() {
@@ -567,30 +1611,10 @@ void Router::stop() {
     }
     return;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (unix_fd_ >= 0) {
-    ::close(unix_fd_);
-    ::unlink(config_.unix_socket.c_str());
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& weak : sessions_) {
-      if (const auto session = weak.lock()) {
-        ::shutdown(session->fd, SHUT_RD);
-      }
-    }
-  }
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    readers.swap(session_threads_);
-  }
-  for (auto& t : readers) t.join();
+  const std::uint64_t one = 1;
+  (void)::write(loop_->wake.fd, &one, sizeof(one));
+  if (thread_.joinable()) thread_.join();
+  loop_.reset();
   running_.store(false, std::memory_order_release);
 }
 
@@ -600,11 +1624,11 @@ FleetStats Router::stats() const {
   s.requests = n_requests_.load(std::memory_order_relaxed);
   s.responses = n_responses_.load(std::memory_order_relaxed);
   s.errors = n_errors_.load(std::memory_order_relaxed);
-  s.retries = retry_counters_.retries.load(std::memory_order_relaxed);
-  s.failovers = retry_counters_.failovers.load(std::memory_order_relaxed);
-  s.busy_retries =
-      retry_counters_.busy_retries.load(std::memory_order_relaxed);
-  s.degraded = retry_counters_.degraded.load(std::memory_order_relaxed);
+  s.shed = n_shed_.load(std::memory_order_relaxed);
+  s.retries = n_retries_.load(std::memory_order_relaxed);
+  s.failovers = n_failovers_.load(std::memory_order_relaxed);
+  s.busy_retries = n_busy_retries_.load(std::memory_order_relaxed);
+  s.degraded = n_degraded_.load(std::memory_order_relaxed);
   s.chaos_kills = n_chaos_kills_.load(std::memory_order_relaxed);
   s.chaos_hangs = n_chaos_hangs_.load(std::memory_order_relaxed);
   s.chaos_drops = n_chaos_drops_.load(std::memory_order_relaxed);
@@ -623,251 +1647,6 @@ void Router::note_quarantine(Reason reason, const std::string& detail) {
   entry.reason = reason;
   entry.detail = detail;
   quarantine_.add(std::move(entry));
-}
-
-bool Router::write_frame(Session& session, std::string_view bytes) {
-  std::lock_guard<std::mutex> lock(session.write_mu);
-  if (session.dead.load(std::memory_order_relaxed)) return false;
-  const char* p = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::send(session.fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      session.dead.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void Router::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[2];
-    int n_fds = 0;
-    if (unix_fd_ >= 0) fds[n_fds++] = {unix_fd_, POLLIN, 0};
-    if (tcp_fd_ >= 0) fds[n_fds++] = {tcp_fd_, POLLIN, 0};
-    const int rc = ::poll(fds, static_cast<nfds_t>(n_fds), 100);
-    if (rc <= 0) continue;
-    for (int i = 0; i < n_fds; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int cfd = ::accept4(fds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
-      if (cfd < 0) continue;
-      auto session = std::make_shared<Session>();
-      session->fd = cfd;
-      session->index = static_cast<std::size_t>(
-          n_connections_.fetch_add(1, std::memory_order_relaxed));
-      IOTAX_OBS_COUNT("fleet.connections", 1);
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      sessions_.push_back(session);
-      session_threads_.emplace_back(
-          [this, session = std::move(session)] { session_loop(session); });
-    }
-  }
-}
-
-void Router::session_loop(std::shared_ptr<Session> session) {
-  if (config_.chaos.accept_delay_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.chaos.accept_delay_ms));
-  }
-  std::vector<std::uint8_t> buf;
-  std::size_t start = 0;
-  std::uint8_t chunk[16384];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd{session->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (rc == 0) continue;
-    const ssize_t n = ::recv(session->fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) {
-      if (start < buf.size() && !stopping_.load(std::memory_order_acquire)) {
-        note_quarantine(Reason::kTruncated,
-                        "connection closed inside a frame (" +
-                            std::to_string(buf.size() - start) +
-                            " byte(s) of partial frame)");
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = Reason::kTruncated;
-        err.detail = "truncated frame";
-        write_frame(*session, encode_error_response(err));
-        n_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;
-    }
-    buf.insert(buf.end(), chunk, chunk + n);
-    bool close_session = false;
-    while (true) {
-      const auto view = std::span<const std::uint8_t>(buf).subspan(start);
-      const FrameDecode dec = util::decode_frame(view);
-      if (dec.status == FrameDecode::Status::kNeedMore) break;
-      if (dec.status == FrameDecode::Status::kBad) {
-        note_quarantine(dec.reason, dec.detail);
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = dec.reason;
-        err.detail = dec.detail;
-        write_frame(*session, encode_error_response(err));
-        n_errors_.fetch_add(1, std::memory_order_relaxed);
-        close_session = true;
-        break;
-      }
-      const auto payload =
-          view.subspan(FrameHeader::kWireSize, dec.header.payload_len);
-      if (!handle_frame(session, dec.header, payload)) {
-        close_session = true;
-        break;
-      }
-      start += dec.consumed;
-    }
-    if (close_session) break;
-    if (start > 4096 && start * 2 > buf.size()) {
-      buf.erase(buf.begin(), buf.begin() + static_cast<long>(start));
-      start = 0;
-    }
-  }
-}
-
-void Router::apply_chaos(std::uint64_t request_count, Session& session) {
-  if (config_.chaos.events.empty()) return;
-  std::vector<faults::ChaosEvent> due;
-  {
-    std::lock_guard<std::mutex> lock(chaos_mu_);
-    while (chaos_cursor_ < config_.chaos.events.size() &&
-           config_.chaos.events[chaos_cursor_].at_request <= request_count) {
-      due.push_back(config_.chaos.events[chaos_cursor_++]);
-    }
-  }
-  for (const auto& event : due) {
-    switch (event.action) {
-      case faults::ChaosAction::kKill:
-        config_.supervisor->signal_shard(event.group, event.replica, SIGKILL);
-        n_chaos_kills_.fetch_add(1, std::memory_order_relaxed);
-        IOTAX_OBS_COUNT("fleet.chaos_kills", 1);
-        break;
-      case faults::ChaosAction::kHang:
-        config_.supervisor->signal_shard(event.group, event.replica, SIGSTOP);
-        n_chaos_hangs_.fetch_add(1, std::memory_order_relaxed);
-        IOTAX_OBS_COUNT("fleet.chaos_hangs", 1);
-        break;
-      case faults::ChaosAction::kDrop:
-        if (event.group < session.backhaul.size() &&
-            session.backhaul[event.group]) {
-          session.backhaul[event.group]->disconnect();
-        }
-        n_chaos_drops_.fetch_add(1, std::memory_order_relaxed);
-        IOTAX_OBS_COUNT("fleet.chaos_drops", 1);
-        break;
-      case faults::ChaosAction::kDelay:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(event.delay_ms));
-        n_chaos_delays_.fetch_add(1, std::memory_order_relaxed);
-        IOTAX_OBS_COUNT("fleet.chaos_delays", 1);
-        break;
-    }
-  }
-}
-
-bool Router::handle_frame(const std::shared_ptr<Session>& session,
-                          const FrameHeader& header,
-                          std::span<const std::uint8_t> payload) {
-  switch (static_cast<FrameType>(header.type)) {
-    case FrameType::kPing:
-      // The router answers for itself: a pong means "the front door is
-      // up", not "every shard is up" — per-shard health is the
-      // supervisor's job.
-      write_frame(*session, encode_pong(header.request_id));
-      return true;
-    case FrameType::kPredictRequest:
-      break;
-    case FrameType::kControlRequest: {
-      // Promote/rollback address one registry, and the fleet has N of
-      // them. Routing a mutation to a hash-picked shard would fork the
-      // replicas' state; refuse loudly instead.
-      ErrorResponse err;
-      err.request_id = header.request_id;
-      err.status = ServeStatus::kBadRequest;
-      err.detail = "control operations are not routed; "
-                   "address a shard directly";
-      write_frame(*session, encode_error_response(err));
-      n_errors_.fetch_add(1, std::memory_order_relaxed);
-      IOTAX_OBS_COUNT("fleet.errors", 1);
-      return true;
-    }
-    default: {
-      note_quarantine(Reason::kMalformedHeader,
-                      "unexpected frame type " + std::to_string(header.type));
-      ErrorResponse err;
-      err.request_id = header.request_id;
-      err.status = ServeStatus::kBadFrame;
-      err.reason = Reason::kMalformedHeader;
-      err.detail = "unexpected frame type";
-      write_frame(*session, encode_error_response(err));
-      n_errors_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-
-  PredictRequest req;
-  ErrorResponse err;
-  if (!decode_predict_request(header, payload, &req, &err)) {
-    note_quarantine(*err.reason, err.detail);
-    write_frame(*session, encode_error_response(err));
-    n_errors_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  const std::uint64_t count =
-      n_requests_.fetch_add(1, std::memory_order_relaxed) + 1;
-  IOTAX_OBS_COUNT("fleet.requests", 1);
-  apply_chaos(count, *session);
-
-  const std::size_t slot = fleet_slot(req, groups_.size());
-  if (session->backhaul.empty()) session->backhaul.resize(groups_.size());
-  auto& client = session->backhaul[slot];
-  if (!client) {
-    // Rotate the replica preference by connection ordinal so concurrent
-    // sessions spread across a group instead of all camping on r0.
-    std::vector<Endpoint> endpoints = groups_[slot];
-    std::rotate(endpoints.begin(),
-                endpoints.begin() +
-                    static_cast<long>(session->index % endpoints.size()),
-                endpoints.end());
-    RetryPolicy policy;
-    policy.deadline_ms = config_.deadline_ms;
-    policy.try_timeout_ms = config_.try_timeout_ms;
-    policy.backoff = config_.retry_backoff;
-    client = std::make_unique<RetryingClient>(
-        std::move(endpoints), policy,
-        util::Rng(config_.seed ^ config_.chaos.seed)
-            .fork(session->index * 131 + slot),
-        &retry_counters_);
-  }
-
-  RetryingClient::Result result = client->predict(req);
-  if (result.ok) {
-    write_frame(*session, encode_predict_response(result.response));
-    n_responses_.fetch_add(1, std::memory_order_relaxed);
-    IOTAX_OBS_COUNT("fleet.responses", 1);
-    return true;
-  }
-  if (result.error.status == ServeStatus::kDegraded) {
-    note_quarantine(result.error.reason.value_or(Reason::kDeadlineExpired),
-                    result.error.detail);
-    IOTAX_OBS_COUNT("fleet.degraded", 1);
-  }
-  write_frame(*session, encode_error_response(result.error));
-  n_errors_.fetch_add(1, std::memory_order_relaxed);
-  IOTAX_OBS_COUNT("fleet.errors", 1);
-  return true;
 }
 
 }  // namespace iotax::serve

@@ -1,19 +1,21 @@
 // The serving fleet: a supervised pack of shard daemons behind one
 // consistent-hashing router.
 //
-//   client --> Router --> RetryingClient --> shard g<slot>r<k> (iotax serve)
-//                               ^                   ^
-//                               |                   |
-//                        failover/retry      Supervisor (spawn, health
-//                                            ping, SIGKILL hung shards,
-//                                            restart w/ backoff budget)
+//   clients ==> Router (one epoll thread) ==> backhaul g<slot>r<k> ==> shard
+//               sessions + pending table      (one per replica)   (iotax serve)
+//                 ^  requests re-sent on failure / silence              ^
+//                 |                                                     |
+//                 +-- replies, client id restored        Supervisor (spawn,
+//                                                        health ping, SIGKILL
+//                                                        hung shards, restart
+//                                                        w/ backoff budget)
 //
 // Topology: n_groups replica groups, n_replicas shards per group; every
 // shard loads the same checkpoints, so the hash only decides *where* a
 // request runs, never *what* it answers — which is why a mid-load
-// `kill -9` of any shard is invisible to clients: the router's
-// RetryingClient fails over to a sibling replica and the answer stays
-// bit-identical to offline `iotax predict`.
+// `kill -9` of any shard is invisible to clients: the router re-sends
+// the requests pending on the dead shard's backhaul to a sibling
+// replica and the answer stays bit-identical to offline `iotax predict`.
 //
 // Failure model: shard death or hang is detected (waitpid / ping
 // deadline), the shard is restarted under an exponential-backoff
@@ -39,11 +41,26 @@
 #include <vector>
 
 #include "src/faults/chaos.hpp"
-#include "src/serve/retrying_client.hpp"
+#include "src/serve/protocol.hpp"
 #include "src/util/backoff.hpp"
 #include "src/util/quarantine.hpp"
 
 namespace iotax::serve {
+
+/// Where a shard listens. Stable across shard restarts (the supervisor
+/// rebinds the same socket path / port), which is what makes failover +
+/// reconnect converge back onto a freshly restarted replica.
+struct Endpoint {
+  enum class Kind : std::uint8_t { kUnix, kTcp };
+  Kind kind = Kind::kUnix;
+  std::string path;  // kUnix
+  std::string host;  // kTcp
+  std::uint16_t port = 0;
+
+  static Endpoint unix_path(std::string p);
+  static Endpoint tcp(std::string host, std::uint16_t port);
+  std::string describe() const;
+};
 
 /// Which replica group serves a request: FNV-1a over the model index
 /// and the feature doubles' bit patterns, mod n_groups. Pure function
@@ -171,9 +188,12 @@ struct RouterConfig {
   /// Front listeners, same semantics as ServeConfig.
   std::string unix_socket;
   int tcp_port = -1;
-  /// Per-request budget and per-attempt cap for the backhaul.
+  /// Per-request budget, and how long a backhaul with requests pending
+  /// may stay silent before it counts as failed (0 = no silence limit).
   std::uint64_t deadline_ms = 5000;
   std::uint64_t try_timeout_ms = 250;
+  /// Paces BUSY retries and the ping probes that readmit a failed
+  /// replica.
   util::BackoffPolicy retry_backoff{};
   std::uint64_t seed = 0xf1ee7ULL;
   /// Deterministic fault script; empty = no chaos. kill/hang events
@@ -193,8 +213,9 @@ struct FleetStats {
   std::uint64_t requests = 0;      // predict requests admitted
   std::uint64_t responses = 0;     // predict responses relayed
   std::uint64_t errors = 0;        // typed error replies relayed/created
+  std::uint64_t shed = 0;          // BUSY at the front door (not admitted)
   std::uint64_t retries = 0;       // backhaul attempts after the first
-  std::uint64_t failovers = 0;     // replica switches
+  std::uint64_t failovers = 0;     // re-sends to a different replica
   std::uint64_t busy_retries = 0;  // BUSY replies absorbed by retry
   std::uint64_t degraded = 0;      // kDegraded replies (deadline spent)
   std::uint64_t chaos_kills = 0;
@@ -203,19 +224,32 @@ struct FleetStats {
   std::uint64_t chaos_delays = 0;
 };
 
+/// The front door. One thread runs an epoll loop that owns the front
+/// listeners, every client session and one persistent backhaul per
+/// replica (opened on first use). Each admitted predict is forwarded at
+/// once under a router-assigned request id and tracked in a pending
+/// table until its reply — relayed with the client's id restored — or a
+/// typed error ends it; replies on one session may therefore arrive out
+/// of order. See DESIGN.md "Fleet & failure model" for the retry rules.
 class Router {
  public:
+  /// Predicts one session may have pending; past it the router answers
+  /// a typed kBusy, as a shard does past its default --max-inflight.
+  static constexpr std::size_t kMaxPendingPerSession = 256;
+
   explicit Router(RouterConfig config);
   ~Router();
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Bind front listeners and start accepting. The shard source
+  /// Bind front listeners and start the loop thread. The shard source
   /// (supervisor or static groups) must already be running; throws if
   /// neither or both are configured, or the chaos plan addresses shards
   /// outside the topology.
   void start();
-  /// Close listeners, finish in-flight sessions, join. Idempotent.
+  /// Stop reading, answer every admitted request (reply, verdict or
+  /// degraded), close everything, join. Idempotent. Afterwards
+  /// stats().requests == responses + errors.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -228,44 +262,31 @@ class Router {
   util::QuarantineReport quarantine() const;
 
  private:
-  struct Session;
+  struct Loop;
 
-  void accept_loop();
-  void session_loop(std::shared_ptr<Session> session);
-  bool handle_frame(const std::shared_ptr<Session>& session,
-                    const util::FrameHeader& header,
-                    std::span<const std::uint8_t> payload);
-  /// Fire every chaos event due at this admitted-request count.
-  void apply_chaos(std::uint64_t request_count, Session& session);
   void note_quarantine(util::Reason reason, const std::string& detail);
-  static bool write_frame(Session& session, std::string_view bytes);
 
   RouterConfig config_;
   std::vector<std::vector<Endpoint>> groups_;
-
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
   int bound_tcp_port_ = -1;
 
+  std::unique_ptr<Loop> loop_;
+  std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-
-  std::thread accept_thread_;
-  mutable std::mutex sessions_mu_;
-  std::vector<std::thread> session_threads_;      // guarded by sessions_mu_
-  std::vector<std::weak_ptr<Session>> sessions_;  // guarded by sessions_mu_
-
-  std::mutex chaos_mu_;
-  std::size_t chaos_cursor_ = 0;  // guarded by chaos_mu_
 
   mutable std::mutex quarantine_mu_;
   util::QuarantineReport quarantine_;  // guarded by quarantine_mu_
 
-  RetryCounters retry_counters_;
   std::atomic<std::uint64_t> n_connections_{0};
   std::atomic<std::uint64_t> n_requests_{0};
   std::atomic<std::uint64_t> n_responses_{0};
   std::atomic<std::uint64_t> n_errors_{0};
+  std::atomic<std::uint64_t> n_shed_{0};
+  std::atomic<std::uint64_t> n_retries_{0};
+  std::atomic<std::uint64_t> n_failovers_{0};
+  std::atomic<std::uint64_t> n_busy_retries_{0};
+  std::atomic<std::uint64_t> n_degraded_{0};
   std::atomic<std::uint64_t> n_chaos_kills_{0};
   std::atomic<std::uint64_t> n_chaos_hangs_{0};
   std::atomic<std::uint64_t> n_chaos_drops_{0};

@@ -1,11 +1,8 @@
 #include "src/serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -13,11 +10,13 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 #include "src/data/matrix.hpp"
 #include "src/ml/ensemble.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/serve/listener.hpp"
 
 namespace iotax::serve {
 
@@ -42,54 +41,6 @@ struct Server::Pending {
   PredictRequest req;
   std::chrono::steady_clock::time_point t_enqueue;
 };
-
-namespace {
-
-int make_unix_listener(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("serve: unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("serve: socket(AF_UNIX) failed");
-  ::unlink(path.c_str());  // stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("serve: cannot listen on unix socket " + path +
-                             ": " + std::strerror(err));
-  }
-  return fd;
-}
-
-int make_tcp_listener(int port, int* bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("serve: socket(AF_INET) failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("serve: cannot listen on TCP port " +
-                             std::to_string(port) + ": " + std::strerror(err));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    *bound_port = ntohs(bound.sin_port);
-  }
-  return fd;
-}
-
-}  // namespace
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -138,11 +89,13 @@ void Server::start() {
     shadow_ = std::move(entry);
   }
   queue_ = std::make_unique<util::BoundedQueue<Pending>>(config_.max_inflight);
+  max_sessions_ = connection_cap(config_.model_files.size() +
+                                 (config_.shadow_file.empty() ? 0 : 1));
   if (!config_.unix_socket.empty()) {
-    unix_fd_ = make_unix_listener(config_.unix_socket);
+    unix_fd_ = listen_unix(config_.unix_socket, "serve");
   }
   if (config_.tcp_port >= 0) {
-    tcp_fd_ = make_tcp_listener(config_.tcp_port, &bound_tcp_port_);
+    tcp_fd_ = listen_tcp(config_.tcp_port, &bound_tcp_port_, "serve");
   }
   if (unix_fd_ < 0 && tcp_fd_ < 0) {
     throw std::runtime_error("serve: no listener configured "
@@ -177,20 +130,17 @@ void Server::stop() {
   // 2. Stop the session readers (no new admissions). shutdown(SHUT_RD)
   // turns a blocked poll into an immediate EOF; pending responses still
   // flow out through the write side.
+  std::list<Reader> readers;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& weak : sessions_) {
-      if (const auto session = weak.lock()) {
+    for (const auto& reader : readers_) {
+      if (const auto session = reader.session.lock()) {
         ::shutdown(session->fd, SHUT_RD);
       }
     }
+    readers.swap(readers_);
   }
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    readers.swap(session_threads_);
-  }
-  for (auto& t : readers) t.join();
+  for (auto& reader : readers) reader.thread.join();
   // 3. Drain: the batcher answers every admitted request, then exits.
   queue_->close();
   if (batcher_thread_.joinable()) batcher_thread_.join();
@@ -280,15 +230,44 @@ void Server::accept_loop() {
     for (int i = 0; i < n_fds; ++i) {
       if ((fds[i].revents & POLLIN) == 0) continue;
       const int cfd = ::accept4(fds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
-      if (cfd < 0) continue;
+      if (cfd < 0) {
+        // Out of fds despite the cap (something else holds them): pause
+        // rather than spin on a listener that stays readable.
+        if (errno == EMFILE || errno == ENFILE) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        continue;
+      }
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      reap_readers_locked();
+      if (readers_.size() >= max_sessions_) {
+        refuse_busy(cfd, max_sessions_);
+        n_shed_.fetch_add(1, std::memory_order_relaxed);
+        IOTAX_OBS_COUNT("serve.shed", 1);
+        continue;
+      }
       auto session = std::make_shared<Session>();
       session->fd = cfd;
       n_connections_.fetch_add(1, std::memory_order_relaxed);
       IOTAX_OBS_COUNT("serve.connections", 1);
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      sessions_.push_back(session);
-      session_threads_.emplace_back(
-          [this, session = std::move(session)] { session_loop(session); });
+      Reader& reader = readers_.emplace_back();
+      reader.session = session;
+      reader.thread = std::thread(
+          [this, session = std::move(session), done = &reader.done]() mutable {
+            session_loop(std::move(session));
+            done->store(true, std::memory_order_release);
+          });
+    }
+  }
+}
+
+void Server::reap_readers_locked() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = readers_.erase(it);
+    } else {
+      ++it;
     }
   }
 }

@@ -19,13 +19,16 @@
 // Failure model: malformed or truncated frames map to the shared
 // quarantine Reason vocabulary and produce a typed error reply; they
 // never kill the daemon. Admission control sheds load with a typed BUSY
-// reply once max-inflight requests are in the system. stop() drains
+// reply once max-inflight requests are in the system, and a connection
+// past the fd-derived session cap (listener.hpp) gets the same typed
+// BUSY and is closed. stop() drains
 // gracefully: listeners close, readers stop admitting, every already-
 // admitted request is answered, then threads join.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -118,8 +121,17 @@ class Server {
  private:
   struct Session;
   struct Pending;
+  /// One session's reader thread. Finished readers are joined as new
+  /// connections arrive, so retained threads track live sessions.
+  struct Reader {
+    std::thread thread;
+    std::weak_ptr<Session> session;
+    std::atomic<bool> done{false};
+  };
 
   void accept_loop();
+  /// Join and drop readers whose session has ended.
+  void reap_readers_locked();
   void session_loop(std::shared_ptr<Session> session);
   void batcher_loop();
   /// Handle one complete frame from `session`; returns false when the
@@ -152,9 +164,10 @@ class Server {
 
   std::thread accept_thread_;
   std::thread batcher_thread_;
+  /// Live-session bound from the fd budget (listener.hpp), set in start().
+  std::size_t max_sessions_ = 0;
   mutable std::mutex sessions_mu_;
-  std::vector<std::thread> session_threads_;      // guarded by sessions_mu_
-  std::vector<std::weak_ptr<Session>> sessions_;  // guarded by sessions_mu_
+  std::list<Reader> readers_;  // guarded by sessions_mu_
 
   mutable std::mutex quarantine_mu_;
   util::QuarantineReport quarantine_;  // guarded by quarantine_mu_

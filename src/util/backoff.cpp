@@ -59,10 +59,4 @@ std::uint64_t Deadline::remaining_ms() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(left).count());
 }
 
-std::uint64_t Deadline::slice_ms(std::uint64_t cap) const {
-  const std::uint64_t left = remaining_ms();
-  if (cap == 0) return left;
-  return left < cap ? left : cap;
-}
-
 }  // namespace iotax::util

@@ -5,8 +5,8 @@
 // jitter from a caller-owned Rng, so a seeded retry loop replays the
 // exact same delay sequence run after run — which is what lets the
 // chaos tests assert counter-exact ground truth instead of sleeping
-// "long enough". Deadline is a thin wrapper over steady_clock that the
-// retry loops use to split one per-request budget across attempts.
+// "long enough". Deadline is a thin wrapper over steady_clock that bounds
+// one wait (a connect, a shard's startup) by a budget.
 #pragma once
 
 #include <chrono>
@@ -47,9 +47,6 @@ class Deadline {
   bool expired() const;
   /// Milliseconds left, 0 when expired; ~0ULL when infinite.
   std::uint64_t remaining_ms() const;
-  /// min(cap, remaining): the per-attempt slice of the budget. A cap of
-  /// 0 means "no per-attempt cap" and yields the full remainder.
-  std::uint64_t slice_ms(std::uint64_t cap) const;
 
  private:
   std::chrono::steady_clock::time_point at_{};

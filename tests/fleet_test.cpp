@@ -1,8 +1,11 @@
 // The fault-tolerant serving fleet: backoff/deadline primitives, the
-// consistent-hash slot function, chaos-plan parsing, the retrying
-// backhaul client against live and misbehaving shards, and the router
-// end to end over static replica groups — failover mid-load with zero
-// client-visible failures and bit-identity to offline predictions.
+// consistent-hash slot function, chaos-plan parsing, the router's
+// pending table against live and misbehaving shards (failover, BUSY,
+// degraded, verdicts, id rewrite, pipelining, drop re-sends), and the
+// router end to end over static replica groups — failover mid-load with
+// zero client-visible failures and bit-identity to offline predictions.
+// Also the resource bounds of both front doors: threads and memory maps
+// stay flat under connection churn and many open sessions.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -13,8 +16,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -26,7 +34,6 @@
 #include "src/serve/client.hpp"
 #include "src/serve/fleet.hpp"
 #include "src/serve/protocol.hpp"
-#include "src/serve/retrying_client.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/backoff.hpp"
 #include "src/util/frame.hpp"
@@ -104,21 +111,16 @@ TEST(FleetBackoff, DeadlineSlicesTheBudget) {
   EXPECT_TRUE(inf.is_infinite());
   EXPECT_FALSE(inf.expired());
   EXPECT_EQ(inf.remaining_ms(), ~0ULL);
-  EXPECT_EQ(inf.slice_ms(5), 5u);    // cap applies even to forever
-  EXPECT_EQ(inf.slice_ms(0), ~0ULL);  // no cap: the full remainder
 
   const auto d = util::Deadline::after_ms(200);
   EXPECT_FALSE(d.is_infinite());
   EXPECT_FALSE(d.expired());
   EXPECT_LE(d.remaining_ms(), 200u);
-  EXPECT_LE(d.slice_ms(50), 50u);
-  EXPECT_LE(d.slice_ms(0), 200u);  // uncapped slice == remainder
 
   const auto tiny = util::Deadline::after_ms(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_TRUE(tiny.expired());
   EXPECT_EQ(tiny.remaining_ms(), 0u);
-  EXPECT_EQ(tiny.slice_ms(50), 0u);
 }
 
 // -- consistent-hash slot ---------------------------------------------------
@@ -230,7 +232,9 @@ TEST(FleetChaosPlan, RejectsDefects) {
 /// Raw unix-socket peer that speaks just enough of the serve protocol
 /// to misbehave on demand: answer BUSY n times before serving, or stay
 /// silent forever. The real daemon cannot be told to do either
-/// deterministically, and determinism is the point of these tests.
+/// deterministically, and determinism is the point of these tests. It
+/// records every request id it sees, so tests can check what the router
+/// puts on the wire.
 class FakeShard {
  public:
   FakeShard(std::string path, std::size_t busy_first_n, bool silent)
@@ -259,10 +263,15 @@ class FakeShard {
 
   std::uint64_t served() const { return served_.load(); }
   std::uint64_t busy_sent() const { return busy_sent_.load(); }
+  std::vector<std::uint64_t> seen_ids() const {
+    std::lock_guard<std::mutex> lock(seen_mu_);
+    return seen_;
+  }
 
-  /// The prediction a request id maps to (what the client must see).
-  static double value_for(std::uint64_t request_id) {
-    return static_cast<double>(request_id) + 0.25;
+  /// The prediction a request maps to (what the client must see): a
+  /// function of its row, not its id, which the router rewrites.
+  static double value_for(const serve::PredictRequest& req) {
+    return req.features.at(0) + 0.25;
   }
 
  private:
@@ -302,16 +311,21 @@ class FakeShard {
 
   void handle(int fd, const FrameHeader& header,
               std::span<const std::uint8_t> payload) {
-    if (silent_) return;  // reads everything, answers nothing
+    // A silent shard reads everything and answers nothing, pings included.
     const auto type = static_cast<FrameType>(header.type);
     if (type == FrameType::kPing) {
-      send_all(fd, serve::encode_pong(header.request_id));
+      if (!silent_) send_all(fd, serve::encode_pong(header.request_id));
       return;
     }
     if (type != FrameType::kPredictRequest) return;
     serve::PredictRequest req;
     serve::ErrorResponse err;
     if (!serve::decode_predict_request(header, payload, &req, &err)) return;
+    {
+      std::lock_guard<std::mutex> lock(seen_mu_);
+      seen_.push_back(req.request_id);
+    }
+    if (silent_) return;
     std::size_t expect = busy_left_.load();
     while (expect > 0 &&
            !busy_left_.compare_exchange_weak(expect, expect - 1)) {
@@ -327,7 +341,7 @@ class FakeShard {
     }
     serve::PredictResponse resp;
     resp.request_id = req.request_id;
-    resp.values = {value_for(req.request_id)};
+    resp.values = {value_for(req)};
     send_all(fd, serve::encode_predict_response(resp));
     served_.fetch_add(1);
   }
@@ -351,6 +365,8 @@ class FakeShard {
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> busy_sent_{0};
+  mutable std::mutex seen_mu_;
+  std::vector<std::uint64_t> seen_;  // guarded by seen_mu_
 };
 
 // -- fixture: a trained checkpoint and live shard servers -------------------
@@ -384,9 +400,16 @@ class FleetTest : public ::testing::Test {
     model_ = new ml::GradientBoostedTrees(p);
     model_->fit(train_->x, train_->y);
     model_path_ = ::testing::TempDir() + "fleet_test_model.gbt";
-    std::ofstream out(model_path_);
-    ASSERT_TRUE(out.is_open());
-    model_->save(out);
+    // Under `ctest -j` every test is its own process writing this same
+    // file: save a private copy and rename it into place, so no process
+    // ever loads a half-written checkpoint.
+    const std::string tmp = model_path_ + "." + std::to_string(::getpid());
+    {
+      std::ofstream out(tmp);
+      ASSERT_TRUE(out.is_open());
+      model_->save(out);
+    }
+    ASSERT_EQ(std::rename(tmp.c_str(), model_path_.c_str()), 0);
   }
 
   static void TearDownTestSuite() {
@@ -419,14 +442,23 @@ class FleetTest : public ::testing::Test {
     return req;
   }
 
-  /// Fast, test-friendly retry policy: small budget, tight backoff.
-  static serve::RetryPolicy test_policy(std::uint64_t deadline_ms = 2000) {
-    serve::RetryPolicy policy;
-    policy.deadline_ms = deadline_ms;
-    policy.try_timeout_ms = 100;
-    policy.backoff = {/*initial_ms=*/1, /*max_ms=*/8, /*multiplier=*/2.0,
-                      /*jitter=*/0.25};
-    return policy;
+  static serve::Endpoint endpoint(const char* tag) {
+    return serve::Endpoint::unix_path(sock_path(tag));
+  }
+
+  /// A router on `tag` over static groups with a fast, test-friendly
+  /// retry policy: small budget, tight backoff.
+  static serve::RouterConfig router_config(
+      const char* tag, std::vector<std::vector<serve::Endpoint>> groups,
+      std::uint64_t deadline_ms = 2000) {
+    serve::RouterConfig cfg;
+    cfg.unix_socket = sock_path(tag);
+    cfg.static_groups = std::move(groups);
+    cfg.deadline_ms = deadline_ms;
+    cfg.try_timeout_ms = 100;
+    cfg.retry_backoff = {/*initial_ms=*/1, /*max_ms=*/8, /*multiplier=*/2.0,
+                         /*jitter=*/0.25};
+    return cfg;
   }
 
   static Xy* train_;
@@ -451,7 +483,7 @@ void expect_bit_identical(const std::vector<double>& a,
   }
 }
 
-// -- retrying client --------------------------------------------------------
+// -- the router's pending table ---------------------------------------------
 
 TEST_F(FleetTest, ClientRecvTimeoutIsTypedNotHung) {
   // Satellite contract: a daemon that accepts and then goes silent must
@@ -467,43 +499,120 @@ TEST_F(FleetTest, ClientRecvTimeoutIsTypedNotHung) {
   mute.stop();
 }
 
-TEST_F(FleetTest, RetryingClientFailsOverFromDeadReplica) {
+TEST_F(FleetTest, RouterFailsOverFromDeadReplica) {
   serve::Server live(shard_config("fo_live"));
   live.start();
-  // Replica 0 does not exist; the client must fail over to replica 1
-  // inside the deadline and still return the real answer.
-  serve::RetryCounters counters;
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("fo_dead")),
-       serve::Endpoint::unix_path(sock_path("fo_live"))},
-      test_policy(), util::Rng(3), &counters);
+  // Replica 0 does not exist and session 0 prefers it; the router must
+  // fail over to replica 1 inside the deadline and still return the
+  // real answer.
+  serve::Router router(router_config(
+      "fo_front", {{endpoint("fo_dead"), endpoint("fo_live")}}));
+  router.start();
   const auto offline = model_->predict(probe_->x);
-  const auto result = client.predict(request_for_row(0, 1));
-  ASSERT_TRUE(result.ok) << result.error.detail;
-  expect_bit_identical(result.response.values, {offline[0]});
-  EXPECT_GE(counters.failovers.load(), 1u);
-  EXPECT_EQ(counters.degraded.load(), 0u);
-  // Once settled on the live replica, later requests are first-try.
-  const auto again = client.predict(request_for_row(1, 2));
-  ASSERT_TRUE(again.ok);
-  expect_bit_identical(again.response.values, {offline[1]});
+  auto client = serve::Client::connect_unix(sock_path("fo_front"));
+  serve::Client::Reply reply;
+  client.send_predict(request_for_row(0, 1));
+  ASSERT_TRUE(client.read_reply(&reply));
+  ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+  EXPECT_EQ(reply.request_id, 1u);
+  expect_bit_identical(reply.predict.values, {offline[0]});
+  // Later requests keep answering while replica 0 stays dead.
+  client.send_predict(request_for_row(1, 2));
+  ASSERT_TRUE(client.read_reply(&reply));
+  ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+  expect_bit_identical(reply.predict.values, {offline[1]});
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_GE(stats.failovers, 1u);
+  EXPECT_EQ(stats.degraded, 0u);
+  EXPECT_EQ(stats.errors, 0u);
   live.stop();
 }
 
-TEST_F(FleetTest, RetryingClientAbsorbsBusyOnSameReplica) {
+TEST_F(FleetTest, RouterKeepsASilentReplicaOutUntilItAnswersAPing) {
+  // Replica 0 accepts connections but never answers (a stopped process
+  // still completes connects from its backlog) and session 0 prefers it.
+  // Only the request caught on it when it went silent may stall for
+  // try_timeout_ms; every later one must go straight to replica 1, and
+  // replica 0 must see no request until a fresh connection to it has
+  // answered a ping.
+  auto mute = std::make_unique<FakeShard>(sock_path("hush_r0"), 0,
+                                          /*silent=*/true);
+  FakeShard live(sock_path("hush_r1"), 0, /*silent=*/false);
+  serve::Router router(router_config(
+      "hush_front", {{endpoint("hush_r0"), endpoint("hush_r1")}}));
+  router.start();
+  auto client = serve::Client::connect_unix(sock_path("hush_front"));
+  const auto ask = [&](std::uint64_t id) {
+    const auto req = request_for_row(id % probe_->x.rows(), id);
+    const auto t0 = std::chrono::steady_clock::now();
+    client.send_predict(req);
+    serve::Client::Reply reply;
+    EXPECT_TRUE(client.read_reply(&reply));
+    EXPECT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(reply.predict.values.at(0), FakeShard::value_for(req));
+    return std::chrono::steady_clock::now() - t0;
+  };
+  // 40 requests over >= 4 try_timeout_ms periods: the pre-probe router
+  // reconnected within a few ms of each failure and stalled again.
+  constexpr std::uint64_t kRequests = 40;
+  std::size_t stalled = 0;
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    if (ask(id) >= std::chrono::milliseconds(50)) ++stalled;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(stalled, 1u);
+  EXPECT_EQ(mute->seen_ids().size(), 1u);
+  auto stats = router.stats();
+  EXPECT_EQ(stats.retries, 1u);  // the one request caught by the silence
+  // ... and one failover per request: the first re-sent, the rest
+  // steered off their session's replica.
+  EXPECT_EQ(stats.failovers, kRequests);
+  EXPECT_EQ(stats.degraded, 0u);
+
+  // Replica 0 comes back: once a probe is answered it serves again.
+  mute.reset();
+  FakeShard back(sock_path("hush_r0"), 0, /*silent=*/false);
+  const auto until = util::Deadline::after_ms(2000);
+  std::uint64_t id = kRequests;
+  while (back.seen_ids().empty() && !until.expired()) {
+    ask(++id);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(back.seen_ids().empty());
+  client.close();
+  router.stop();
+  stats = router.stats();
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.requests, stats.responses);
+}
+
+TEST_F(FleetTest, RouterAbsorbsBusyOnSameReplica) {
   // Two scripted BUSY sheds, then service. BUSY must be retried on the
   // SAME replica (no failover — the queue needs a moment, the process
-  // is fine) and never surface to the caller.
+  // is fine) and never surface to the client.
   FakeShard shard(sock_path("busy"), /*busy_first_n=*/2, /*silent=*/false);
-  serve::RetryCounters counters;
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("busy"))}, test_policy(),
-      util::Rng(4), &counters);
-  const auto result = client.predict(request_for_row(0, 9));
-  ASSERT_TRUE(result.ok) << result.error.detail;
-  ASSERT_EQ(result.response.values.size(), 1u);
-  EXPECT_EQ(result.response.values[0], FakeShard::value_for(9));
-  EXPECT_EQ(counters.busy_retries.load(), 2u);
+  FakeShard spare(sock_path("busy_spare"), 0, /*silent=*/false);
+  serve::Router router(router_config(
+      "busy_front", {{endpoint("busy"), endpoint("busy_spare")}}));
+  router.start();
+  auto client = serve::Client::connect_unix(sock_path("busy_front"));
+  const auto req = request_for_row(0, 9);
+  client.send_predict(req);
+  serve::Client::Reply reply;
+  ASSERT_TRUE(client.read_reply(&reply));
+  ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+  EXPECT_EQ(reply.request_id, 9u);
+  ASSERT_EQ(reply.predict.values.size(), 1u);
+  EXPECT_EQ(reply.predict.values[0], FakeShard::value_for(req));
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.busy_retries, 2u);
+  EXPECT_EQ(stats.retries, 2u);
+  EXPECT_EQ(stats.failovers, 0u);
   EXPECT_EQ(shard.busy_sent(), 2u);
   // The shard thread bumps served() after writing the reply; give its
   // scheduler slice a moment before asserting.
@@ -512,51 +621,270 @@ TEST_F(FleetTest, RetryingClientAbsorbsBusyOnSameReplica) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(shard.served(), 1u);
-  EXPECT_EQ(counters.failovers.load(), 0u);
+  EXPECT_EQ(spare.seen_ids().size(), 0u);
   shard.stop();
+  spare.stop();
 }
 
-TEST_F(FleetTest, RetryingClientDegradesWhenNoReplicaAnswers) {
-  serve::RetryCounters counters;
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("void_a")),
-       serve::Endpoint::unix_path(sock_path("void_b"))},
-      test_policy(/*deadline_ms=*/200), util::Rng(5), &counters);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto result = client.predict(request_for_row(0, 1));
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-  ASSERT_FALSE(result.ok);
-  EXPECT_EQ(result.error.status, serve::ServeStatus::kDegraded);
-  EXPECT_EQ(result.error.request_id, 1u);
-  ASSERT_TRUE(result.error.reason.has_value());
-  EXPECT_EQ(*result.error.reason, Reason::kConnectionReset);
-  EXPECT_NE(result.error.detail.find("replica group unavailable"),
-            std::string::npos)
-      << result.error.detail;
-  EXPECT_EQ(counters.degraded.load(), 1u);
-  EXPECT_GE(counters.retries.load(), 1u);
-  // The deadline bounds the pain: well past 200ms would mean the retry
-  // loop ignores its budget. Generous slack for slow CI machines.
-  EXPECT_LT(elapsed, 2000);
+TEST_F(FleetTest, RouterDegradesWhenNoReplicaAnswers) {
+  serve::Router router(router_config(
+      "void_front", {{endpoint("void_a"), endpoint("void_b")}},
+      /*deadline_ms=*/200));
+  router.start();
+  auto client = serve::Client::connect_unix(sock_path("void_front"));
+  // The second request arrives with both replicas already known to be
+  // down, so no replica ever sees it: it must still report why.
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    const auto t0 = std::chrono::steady_clock::now();
+    client.send_predict(request_for_row(0, id));
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    ASSERT_EQ(reply.type, FrameType::kErrorResponse);
+    EXPECT_EQ(reply.error.status, serve::ServeStatus::kDegraded);
+    EXPECT_EQ(reply.request_id, id);
+    ASSERT_TRUE(reply.error.reason.has_value());
+    EXPECT_EQ(*reply.error.reason, Reason::kConnectionReset);
+    EXPECT_NE(reply.error.detail.find("replica group unavailable"),
+              std::string::npos)
+        << reply.error.detail;
+    // The deadline bounds the pain: well past 200ms would mean the retry
+    // loop ignores its budget. Generous slack for slow CI machines.
+    EXPECT_LT(elapsed, 2000);
+  }
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.degraded, 2u);
+  EXPECT_GE(stats.retries, 1u);
+  EXPECT_EQ(stats.requests, stats.responses + stats.errors);
 }
 
-TEST_F(FleetTest, RetryingClientPassesModelVerdictsThrough) {
+TEST_F(FleetTest, RouterRelaysModelVerdictsOnFirstAttempt) {
   serve::Server live(shard_config("verdict"));
   live.start();
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("verdict"))}, test_policy(),
-      util::Rng(6));
+  serve::Router router(router_config("verdict_front", {{endpoint("verdict")}}));
+  router.start();
+  auto client = serve::Client::connect_unix(sock_path("verdict_front"));
   // Unknown model index: a typed answer, not a transport failure — it
   // must come back on the first attempt, not burn the retry budget.
   auto req = request_for_row(0, 5);
   req.model_index = 7;
-  const auto result = client.predict(req);
-  ASSERT_FALSE(result.ok);
-  EXPECT_EQ(result.error.status, serve::ServeStatus::kUnknownModel);
-  EXPECT_EQ(result.error.request_id, 5u);
+  client.send_predict(req);
+  serve::Client::Reply reply;
+  ASSERT_TRUE(client.read_reply(&reply));
+  ASSERT_EQ(reply.type, FrameType::kErrorResponse);
+  EXPECT_EQ(reply.error.status, serve::ServeStatus::kUnknownModel);
+  EXPECT_EQ(reply.request_id, 5u);
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.degraded, 0u);
   live.stop();
+}
+
+TEST_F(FleetTest, RouterForwardsAClientWindowAsOneBatch) {
+  // Pipelining: a 16-deep client window must reach its replica together,
+  // so the shard's 50 ms gather window closes over one 16-row batch. A
+  // router that forwards one request at a time per session makes 16.
+  auto shard_cfg = shard_config("window_g0");
+  shard_cfg.batch_wait_us = 50000;
+  serve::Server shard(shard_cfg);
+  shard.start();
+  serve::Router router(router_config("window_front", {{endpoint("window_g0")}}));
+  router.start();
+  const auto offline = model_->predict(probe_->x);
+  constexpr std::size_t kWindow = 16;
+  auto client = serve::Client::connect_unix(sock_path("window_front"));
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    client.send_predict(request_for_row(i, i + 1));
+  }
+  std::vector<double> served(kWindow, 0.0);
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+    ASSERT_GE(reply.request_id, 1u);
+    ASSERT_LE(reply.request_id, kWindow);
+    served[reply.request_id - 1] = reply.predict.values[0];
+  }
+  client.close();
+  router.stop();
+  expect_bit_identical(
+      served, std::vector<double>(offline.begin(), offline.begin() + kWindow));
+  EXPECT_EQ(shard.stats().batches, 1u);
+  EXPECT_EQ(shard.stats().requests, kWindow);
+  shard.stop();
+}
+
+TEST_F(FleetTest, RouterRewritesIdsSoSessionsShareABackhaul) {
+  // Two sessions send the same request ids at the same time over one
+  // shared backhaul. The shard must see distinct ids, and each client
+  // must get its own rows' answers back under its own ids.
+  FakeShard shard(sock_path("ids_g0"), 0, /*silent=*/false);
+  serve::Router router(router_config("ids_front", {{endpoint("ids_g0")}}));
+  router.start();
+  constexpr std::size_t kPerClient = 24;
+  std::vector<std::vector<double>> got(2);
+  std::vector<std::string> failures(2);
+  const auto drive = [&](std::size_t c) {
+    auto client = serve::Client::connect_unix(sock_path("ids_front"));
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      client.send_predict(request_for_row(c * kPerClient + i, i + 1));
+    }
+    got[c].assign(kPerClient, 0.0);
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      serve::Client::Reply reply;
+      if (!client.read_reply(&reply) ||
+          reply.type != FrameType::kPredictResponse || reply.request_id < 1 ||
+          reply.request_id > kPerClient) {
+        failures[c] = "bad reply " + std::to_string(reply.request_id);
+        return;
+      }
+      got[c][reply.request_id - 1] = reply.predict.values.at(0);
+    }
+  };
+  std::thread a(drive, 0);
+  std::thread b(drive, 1);
+  a.join();
+  b.join();
+  router.stop();
+  for (std::size_t c = 0; c < 2; ++c) {
+    ASSERT_TRUE(failures[c].empty()) << "client " << c << ": " << failures[c];
+    std::vector<double> want;
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      want.push_back(FakeShard::value_for(request_for_row(c * kPerClient + i, 0)));
+    }
+    expect_bit_identical(got[c], want);
+  }
+  const auto ids = shard.seen_ids();
+  EXPECT_EQ(ids.size(), 2 * kPerClient);
+  EXPECT_EQ(std::set<std::uint64_t>(ids.begin(), ids.end()).size(), ids.size());
+  shard.stop();
+}
+
+TEST_F(FleetTest, RouterDropChaosResendsEveryPendingRequest) {
+  // Drop fires on the 16th request while the first 15 wait out replica
+  // 0's 50 ms gather window on its backhaul: every one of them must be
+  // re-sent to replica 1 and answered bit-identically.
+  auto r0_cfg = shard_config("drop_r0");
+  auto r1_cfg = shard_config("drop_r1");
+  r0_cfg.batch_wait_us = r1_cfg.batch_wait_us = 50000;
+  serve::Server r0(r0_cfg);
+  serve::Server r1(r1_cfg);
+  r0.start();
+  r1.start();
+  auto cfg = router_config("drop_front",
+                           {{endpoint("drop_r0"), endpoint("drop_r1")}});
+  cfg.chaos = faults::ChaosPlan::from_json(util::Json::parse(R"({
+    "events": [{"at_request": 16, "action": "drop", "group": 0,
+                "replica": 0}]})"));
+  serve::Router router(cfg);
+  router.start();
+  const auto offline = model_->predict(probe_->x);
+  constexpr std::size_t kWindow = 16;
+  auto client = serve::Client::connect_unix(sock_path("drop_front"));
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    client.send_predict(request_for_row(i, i + 1));
+  }
+  std::vector<double> served(kWindow, 0.0);
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+    served[reply.request_id - 1] = reply.predict.values[0];
+  }
+  client.close();
+  router.stop();
+  expect_bit_identical(
+      served, std::vector<double>(offline.begin(), offline.begin() + kWindow));
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.chaos_drops, 1u);
+  EXPECT_EQ(stats.responses, kWindow);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_GE(stats.retries, 8u);
+  EXPECT_GE(stats.failovers, 8u);
+  r0.stop();
+  r1.stop();
+}
+
+TEST_F(FleetTest, RouterDropChaosClosesOnlyTheNamedBackhaul) {
+  // The drop names replica 1, which has no backhaul; the window pending
+  // on replica 0 (the triggering request's) must not be touched.
+  auto r0_cfg = shard_config("aim_r0");
+  r0_cfg.batch_wait_us = 50000;
+  serve::Server r0(r0_cfg);
+  r0.start();
+  auto cfg = router_config("aim_front",
+                           {{endpoint("aim_r0"), endpoint("aim_nobody")}});
+  cfg.chaos = faults::ChaosPlan::from_json(util::Json::parse(R"({
+    "events": [{"at_request": 16, "action": "drop", "group": 0,
+                "replica": 1}]})"));
+  serve::Router router(cfg);
+  router.start();
+  constexpr std::size_t kWindow = 16;
+  auto client = serve::Client::connect_unix(sock_path("aim_front"));
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    client.send_predict(request_for_row(i, i + 1));
+  }
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+  }
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.chaos_drops, 1u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(r0.stats().batches, 1u);
+  r0.stop();
+}
+
+TEST_F(FleetTest, RouterShedsPastItsPerSessionPendingBound) {
+  // A shard that never answers holds every request pending until the
+  // deadline; past the per-session bound the router itself answers a
+  // typed BUSY, at once, instead of queueing without limit.
+  FakeShard mute(sock_path("shed_mute"), 0, /*silent=*/true);
+  auto cfg = router_config("shed_front", {{endpoint("shed_mute")}},
+                           /*deadline_ms=*/300);
+  cfg.try_timeout_ms = 0;  // no silence limit: pending until the deadline
+  serve::Router router(cfg);
+  router.start();
+  constexpr std::size_t kBound = serve::Router::kMaxPendingPerSession;
+  constexpr std::size_t kExtra = 4;
+  auto client = serve::Client::connect_unix(sock_path("shed_front"));
+  for (std::size_t i = 0; i < kBound + kExtra; ++i) {
+    client.send_predict(request_for_row(i % probe_->x.rows(), i + 1));
+  }
+  std::size_t busy = 0, degraded = 0;
+  for (std::size_t i = 0; i < kBound + kExtra; ++i) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kErrorResponse);
+    if (reply.error.status == serve::ServeStatus::kBusy) {
+      EXPECT_GT(reply.request_id, kBound);
+      ++busy;
+    } else {
+      EXPECT_EQ(reply.error.status, serve::ServeStatus::kDegraded);
+      EXPECT_EQ(reply.error.reason, Reason::kDeadlineExpired);
+      ++degraded;
+    }
+  }
+  EXPECT_EQ(busy, kExtra);
+  EXPECT_EQ(degraded, kBound);
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.shed, kExtra);
+  EXPECT_EQ(stats.requests, kBound);
+  EXPECT_EQ(stats.requests, stats.responses + stats.errors);
+  mute.stop();
 }
 
 // -- SIGPIPE / half-closed peers --------------------------------------------
@@ -845,6 +1173,104 @@ TEST_F(FleetTest, RouterConfigContractsAreEnforced) {
     serve::Router router(cfg);
     EXPECT_THROW(router.start(), std::invalid_argument);
   }
+}
+
+
+// -- resource bounds of the front doors -------------------------------------
+
+std::size_t maps_lines() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Connect, ping, close — `cycles` times. Returns false on a lost pong.
+bool churn(const std::string& socket_path, std::size_t cycles) {
+  for (std::size_t i = 0; i < cycles; ++i) {
+    auto client = serve::Client::connect_unix(socket_path);
+    client.send_ping(i + 1);
+    serve::Client::Reply reply;
+    if (!client.read_reply(&reply) || reply.type != FrameType::kPong) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A front door that keeps each finished session's thread until stop()
+// grows by two maps (stack + guard page) per connection ever accepted —
+// ~4000 over this churn — until vm.max_map_count aborts the process.
+constexpr std::size_t kChurnCycles = 2000;
+constexpr std::size_t kMapsSlack = 64;
+
+TEST_F(FleetTest, ServerMapsStayFlatUnderConnectionChurn) {
+  serve::Server server(shard_config("churn_server"));
+  server.start();
+  ASSERT_TRUE(churn(sock_path("churn_server"), 50));  // warm allocator arenas
+  const std::size_t before = maps_lines();
+  ASSERT_TRUE(churn(sock_path("churn_server"), kChurnCycles));
+  const std::size_t after = maps_lines();
+  EXPECT_LT(after, before + kMapsSlack) << before << " -> " << after;
+  server.stop();
+  EXPECT_EQ(server.stats().connections, 50 + kChurnCycles);
+}
+
+TEST_F(FleetTest, RouterMapsStayFlatUnderConnectionChurn) {
+  serve::Router router(router_config("churn_front", {{endpoint("churn_none")}}));
+  router.start();
+  ASSERT_TRUE(churn(sock_path("churn_front"), 50));
+  const std::size_t before = maps_lines();
+  ASSERT_TRUE(churn(sock_path("churn_front"), kChurnCycles));
+  const std::size_t after = maps_lines();
+  EXPECT_LT(after, before + kMapsSlack) << before << " -> " << after;
+  router.stop();
+  EXPECT_EQ(router.stats().connections, 50 + kChurnCycles);
+}
+
+TEST_F(FleetTest, RouterThreadCountIsFlatIn64Sessions) {
+  serve::Server shard(shard_config("threads_g0"));
+  shard.start();
+  serve::Router router(router_config("threads_front", {{endpoint("threads_g0")}}));
+  router.start();
+  const auto offline = model_->predict(probe_->x);  // starts the pool too
+  // Warm-up: the first request opens the one backhaul (and the shard's
+  // reader for it).
+  {
+    auto warm = serve::Client::connect_unix(sock_path("threads_front"));
+    warm.send_predict(request_for_row(0, 1));
+    serve::Client::Reply reply;
+    ASSERT_TRUE(warm.read_reply(&reply));
+  }
+  const std::size_t before = thread_count();
+  constexpr std::size_t kSessions = 64;
+  std::vector<serve::Client> clients;
+  for (std::size_t c = 0; c < kSessions; ++c) {
+    clients.push_back(serve::Client::connect_unix(sock_path("threads_front")));
+    clients.back().send_predict(request_for_row(c % probe_->x.rows(), c + 1));
+  }
+  for (std::size_t c = 0; c < kSessions; ++c) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(clients[c].read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+    EXPECT_EQ(reply.request_id, c + 1);
+    expect_bit_identical(reply.predict.values,
+                         {offline[c % probe_->x.rows()]});
+  }
+  // All 64 sessions are still open here.
+  EXPECT_EQ(thread_count(), before);
+  clients.clear();
+  router.stop();
+  shard.stop();
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 // byte boundary, admission control, and graceful-drain accounting.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -289,9 +292,16 @@ class ServeTest : public ::testing::Test {
     model_ = new ml::GradientBoostedTrees(p);
     model_->fit(train_->x, train_->y);
     model_path_ = ::testing::TempDir() + "serve_test_model.gbt";
-    std::ofstream out(model_path_);
-    ASSERT_TRUE(out.is_open());
-    model_->save(out);
+    // Under `ctest -j` every test is its own process writing this same
+    // file: save a private copy and rename it into place, so no process
+    // ever loads a half-written checkpoint.
+    const std::string tmp = model_path_ + "." + std::to_string(::getpid());
+    {
+      std::ofstream out(tmp);
+      ASSERT_TRUE(out.is_open());
+      model_->save(out);
+    }
+    ASSERT_EQ(std::rename(tmp.c_str(), model_path_.c_str()), 0);
   }
 
   static void TearDownTestSuite() {

@@ -30,7 +30,8 @@
 # KIND=oocore gates the out-of-core store A/B (bit-identity, peak bytes,
 # pack+train wall). KIND=serve gates the fleet A/B (bench_serve --fleet):
 # routed-vs-direct bit-identity and zero failed requests are hard bits,
-# and the routed p99 must stay inside P99_TOL x direct + P99_SLACK_MS.
+# the routed p50 must stay within 3x direct (head-of-line blocking),
+# and the routed p99 inside P99_TOL x direct + P99_SLACK_MS.
 # KIND=workloads gates bench_workloads: classifier round-trip/adapter
 # bit-identity and transfer attribution are hard bits, burst AUC has a
 # MIN_BURST_AUC floor, and wall time has the usual WALL_TOL envelope.
@@ -226,6 +227,11 @@ if(KIND STREQUAL "serve")
   #     from the direct daemon somewhere. No tolerance.
   #   * fleet.failed_requests must be 0 — the mid-run kill -9 leaked a
   #     client-visible error past the retry/failover machinery.
+  #   * routed p50 <= direct p50 * 3 (hard), both from this run. A
+  #     router that forwards one request per session at a time makes
+  #     each request wait out the rest of the client's window (16 deep):
+  #     routed p50 ~ 16x direct. Pipelined forwarding keeps the median a
+  #     small constant above direct.
   #   * routed p99 <= direct p99 * P99_TOL + P99_SLACK_MS, both measured
   #     in this run so runner speed cancels out. The multiplier bounds
   #     the steady-state router hop; the absolute slack absorbs the one
@@ -264,6 +270,19 @@ if(KIND STREQUAL "serve")
   endif()
   message(STATUS "check_bench: fleet survived the kill "
                  "(0 failed, ${restarts} restart(s)) ok")
+
+  get_field(direct_p50 "${current_json}" fleet direct p50_ms)
+  get_field(routed_p50 "${current_json}" fleet routed p50_ms)
+  to_millis(direct_p50_mil "${direct_p50}")
+  to_millis(routed_p50_mil "${routed_p50}")
+  math(EXPR p50_limit_mil "${direct_p50_mil} * 3")
+  if(routed_p50_mil GREATER p50_limit_mil)
+    message(FATAL_ERROR "check_bench: routed p50 ${routed_p50} ms exceeds "
+                        "3x direct ${direct_p50} ms — routed "
+                        "requests are queueing behind each other again")
+  endif()
+  message(STATUS "check_bench: routed p50 ${routed_p50} ms within "
+                 "3x direct ${direct_p50} ms ok")
 
   get_field(direct_p99 "${current_json}" fleet direct p99_ms)
   get_field(routed_p99 "${current_json}" fleet routed p99_ms)
