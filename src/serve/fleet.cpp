@@ -4,7 +4,6 @@
 #include <netdb.h>
 #include <signal.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -15,16 +14,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "src/obs/metrics.hpp"
 #include "src/serve/client.hpp"
-#include "src/serve/listener.hpp"
+#include "src/serve/loop.hpp"
 
 namespace iotax::serve {
 
@@ -456,37 +455,10 @@ std::string Endpoint::describe() const {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Replies queued past this stop a session's reads until its peer reads
-/// them: a client that never reads cannot grow router memory.
-constexpr std::size_t kMaxSessionOutput = std::size_t{1} << 20;
-
-/// epoll_event.data tags: the kind in the top byte, an id below it.
-/// Backhaul ids carry a per-connection serial above the backhaul index,
-/// so an event queued for a connection that has since been replaced is
-/// recognised as stale.
-enum class Tag : std::uint64_t { kListener = 1, kWake, kSession, kBackhaul };
-constexpr int kTagShift = 56;
+/// Backhaul ids on the event loop carry a per-connection serial above
+/// the backhaul index, so an event queued for a connection that has
+/// since been replaced is recognised as stale.
 constexpr int kSerialShift = 20;
-
-std::uint64_t make_tag(Tag kind, std::uint64_t id) {
-  return (static_cast<std::uint64_t>(kind) << kTagShift) | id;
-}
-
-/// Owns one descriptor; closes it on destruction.
-struct UniqueFd {
-  int fd = -1;
-  UniqueFd() = default;
-  explicit UniqueFd(int f) : fd(f) {}
-  UniqueFd(const UniqueFd&) = delete;
-  UniqueFd& operator=(const UniqueFd&) = delete;
-  ~UniqueFd() { reset(); }
-  void reset() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
-};
 
 /// A frame's wire bytes with the request id field replaced.
 void append_with_id(std::string* out, std::span<const std::uint8_t> frame,
@@ -542,29 +514,12 @@ int start_connect(const Endpoint& ep, int* fd) {
 
 }  // namespace
 
-/// Everything the router's single thread owns. Nothing here is touched
-/// from another thread; Router's atomics and quarantine report are the
-/// only state stats()/quarantine() read.
-struct Router::Loop {
-  /// One nonblocking socket's framed input and buffered output.
-  struct Wire {
-    int fd = -1;
-    std::vector<std::uint8_t> in;
-    std::size_t in_start = 0;
-    std::string out;
-    bool blocked = false;   // the last send could not take all of `out`
-    bool dirty = false;     // queued on this pass's flush list
-    std::uint32_t events = 0;  // epoll interest registered now
-  };
-
-  struct Session : Wire {
-    std::uint64_t id = 0;
-    util::Rng rng{0};  // BUSY / group-down backoff jitter
-    std::size_t pending = 0;
-    bool reading = true;   // cleared by EOF, framing defects and drain
-    bool delayed = false;  // chaos accept_delay_ms: first read deferred
-  };
-
+/// What the router adds to the shared event loop (which owns the
+/// listeners and the client sessions): the backhauls, the pending table,
+/// chaos and timers. Only the loop thread touches any of it; Router's
+/// atomics and quarantine report are the only state stats() and
+/// quarantine() read.
+struct Router::Loop final : EventLoop::Owner {
   struct Backhaul : Wire {
     std::size_t index = 0;  // position in backhauls
     std::size_t replica = 0;
@@ -600,27 +555,48 @@ struct Router::Loop {
     std::string last_detail;
   };
 
-  enum class TimerKind : std::uint8_t { kSend, kRead, kListen };
+  enum class TimerKind : std::uint8_t { kSend, kRead };
   struct Timer {
     TimerKind kind;
-    std::uint64_t id;  // router id, session id or listener fd
+    std::uint64_t id;  // router id or session id
   };
 
   Loop(Router& router, std::size_t n_backhauls);
-  void run();
+  ~Loop();
+
+  // -- EventLoop::Owner
+  void on_request(Session& s, const util::FrameHeader& header,
+                  std::span<const std::uint8_t> payload,
+                  std::span<const std::uint8_t> frame) override;
+  void on_open(Session& s) override {
+    s.rng = util::Rng(cfg.seed ^ cfg.chaos.seed).fork(s.id);
+    if (cfg.chaos.accept_delay_ms > 0) {
+      s.delayed = true;
+      timers.emplace(
+          Clock::now() + std::chrono::milliseconds(cfg.chaos.accept_delay_ms),
+          Timer{TimerKind::kRead, s.id});
+    }
+  }
+  void on_fd(std::uint64_t id, std::uint32_t events) override;
+  void on_pass(Clock::time_point now) override;
+  Clock::time_point next_timer() const override;
+  bool idle() const override { return pending.empty(); }
+  void count_connection() override {
+    r.n_connections_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.connections", 1);
+  }
+  void count_shed() override {
+    r.n_shed_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.shed", 1);
+  }
+  void count_error() override {
+    r.n_errors_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.errors", 1);
+  }
+  void note_quarantine(Reason reason, const std::string& detail) override;
 
   // -- events
-  void on_accept(int listen_fd);
-  void on_session(Session& s, std::uint32_t events);
-  void on_backhaul(Backhaul& bh, std::uint32_t events);
-  void read_session(Session& s);
   void read_backhaul(Backhaul& bh);
-  void handle_frame(Session& s, const util::FrameHeader& header,
-                    std::span<const std::uint8_t> payload,
-                    std::span<const std::uint8_t> frame);
-  void admit(Session& s, const util::FrameHeader& header,
-             std::span<const std::uint8_t> payload,
-             std::span<const std::uint8_t> frame);
   /// False when the reply broke the backhaul (it is closed by then).
   bool on_reply(Backhaul& bh, const util::FrameHeader& header,
                 std::span<const std::uint8_t> payload,
@@ -633,99 +609,74 @@ struct Router::Loop {
   bool usable(const Backhaul& bh) const { return !bh.suspect && !bh.draining; }
   void send_attempt(std::uint64_t id, Pending& p);
   void fail_over(std::uint64_t id, Pending& p, Reason reason,
-                 std::string detail);
-  void park(std::uint64_t id, Pending& p, std::uint64_t delay_ms);
+                 std::string detail) {
+    p.last_reason = reason;
+    p.last_detail = std::move(detail);
+    p.on = nullptr;
+    p.replica = (p.attempted + 1) % r.groups_[p.group].size();
+    send_attempt(id, p);
+  }
+  void park(std::uint64_t id, Pending& p, std::uint64_t delay_ms) {
+    p.on = nullptr;
+    p.parked = true;
+    timers.emplace(Clock::now() + std::chrono::milliseconds(
+                                      std::max<std::uint64_t>(delay_ms, 1)),
+                   Timer{TimerKind::kSend, id});
+  }
   void open_backhaul(Backhaul& bh);
   /// Reconnect a suspect replica and ping it; the pong clears it.
-  void probe(Backhaul& bh);
+  void probe(Backhaul& bh) {
+    bh.in_flight = 1;  // a silent replica fails the probe like a request
+    bh.quiet_since = Clock::now();
+    bh.out = encode_ping(0);
+    mark_dirty(bh);
+    open_backhaul(bh);
+  }
   void fail_backhaul(Backhaul& bh, Reason reason, const std::string& detail);
   void degrade(std::map<std::uint64_t, Pending>::iterator it);
   /// Drop a finished request from the table and its session's count.
-  void retire(std::map<std::uint64_t, Pending>::iterator it);
+  void retire(std::map<std::uint64_t, Pending>::iterator it) {
+    Session& s = *door.find(it->second.session);
+    --s.pending;
+    pending.erase(it);
+    door.settle(s);
+  }
   /// Fire every chaos event due at this admission count; returns the
   /// delay to apply to the triggering request.
   std::uint64_t apply_chaos(std::uint64_t count);
 
-  // -- sessions and output
-  void queue(Session& s, std::string_view bytes);
-  void error_reply(Session& s, const ErrorResponse& err);
-  void mark_dirty(Session& s);
-  void mark_dirty(Backhaul& bh);
-  void flush_all();
-  /// One send of w.out; false on a transport error.
-  bool flush(Wire& w);
-  void arm(Wire& w, std::uint64_t tag, std::uint32_t want);
-  void arm_session(Session& s);
-  void arm_backhaul(Backhaul& bh);
-  void close_session(Session& s);
-  /// Close an idle, unreadable session; forget it once nothing is pending.
-  /// May erase `s`.
-  void settle(Session& s);
-  Session* find_session(std::uint64_t id) {
-    const auto it = sessions.find(id);
-    return it == sessions.end() ? nullptr : it->second.get();
+  // -- backhaul output
+  void mark_dirty(Backhaul& bh) {
+    if (!bh.dirty) dirty_backhauls.push_back(&bh);
+    bh.dirty = true;
   }
-
-  // -- timers and drain
-  int timeout_ms(Clock::time_point now) const;
-  void fire_timers(Clock::time_point now);
-  void begin_drain();
+  void flush_backhauls();
+  static std::uint64_t tag(const Backhaul& bh) {
+    return (bh.serial << kSerialShift) | bh.index;
+  }
+  void arm_backhaul(Backhaul& bh) {
+    door.arm(bh, tag(bh),
+             EPOLLIN | (bh.connecting || bh.blocked ? EPOLLOUT : 0u));
+  }
 
   Router& r;
   const RouterConfig& cfg;
-  UniqueFd epoll;
-  UniqueFd wake;
-  UniqueFd unix_listener;
-  UniqueFd tcp_listener;
-  std::size_t max_sessions = 0;
-  std::size_t open_sessions = 0;
   std::vector<std::size_t> group_base;  // first backhaul of each group
   std::vector<Backhaul> backhauls;      // never resized: Pending::on points in
-  std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions;
   /// Router id -> request. Ids grow with admission time and the deadline
   /// budget is fixed, so begin() always holds the earliest deadline.
   std::map<std::uint64_t, Pending> pending;
   std::multimap<Clock::time_point, Timer> timers;
-  std::vector<std::uint64_t> dirty_sessions;
   std::vector<Backhaul*> dirty_backhauls;
   std::uint64_t next_id = 0;
   std::size_t chaos_cursor = 0;
-  bool draining = false;
-  Clock::time_point drain_deadline{};
-  std::uint8_t chunk[65536];
+  EventLoop door;  // the front door: listeners and client sessions
 };
 
 Router::Loop::Loop(Router& router, std::size_t n_backhauls)
-    : r(router), cfg(router.config_) {
-  epoll.fd = ::epoll_create1(EPOLL_CLOEXEC);
-  wake.fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll.fd < 0 || wake.fd < 0) {
-    throw std::runtime_error(std::string("fleet: cannot create event loop: ") +
-                             std::strerror(errno));
-  }
-  const auto add = [this](int fd, std::uint64_t tag) {
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = tag;
-    ::epoll_ctl(epoll.fd, EPOLL_CTL_ADD, fd, &ev);
-  };
-  add(wake.fd, make_tag(Tag::kWake, 0));
-  if (!cfg.unix_socket.empty()) {
-    unix_listener.fd = listen_unix(cfg.unix_socket, "fleet");
-    add(unix_listener.fd,
-        make_tag(Tag::kListener, static_cast<std::uint64_t>(unix_listener.fd)));
-  }
-  if (cfg.tcp_port >= 0) {
-    tcp_listener.fd = listen_tcp(cfg.tcp_port, &r.bound_tcp_port_, "fleet");
-    add(tcp_listener.fd,
-        make_tag(Tag::kListener, static_cast<std::uint64_t>(tcp_listener.fd)));
-  }
-  if (unix_listener.fd < 0 && tcp_listener.fd < 0) {
-    throw std::runtime_error("fleet: no listener configured "
-                             "(need --socket and/or --port)");
-  }
-  max_sessions = connection_cap(n_backhauls);
+    : r(router),
+      cfg(router.config_),
+      door(*this, cfg.unix_socket, cfg.tcp_port, n_backhauls, "fleet") {
   backhauls.resize(n_backhauls);
   const util::Rng base(cfg.seed ^ cfg.chaos.seed);
   std::size_t index = 0;
@@ -743,59 +694,13 @@ Router::Loop::Loop(Router& router, std::size_t n_backhauls)
   }
 }
 
-void Router::Loop::run() {
-  epoll_event events[64];
-  while (true) {
-    const int n = ::epoll_wait(epoll.fd, events, 64, timeout_ms(Clock::now()));
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t tag = events[i].data.u64;
-      const std::uint64_t id = tag & ((std::uint64_t{1} << kTagShift) - 1);
-      const std::uint32_t ev = events[i].events;
-      switch (static_cast<Tag>(tag >> kTagShift)) {
-        case Tag::kListener:
-          if (!draining) on_accept(static_cast<int>(id));
-          break;
-        case Tag::kWake: {
-          std::uint64_t count = 0;
-          (void)::read(wake.fd, &count, sizeof(count));
-          break;
-        }
-        case Tag::kSession:
-          if (Session* s = find_session(id); s != nullptr && s->fd >= 0) {
-            on_session(*s, ev);
-          }
-          break;
-        case Tag::kBackhaul: {
-          const std::size_t index = id & ((std::size_t{1} << kSerialShift) - 1);
-          Backhaul& bh = backhauls[index];
-          if (bh.fd >= 0 && bh.serial == id >> kSerialShift) {
-            on_backhaul(bh, ev);
-          }
-          break;
-        }
-      }
-    }
-    if (!draining && r.stopping_.load(std::memory_order_acquire)) {
-      begin_drain();
-    }
-    fire_timers(Clock::now());
-    flush_all();
-    if (draining && pending.empty() &&
-        (sessions.empty() || Clock::now() >= drain_deadline)) {
-      break;
-    }
-  }
-  for (auto& [id, s] : sessions) {
-    if (s->fd >= 0) ::close(s->fd);
-  }
-  sessions.clear();
+Router::Loop::~Loop() {
   for (auto& bh : backhauls) {
     if (bh.fd >= 0) ::close(bh.fd);
-    bh.fd = -1;
   }
 }
 
-int Router::Loop::timeout_ms(Clock::time_point now) const {
+Clock::time_point Router::Loop::next_timer() const {
   Clock::time_point next = Clock::time_point::max();
   if (!pending.empty()) next = pending.begin()->second.deadline;
   if (!timers.empty()) next = std::min(next, timers.begin()->first);
@@ -807,16 +712,10 @@ int Router::Loop::timeout_ms(Clock::time_point now) const {
       }
     }
   }
-  if (draining) next = std::min(next, drain_deadline);
-  if (next == Clock::time_point::max()) return -1;
-  if (next <= now) return 0;
-  // Round up: waking a hair early would only spin until the expiry.
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(next - now).count();
-  return static_cast<int>(std::min<long long>((us + 999) / 1000, 60000));
+  return next;
 }
 
-void Router::Loop::fire_timers(Clock::time_point now) {
+void Router::Loop::on_pass(Clock::time_point now) {
   // Deadlines first: a request past its budget is answered kDegraded
   // whatever it was waiting for.
   while (!pending.empty() && pending.begin()->second.deadline <= now) {
@@ -835,224 +734,47 @@ void Router::Loop::fire_timers(Clock::time_point now) {
   while (!timers.empty() && timers.begin()->first <= now) {
     const Timer timer = timers.begin()->second;
     timers.erase(timers.begin());
-    switch (timer.kind) {
-      case TimerKind::kSend: {
-        const auto it = pending.find(timer.id);
-        if (it != pending.end() && it->second.parked) {
-          it->second.parked = false;
-          send_attempt(it->first, it->second);
-        }
-        break;
+    if (timer.kind == TimerKind::kSend) {
+      const auto it = pending.find(timer.id);
+      if (it != pending.end() && it->second.parked) {
+        it->second.parked = false;
+        send_attempt(it->first, it->second);
       }
-      case TimerKind::kRead:
-        if (Session* s = find_session(timer.id); s != nullptr) {
-          s->delayed = false;
-          arm_session(*s);
-        }
-        break;
-      case TimerKind::kListen: {
-        const int fd = static_cast<int>(timer.id);
-        if (!draining && (fd == unix_listener.fd || fd == tcp_listener.fd)) {
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.u64 = make_tag(Tag::kListener, timer.id);
-          ::epoll_ctl(epoll.fd, EPOLL_CTL_MOD, fd, &ev);
-        }
-        break;
-      }
+    } else if (Session* s = door.find(timer.id); s != nullptr) {
+      s->delayed = false;
+      door.arm_session(*s);
     }
   }
+  flush_backhauls();
 }
 
-void Router::Loop::begin_drain() {
-  draining = true;
-  // Every admitted request ends by its deadline at the latest; the
-  // extra second is for flushing the last replies to slow readers.
-  drain_deadline = Clock::now() + std::chrono::milliseconds(cfg.deadline_ms) +
-                   std::chrono::seconds(1);
-  if (unix_listener.fd >= 0) {
-    unix_listener.reset();
-    ::unlink(cfg.unix_socket.c_str());
-  }
-  tcp_listener.reset();
-  std::vector<std::uint64_t> ids;
-  ids.reserve(sessions.size());
-  for (const auto& [id, s] : sessions) ids.push_back(id);
-  for (const std::uint64_t id : ids) {
-    Session& s = *sessions.at(id);
-    s.reading = false;
-    arm_session(s);
-    settle(s);
-  }
+void Router::Loop::note_quarantine(Reason reason,
+                                   const std::string& detail) {
+  std::lock_guard<std::mutex> lock(r.quarantine_mu_);
+  util::QuarantineEntry entry;
+  entry.reason = reason;
+  entry.detail = detail;
+  r.quarantine_.add(std::move(entry));
 }
 
-void Router::Loop::on_accept(int listen_fd) {
-  for (int k = 0; k < 64; ++k) {
-    const int fd =
-        ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC | SOCK_NONBLOCK);
-    if (fd < 0) {
-      if (errno == EMFILE || errno == ENFILE) {
-        // Out of fds despite the cap (something else holds them): stop
-        // watching the listener for a moment instead of spinning on it.
-        epoll_event ev{};
-        ev.data.u64 =
-            make_tag(Tag::kListener, static_cast<std::uint64_t>(listen_fd));
-        ::epoll_ctl(epoll.fd, EPOLL_CTL_MOD, listen_fd, &ev);
-        timers.emplace(Clock::now() + std::chrono::milliseconds(10),
-                       Timer{TimerKind::kListen,
-                             static_cast<std::uint64_t>(listen_fd)});
-      }
-      return;
-    }
-    if (open_sessions >= max_sessions) {
-      refuse_busy(fd, max_sessions);
-      r.n_shed_.fetch_add(1, std::memory_order_relaxed);
-      IOTAX_OBS_COUNT("fleet.shed", 1);
-      continue;
-    }
-    auto session = std::make_unique<Session>();
-    Session& s = *session;
-    s.fd = fd;
-    s.id = r.n_connections_.fetch_add(1, std::memory_order_relaxed);
-    IOTAX_OBS_COUNT("fleet.connections", 1);
-    s.rng = util::Rng(cfg.seed ^ cfg.chaos.seed).fork(s.id);
-    s.delayed = cfg.chaos.accept_delay_ms > 0;
-    s.events = s.delayed ? 0u : EPOLLIN;
-    epoll_event ev{};
-    ev.events = s.events;
-    ev.data.u64 = make_tag(Tag::kSession, s.id);
-    ::epoll_ctl(epoll.fd, EPOLL_CTL_ADD, fd, &ev);
-    if (s.delayed) {
-      timers.emplace(
-          Clock::now() + std::chrono::milliseconds(cfg.chaos.accept_delay_ms),
-          Timer{TimerKind::kRead, s.id});
-    }
-    ++open_sessions;
-    sessions.emplace(s.id, std::move(session));
-  }
-}
-
-void Router::Loop::on_session(Session& s, std::uint32_t events) {
-  if ((events & EPOLLOUT) != 0 && !flush(s)) {
-    close_session(s);
-  } else {
-    if ((events & EPOLLOUT) != 0) arm_session(s);
-    if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && s.reading &&
-        !s.delayed) {
-      read_session(s);
-    }
-    // HUP: both directions are gone, so nothing more can be delivered.
-    if ((events & (EPOLLHUP | EPOLLERR)) != 0 && s.fd >= 0) close_session(s);
-  }
-  settle(s);
-}
-
-void Router::Loop::read_session(Session& s) {
-  while (s.reading && s.fd >= 0 && s.out.size() < kMaxSessionOutput) {
-    const ssize_t n = ::recv(s.fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) close_session(s);
-      return;
-    }
-    if (n == 0) {
-      // EOF. Anything left in the buffer is a frame the peer never
-      // finished; the peer may still read the replies it is owed.
-      if (s.in_start < s.in.size()) {
-        r.note_quarantine(Reason::kTruncated,
-                          "connection closed inside a frame (" +
-                              std::to_string(s.in.size() - s.in_start) +
-                              " byte(s) of partial frame)");
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = Reason::kTruncated;
-        err.detail = "truncated frame";
-        error_reply(s, err);
-      }
-      s.reading = false;
-      break;
-    }
-    s.in.insert(s.in.end(), chunk, chunk + n);
-    while (s.reading) {
-      const auto view = std::span<const std::uint8_t>(s.in).subspan(s.in_start);
-      const FrameDecode dec = util::decode_frame(view);
-      if (dec.status == FrameDecode::Status::kNeedMore) break;
-      if (dec.status == FrameDecode::Status::kBad) {
-        // Framing is lost: reply with the typed defect, read no more, and
-        // close once the replies already owed have gone out.
-        r.note_quarantine(dec.reason, dec.detail);
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = dec.reason;
-        err.detail = dec.detail;
-        error_reply(s, err);
-        s.reading = false;
-        break;
-      }
-      handle_frame(s, dec.header,
-                   view.subspan(FrameHeader::kWireSize, dec.header.payload_len),
-                   view.subspan(0, dec.consumed));
-      s.in_start += dec.consumed;
-    }
-    if (s.in_start == s.in.size()) {
-      s.in.clear();
-      s.in_start = 0;
-    } else if (s.in_start > 4096 && s.in_start * 2 > s.in.size()) {
-      s.in.erase(s.in.begin(), s.in.begin() + static_cast<long>(s.in_start));
-      s.in_start = 0;
-    }
-    if (static_cast<std::size_t>(n) < sizeof(chunk)) break;  // drained
-  }
-  arm_session(s);
-}
-
-void Router::Loop::handle_frame(Session& s, const FrameHeader& header,
-                                std::span<const std::uint8_t> payload,
-                                std::span<const std::uint8_t> frame) {
-  switch (static_cast<FrameType>(header.type)) {
-    case FrameType::kPing:
-      // The router answers for itself: a pong means "the front door is
-      // up", not "every shard is up" — per-shard health is the
-      // supervisor's job.
-      queue(s, encode_pong(header.request_id));
-      return;
-    case FrameType::kPredictRequest:
-      admit(s, header, payload, frame);
-      return;
-    case FrameType::kControlRequest: {
-      // Promote/rollback address one registry, and the fleet has N of
-      // them. Routing a mutation to a hash-picked shard would fork the
-      // replicas' state; refuse loudly instead.
-      ErrorResponse err;
-      err.request_id = header.request_id;
-      err.status = ServeStatus::kBadRequest;
-      err.detail = "control operations are not routed; "
-                   "address a shard directly";
-      error_reply(s, err);
-      return;
-    }
-    default: {
-      r.note_quarantine(Reason::kMalformedHeader,
-                        "unexpected frame type " + std::to_string(header.type));
-      ErrorResponse err;
-      err.request_id = header.request_id;
-      err.status = ServeStatus::kBadFrame;
-      err.reason = Reason::kMalformedHeader;
-      err.detail = "unexpected frame type";
-      error_reply(s, err);
-      return;
-    }
-  }
-}
-
-void Router::Loop::admit(Session& s, const FrameHeader& header,
-                         std::span<const std::uint8_t> payload,
-                         std::span<const std::uint8_t> frame) {
-  PredictRequest req;
+void Router::Loop::on_request(Session& s, const FrameHeader& header,
+                              std::span<const std::uint8_t> payload,
+                              std::span<const std::uint8_t> frame) {
   ErrorResponse err;
+  if (static_cast<FrameType>(header.type) == FrameType::kControlRequest) {
+    // Promote/rollback address one registry, and the fleet has N of
+    // them. Routing a mutation to a hash-picked shard would fork the
+    // replicas' state; refuse loudly instead.
+    err.request_id = header.request_id;
+    err.status = ServeStatus::kBadRequest;
+    err.detail = "control operations are not routed; address a shard directly";
+    door.error_reply(s, err);
+    return;
+  }
+  PredictRequest req;
   if (!decode_predict_request(header, payload, &req, &err)) {
-    r.note_quarantine(*err.reason, err.detail);
-    error_reply(s, err);
+    note_quarantine(*err.reason, err.detail);
+    door.error_reply(s, err);
     return;
   }
   if (s.pending >= kMaxPendingPerSession) {
@@ -1060,9 +782,8 @@ void Router::Loop::admit(Session& s, const FrameHeader& header,
     err.reason.reset();
     err.detail = "router session has " +
                  std::to_string(kMaxPendingPerSession) + " requests pending";
-    queue(s, encode_error_response(err));
-    r.n_shed_.fetch_add(1, std::memory_order_relaxed);
-    IOTAX_OBS_COUNT("fleet.shed", 1);
+    door.queue(s, encode_error_response(err));
+    count_shed();
     return;
   }
   const std::uint64_t count =
@@ -1145,7 +866,7 @@ void Router::Loop::send_attempt(std::uint64_t id, Pending& p) {
       p.last_reason = preferred.failure;
       p.last_detail = preferred.failure_detail;
     }
-    Session& s = *find_session(p.session);
+    Session& s = *door.find(p.session);
     park(id, p,
          util::backoff_delay_ms(cfg.retry_backoff, p.backoff_step++, s.rng));
     return;
@@ -1172,23 +893,6 @@ void Router::Loop::send_attempt(std::uint64_t id, Pending& p) {
   if (bh->fd < 0) open_backhaul(*bh);
 }
 
-void Router::Loop::fail_over(std::uint64_t id, Pending& p, Reason reason,
-                             std::string detail) {
-  p.last_reason = reason;
-  p.last_detail = std::move(detail);
-  p.on = nullptr;
-  p.replica = (p.attempted + 1) % r.groups_[p.group].size();
-  send_attempt(id, p);
-}
-
-void Router::Loop::park(std::uint64_t id, Pending& p, std::uint64_t delay_ms) {
-  p.on = nullptr;
-  p.parked = true;
-  timers.emplace(Clock::now() + std::chrono::milliseconds(
-                                    std::max<std::uint64_t>(delay_ms, 1)),
-                 Timer{TimerKind::kSend, id});
-}
-
 void Router::Loop::open_backhaul(Backhaul& bh) {
   int fd = -1;
   const int rc = start_connect(*bh.endpoint, &fd);
@@ -1203,33 +907,17 @@ void Router::Loop::open_backhaul(Backhaul& bh) {
   bh.connecting = rc == EINPROGRESS;
   bh.blocked = false;
   bh.events = EPOLLIN | (bh.connecting ? EPOLLOUT : 0u);
-  epoll_event ev{};
-  ev.events = bh.events;
-  ev.data.u64 = make_tag(Tag::kBackhaul, (bh.serial << kSerialShift) | bh.index);
-  ::epoll_ctl(epoll.fd, EPOLL_CTL_ADD, fd, &ev);
-}
-
-void Router::Loop::probe(Backhaul& bh) {
-  bh.in_flight = 1;  // a silent replica fails the probe like a request
-  bh.quiet_since = Clock::now();
-  bh.out = encode_ping(0);
-  mark_dirty(bh);
-  open_backhaul(bh);
+  door.watch(fd, tag(bh), bh.events);
 }
 
 void Router::Loop::fail_backhaul(Backhaul& bh, Reason reason,
                                  const std::string& detail) {
-  if (bh.fd >= 0) {
-    ::epoll_ctl(epoll.fd, EPOLL_CTL_DEL, bh.fd, nullptr);
-    ::close(bh.fd);
-    bh.fd = -1;
-  }
+  door.close_wire(bh);
   // Never reused: a reply still on its way cannot match a re-sent id.
   ++bh.serial;
   bh.in.clear();
   bh.in_start = 0;
   bh.out.clear();
-  bh.events = 0;
   bh.connecting = false;
   bh.draining = false;
   // A connect that succeeds proves nothing (a stopped process still
@@ -1255,7 +943,9 @@ void Router::Loop::fail_backhaul(Backhaul& bh, Reason reason,
   }
 }
 
-void Router::Loop::on_backhaul(Backhaul& bh, std::uint32_t events) {
+void Router::Loop::on_fd(std::uint64_t id, std::uint32_t events) {
+  Backhaul& bh = backhauls[id & ((std::uint64_t{1} << kSerialShift) - 1)];
+  if (bh.fd < 0 || bh.serial != id >> kSerialShift) return;  // stale
   if (bh.connecting) {
     if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) return;
     int err = 0;
@@ -1271,7 +961,7 @@ void Router::Loop::on_backhaul(Backhaul& bh, std::uint32_t events) {
     events |= EPOLLOUT;
   }
   if ((events & EPOLLOUT) != 0) {
-    if (!flush(bh)) {
+    if (!EventLoop::flush(bh)) {
       fail_backhaul(bh, Reason::kConnectionReset,
                     "send to " + bh.endpoint->describe() + " failed: " +
                         std::strerror(errno));
@@ -1284,52 +974,28 @@ void Router::Loop::on_backhaul(Backhaul& bh, std::uint32_t events) {
 
 void Router::Loop::read_backhaul(Backhaul& bh) {
   const std::uint64_t serial = bh.serial;
-  while (true) {
-    const ssize_t n = ::recv(bh.fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      fail_backhaul(bh, Reason::kConnectionReset,
-                    "recv from " + bh.endpoint->describe() + " failed: " +
-                        std::strerror(errno));
-      return;
-    }
-    if (n == 0) {
-      // The shard is draining or just died.
-      fail_backhaul(bh, Reason::kConnectionReset,
-                    "connection closed by " + bh.endpoint->describe());
-      return;
-    }
-    bh.quiet_since = Clock::now();
-    bh.in.insert(bh.in.end(), chunk, chunk + n);
-    while (true) {
-      const auto view =
-          std::span<const std::uint8_t>(bh.in).subspan(bh.in_start);
-      const FrameDecode dec = util::decode_frame(view);
-      if (dec.status == FrameDecode::Status::kNeedMore) break;
-      if (dec.status == FrameDecode::Status::kBad) {
-        fail_backhaul(bh, Reason::kConnectionReset,
-                      "malformed reply frame from " +
-                          bh.endpoint->describe() + ": " + dec.detail);
-        return;
-      }
-      if (!on_reply(bh, dec.header,
-                    view.subspan(FrameHeader::kWireSize,
-                                 dec.header.payload_len),
-                    view.subspan(0, dec.consumed)) ||
-          bh.serial != serial) {
-        return;
-      }
-      bh.in_start += dec.consumed;
-    }
-    if (bh.in_start == bh.in.size()) {
-      bh.in.clear();
-      bh.in_start = 0;
-    } else if (bh.in_start > 4096 && bh.in_start * 2 > bh.in.size()) {
-      bh.in.erase(bh.in.begin(), bh.in.begin() + static_cast<long>(bh.in_start));
-      bh.in_start = 0;
-    }
-    if (static_cast<std::size_t>(n) < sizeof(chunk)) return;  // drained
+  const auto now = Clock::now();
+  const auto end = door.read_frames(
+      bh, std::numeric_limits<std::size_t>::max(),
+      [&](const FrameDecode& dec, std::span<const std::uint8_t> payload,
+          std::span<const std::uint8_t> frame) {
+        if (dec.status == FrameDecode::Status::kBad) {
+          fail_backhaul(bh, Reason::kConnectionReset,
+                        "malformed reply frame from " +
+                            bh.endpoint->describe() + ": " + dec.detail);
+          return false;
+        }
+        bh.quiet_since = now;
+        return on_reply(bh, dec.header, payload, frame) && bh.serial == serial;
+      });
+  if (end == EventLoop::ReadEnd::kEof) {
+    // The shard is draining or just died.
+    fail_backhaul(bh, Reason::kConnectionReset,
+                  "connection closed by " + bh.endpoint->describe());
+  } else if (end == EventLoop::ReadEnd::kError) {
+    fail_backhaul(bh, Reason::kConnectionReset,
+                  "recv from " + bh.endpoint->describe() + " failed: " +
+                      std::strerror(errno));
   }
 }
 
@@ -1362,7 +1028,7 @@ bool Router::Loop::on_reply(Backhaul& bh, const FrameHeader& header,
   // Not ours any more: the request was already answered kDegraded.
   if (it == pending.end() || it->second.on != &bh) return true;
   Pending& p = it->second;
-  Session& s = *find_session(p.session);
+  Session& s = *door.find(p.session);
   --bh.in_flight;
   if (type == FrameType::kErrorResponse) {
     if (err.status == ServeStatus::kBusy) {
@@ -1391,7 +1057,7 @@ bool Router::Loop::on_reply(Backhaul& bh, const FrameHeader& header,
   }
   if (s.fd >= 0) {
     append_with_id(&s.out, frame, p.client_id);
-    mark_dirty(s);
+    door.mark_dirty(s);
   }
   retire(it);
   return true;
@@ -1416,52 +1082,21 @@ void Router::Loop::degrade(std::map<std::uint64_t, Pending>::iterator it) {
                (p.last_detail.empty() ? "no attempt completed" : p.last_detail);
   r.n_degraded_.fetch_add(1, std::memory_order_relaxed);
   IOTAX_OBS_COUNT("fleet.degraded", 1);
-  r.note_quarantine(*err.reason, err.detail);
-  error_reply(*find_session(p.session), err);
+  note_quarantine(*err.reason, err.detail);
+  door.error_reply(*door.find(p.session), err);
   retire(it);
 }
 
-void Router::Loop::retire(std::map<std::uint64_t, Pending>::iterator it) {
-  Session& s = *find_session(it->second.session);
-  --s.pending;
-  pending.erase(it);
-  settle(s);
-}
-
-void Router::Loop::queue(Session& s, std::string_view bytes) {
-  if (s.fd < 0) return;
-  s.out.append(bytes);
-  mark_dirty(s);
-}
-
-void Router::Loop::error_reply(Session& s, const ErrorResponse& err) {
-  queue(s, encode_error_response(err));
-  r.n_errors_.fetch_add(1, std::memory_order_relaxed);
-  IOTAX_OBS_COUNT("fleet.errors", 1);
-}
-
-void Router::Loop::mark_dirty(Session& s) {
-  if (s.dirty) return;
-  s.dirty = true;
-  dirty_sessions.push_back(s.id);
-}
-
-void Router::Loop::mark_dirty(Backhaul& bh) {
-  if (bh.dirty) return;
-  bh.dirty = true;
-  dirty_backhauls.push_back(&bh);
-}
-
-void Router::Loop::flush_all() {
+void Router::Loop::flush_backhauls() {
   // A backhaul failing here re-sends its requests elsewhere, which can
-  // dirty more connections; loop until the pass is quiet.
-  while (!dirty_backhauls.empty() || !dirty_sessions.empty()) {
+  // dirty more backhauls; loop until the pass is quiet.
+  while (!dirty_backhauls.empty()) {
     std::vector<Backhaul*> bhs;
     bhs.swap(dirty_backhauls);
     for (Backhaul* bh : bhs) {
       bh->dirty = false;
       if (bh->fd < 0 || bh->connecting || bh->blocked) continue;
-      if (!flush(*bh)) {
+      if (!EventLoop::flush(*bh)) {
         fail_backhaul(*bh, Reason::kConnectionReset,
                       "send to " + bh->endpoint->describe() + " failed: " +
                           std::strerror(errno));
@@ -1469,78 +1104,7 @@ void Router::Loop::flush_all() {
       }
       arm_backhaul(*bh);
     }
-    std::vector<std::uint64_t> ids;
-    ids.swap(dirty_sessions);
-    for (const std::uint64_t id : ids) {
-      Session* s = find_session(id);
-      if (s == nullptr) continue;
-      s->dirty = false;
-      if (s->fd < 0 || s->blocked) continue;
-      if (!flush(*s)) {
-        close_session(*s);
-      } else {
-        arm_session(*s);
-      }
-      settle(*s);
-    }
   }
-}
-
-bool Router::Loop::flush(Wire& w) {
-  if (w.out.empty()) {
-    w.blocked = false;
-    return true;
-  }
-  ssize_t n;
-  do {
-    n = ::send(w.fd, w.out.data(), w.out.size(), MSG_NOSIGNAL);
-  } while (n < 0 && errno == EINTR);
-  if (n < 0) {
-    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
-    n = 0;
-  }
-  w.out.erase(0, static_cast<std::size_t>(n));
-  w.blocked = !w.out.empty();
-  return true;
-}
-
-void Router::Loop::arm(Wire& w, std::uint64_t tag, std::uint32_t want) {
-  if (w.fd < 0 || want == w.events) return;
-  epoll_event ev{};
-  ev.events = want;
-  ev.data.u64 = tag;
-  ::epoll_ctl(epoll.fd, EPOLL_CTL_MOD, w.fd, &ev);
-  w.events = want;
-}
-
-void Router::Loop::arm_session(Session& s) {
-  const bool read = s.reading && !s.delayed && s.out.size() < kMaxSessionOutput;
-  arm(s, make_tag(Tag::kSession, s.id),
-      (read ? EPOLLIN : 0u) | (s.blocked ? EPOLLOUT : 0u));
-}
-
-void Router::Loop::arm_backhaul(Backhaul& bh) {
-  arm(bh, make_tag(Tag::kBackhaul, (bh.serial << kSerialShift) | bh.index),
-      EPOLLIN | (bh.connecting || bh.blocked ? EPOLLOUT : 0u));
-}
-
-void Router::Loop::close_session(Session& s) {
-  if (s.fd < 0) return;
-  ::epoll_ctl(epoll.fd, EPOLL_CTL_DEL, s.fd, nullptr);
-  ::close(s.fd);
-  s.fd = -1;
-  s.reading = false;
-  s.out.clear();
-  s.in.clear();
-  --open_sessions;
-}
-
-void Router::Loop::settle(Session& s) {
-  if (s.fd >= 0 && !s.reading && s.pending == 0 && s.out.empty()) {
-    close_session(s);
-  }
-  // Kept while requests are pending: they still need its backoff stream.
-  if (s.fd < 0 && s.pending == 0) sessions.erase(s.id);
 }
 
 Router::Router(RouterConfig config) : config_(std::move(config)) {}
@@ -1551,7 +1115,6 @@ void Router::start() {
   if (running_.load(std::memory_order_acquire)) {
     throw std::logic_error("fleet: router already running");
   }
-  ::signal(SIGPIPE, SIG_IGN);
   const bool have_supervisor = config_.supervisor != nullptr;
   const bool have_static = !config_.static_groups.empty();
   if (have_supervisor == have_static) {
@@ -1598,9 +1161,10 @@ void Router::start() {
   config_.chaos.validate();
 
   loop_ = std::make_unique<Loop>(*this, n_backhauls);
+  bound_tcp_port_ = loop_->door.tcp_port();
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { loop_->run(); });
+  thread_ = std::thread([this] { loop_->door.run(); });
 }
 
 void Router::stop() {
@@ -1611,8 +1175,7 @@ void Router::stop() {
     }
     return;
   }
-  const std::uint64_t one = 1;
-  (void)::write(loop_->wake.fd, &one, sizeof(one));
+  loop_->door.request_stop();
   if (thread_.joinable()) thread_.join();
   loop_.reset();
   running_.store(false, std::memory_order_release);
@@ -1639,14 +1202,6 @@ FleetStats Router::stats() const {
 util::QuarantineReport Router::quarantine() const {
   std::lock_guard<std::mutex> lock(quarantine_mu_);
   return quarantine_;
-}
-
-void Router::note_quarantine(Reason reason, const std::string& detail) {
-  std::lock_guard<std::mutex> lock(quarantine_mu_);
-  util::QuarantineEntry entry;
-  entry.reason = reason;
-  entry.detail = detail;
-  quarantine_.add(std::move(entry));
 }
 
 }  // namespace iotax::serve

@@ -224,13 +224,14 @@ struct FleetStats {
   std::uint64_t chaos_delays = 0;
 };
 
-/// The front door. One thread runs an epoll loop that owns the front
-/// listeners, every client session and one persistent backhaul per
-/// replica (opened on first use). Each admitted predict is forwarded at
-/// once under a router-assigned request id and tracked in a pending
-/// table until its reply — relayed with the client's id restored — or a
-/// typed error ends it; replies on one session may therefore arrive out
-/// of order. See DESIGN.md "Fleet & failure model" for the retry rules.
+/// The front door. One thread runs the event loop the daemon also runs
+/// on (loop.hpp: listeners, client sessions) plus one persistent
+/// backhaul per replica (opened on first use). Each admitted predict is
+/// forwarded at once under a router-assigned request id and tracked in
+/// a pending table until its reply — relayed with the client's id
+/// restored — or a typed error ends it; replies on one session may
+/// therefore arrive out of order. See DESIGN.md "Fleet & failure model"
+/// for the retry rules.
 class Router {
  public:
   /// Predicts one session may have pending; past it the router answers
@@ -263,8 +264,6 @@ class Router {
 
  private:
   struct Loop;
-
-  void note_quarantine(util::Reason reason, const std::string& detail);
 
   RouterConfig config_;
   std::vector<std::vector<Endpoint>> groups_;

@@ -1,45 +1,27 @@
 #include "src/serve/server.hpp"
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
-#include <thread>
 
 #include "src/data/matrix.hpp"
 #include "src/ml/ensemble.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/serve/listener.hpp"
 
 namespace iotax::serve {
 
-using util::FrameDecode;
 using util::FrameHeader;
 using util::FrameType;
 using util::Reason;
 
-struct Server::Session {
-  int fd = -1;
-  std::mutex write_mu;
-  std::atomic<bool> dead{false};
-
-  ~Session() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
 /// One admitted request waiting for its batch.
 struct Server::Pending {
-  std::shared_ptr<Session> session;
+  std::uint64_t session = 0;
   PredictRequest req;
-  std::chrono::steady_clock::time_point t_enqueue;
+  Clock::time_point t_enqueue;
 };
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
@@ -53,11 +35,6 @@ void Server::start() {
   if (running_.load(std::memory_order_acquire)) {
     throw std::logic_error("serve: already running");
   }
-  // A client that closes its read side mid-reply must cost us an EPIPE
-  // errno on that one session, not a process-killing SIGPIPE. Writes
-  // already pass MSG_NOSIGNAL, but belt-and-braces for any path (e.g. a
-  // third-party lib) that writes without it.
-  ::signal(SIGPIPE, SIG_IGN);
   for (const auto& path : config_.model_files) registry_.add(path);
   if (registry_.size() == 0) {
     throw std::runtime_error("serve: no model checkpoints given");
@@ -89,21 +66,14 @@ void Server::start() {
     shadow_ = std::move(entry);
   }
   queue_ = std::make_unique<util::BoundedQueue<Pending>>(config_.max_inflight);
-  max_sessions_ = connection_cap(config_.model_files.size() +
-                                 (config_.shadow_file.empty() ? 0 : 1));
-  if (!config_.unix_socket.empty()) {
-    unix_fd_ = listen_unix(config_.unix_socket, "serve");
-  }
-  if (config_.tcp_port >= 0) {
-    tcp_fd_ = listen_tcp(config_.tcp_port, &bound_tcp_port_, "serve");
-  }
-  if (unix_fd_ < 0 && tcp_fd_ < 0) {
-    throw std::runtime_error("serve: no listener configured "
-                             "(need --socket and/or --port)");
-  }
+  loop_ = std::make_unique<EventLoop>(
+      static_cast<Owner&>(*this), config_.unix_socket, config_.tcp_port,
+      config_.model_files.size() + (config_.shadow_file.empty() ? 0 : 1),
+      "serve");
+  bound_tcp_port_ = loop_->tcp_port();
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  loop_thread_ = std::thread([this] { loop_->run(); });
   batcher_thread_ = std::thread([this] { batcher_loop(); });
 }
 
@@ -116,34 +86,13 @@ void Server::stop() {
     }
     return;
   }
-  // 1. Stop accepting and close the listeners.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (unix_fd_ >= 0) {
-    ::close(unix_fd_);
-    ::unlink(config_.unix_socket.c_str());
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  // 2. Stop the session readers (no new admissions). shutdown(SHUT_RD)
-  // turns a blocked poll into an immediate EOF; pending responses still
-  // flow out through the write side.
-  std::list<Reader> readers;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& reader : readers_) {
-      if (const auto session = reader.session.lock()) {
-        ::shutdown(session->fd, SHUT_RD);
-      }
-    }
-    readers.swap(readers_);
-  }
-  for (auto& reader : readers) reader.thread.join();
-  // 3. Drain: the batcher answers every admitted request, then exits.
+  // The loop closes the listeners, stops reading, and returns once the
+  // batcher has answered everything admitted and the replies are out.
+  loop_->request_stop();
+  if (loop_thread_.joinable()) loop_thread_.join();
   queue_->close();
   if (batcher_thread_.joinable()) batcher_thread_.join();
+  loop_.reset();
   running_.store(false, std::memory_order_release);
 }
 
@@ -177,24 +126,6 @@ util::QuarantineReport Server::quarantine() const {
   return quarantine_;
 }
 
-bool Server::write_frame(Session& session, std::string_view bytes) {
-  std::lock_guard<std::mutex> lock(session.write_mu);
-  if (session.dead.load(std::memory_order_relaxed)) return false;
-  const char* p = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::send(session.fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      session.dead.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void Server::note_quarantine(Reason reason, const std::string& detail) {
   {
     std::lock_guard<std::mutex> lock(quarantine_mu_);
@@ -207,184 +138,31 @@ void Server::note_quarantine(Reason reason, const std::string& detail) {
   IOTAX_OBS_COUNT("serve.quarantined", 1);
 }
 
-void Server::send_error(const std::shared_ptr<Session>& session,
-                        const ErrorResponse& err, bool count_as_error) {
-  write_frame(*session, encode_error_response(err));
-  if (count_as_error) {
-    n_errors_.fetch_add(1, std::memory_order_relaxed);
-    IOTAX_OBS_COUNT("serve.errors", 1);
-  } else {
-    n_shed_.fetch_add(1, std::memory_order_relaxed);
-    IOTAX_OBS_COUNT("serve.shed", 1);
-  }
+void Server::reply_error(Session& s, const ErrorResponse& err, bool shed) {
+  loop_->queue(s, encode_error_response(err));
+  shed ? count_shed() : count_error();
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[2];
-    int n_fds = 0;
-    if (unix_fd_ >= 0) fds[n_fds++] = {unix_fd_, POLLIN, 0};
-    if (tcp_fd_ >= 0) fds[n_fds++] = {tcp_fd_, POLLIN, 0};
-    const int rc = ::poll(fds, static_cast<nfds_t>(n_fds), 100);
-    if (rc <= 0) continue;
-    for (int i = 0; i < n_fds; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int cfd = ::accept4(fds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
-      if (cfd < 0) {
-        // Out of fds despite the cap (something else holds them): pause
-        // rather than spin on a listener that stays readable.
-        if (errno == EMFILE || errno == ENFILE) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-        continue;
-      }
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      reap_readers_locked();
-      if (readers_.size() >= max_sessions_) {
-        refuse_busy(cfd, max_sessions_);
-        n_shed_.fetch_add(1, std::memory_order_relaxed);
-        IOTAX_OBS_COUNT("serve.shed", 1);
-        continue;
-      }
-      auto session = std::make_shared<Session>();
-      session->fd = cfd;
-      n_connections_.fetch_add(1, std::memory_order_relaxed);
-      IOTAX_OBS_COUNT("serve.connections", 1);
-      Reader& reader = readers_.emplace_back();
-      reader.session = session;
-      reader.thread = std::thread(
-          [this, session = std::move(session), done = &reader.done]() mutable {
-            session_loop(std::move(session));
-            done->store(true, std::memory_order_release);
-          });
-    }
-  }
-}
-
-void Server::reap_readers_locked() {
-  for (auto it = readers_.begin(); it != readers_.end();) {
-    if (it->done.load(std::memory_order_acquire)) {
-      it->thread.join();
-      it = readers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void Server::session_loop(std::shared_ptr<Session> session) {
-  std::vector<std::uint8_t> buf;
-  std::size_t start = 0;  // parse cursor into buf
-  std::uint8_t chunk[16384];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd{session->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (rc == 0) continue;
-    const ssize_t n = ::recv(session->fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) {
-      // EOF. Anything left in the buffer is a frame the peer never
-      // finished — the wire-level analogue of a truncated archive.
-      // During drain the cut is ours, not the peer's: stay silent.
-      if (start < buf.size() && !stopping_.load(std::memory_order_acquire)) {
-        note_quarantine(Reason::kTruncated,
-                        "connection closed inside a frame (" +
-                            std::to_string(buf.size() - start) +
-                            " byte(s) of partial frame)");
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = Reason::kTruncated;
-        err.detail = "truncated frame";
-        send_error(session, err);
-      }
-      break;
-    }
-    buf.insert(buf.end(), chunk, chunk + n);
-    bool close_session = false;
-    while (true) {
-      const auto view = std::span<const std::uint8_t>(buf).subspan(start);
-      const FrameDecode dec = util::decode_frame(view);
-      if (dec.status == FrameDecode::Status::kNeedMore) break;
-      if (dec.status == FrameDecode::Status::kBad) {
-        // Framing is lost — reply with the typed defect and close; the
-        // daemon itself keeps serving every other connection.
-        note_quarantine(dec.reason, dec.detail);
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = dec.reason;
-        err.detail = dec.detail;
-        send_error(session, err);
-        close_session = true;
-        break;
-      }
-      const auto payload =
-          view.subspan(FrameHeader::kWireSize,
-                       dec.header.payload_len);
-      if (!handle_frame(session, dec.header, payload)) {
-        close_session = true;
-        break;
-      }
-      start += dec.consumed;
-    }
-    if (close_session) break;
-    // Compact the consumed prefix once it dominates the buffer.
-    if (start > 4096 && start * 2 > buf.size()) {
-      buf.erase(buf.begin(), buf.begin() + static_cast<long>(start));
-      start = 0;
-    }
-  }
-}
-
-bool Server::handle_frame(const std::shared_ptr<Session>& session,
-                          const FrameHeader& header,
-                          std::span<const std::uint8_t> payload) {
-  switch (static_cast<FrameType>(header.type)) {
-    case FrameType::kPing:
-      write_frame(*session, encode_pong(header.request_id));
-      return true;
-    case FrameType::kPredictRequest:
-      break;
-    case FrameType::kControlRequest: {
-      ControlRequest creq;
-      ErrorResponse cerr;
-      if (!decode_control_request(header, payload, &creq, &cerr)) {
-        note_quarantine(*cerr.reason, cerr.detail);
-        send_error(session, cerr);
-        return true;
-      }
-      handle_control(session, creq);
-      return true;
-    }
-    default: {
-      // Well-framed but not something a client may send. The frame
-      // boundary is intact, so the connection survives.
-      note_quarantine(Reason::kMalformedHeader,
-                      "unexpected frame type " +
-                          std::to_string(header.type));
-      ErrorResponse err;
-      err.request_id = header.request_id;
-      err.status = ServeStatus::kBadFrame;
-      err.reason = Reason::kMalformedHeader;
-      err.detail = "unexpected frame type";
-      send_error(session, err);
-      return true;
-    }
-  }
-
-  Pending pending;
-  pending.session = session;
+void Server::on_request(Session& s, const FrameHeader& header,
+                        std::span<const std::uint8_t> payload,
+                        std::span<const std::uint8_t> /*frame*/) {
   ErrorResponse err;
+  if (static_cast<FrameType>(header.type) == FrameType::kControlRequest) {
+    ControlRequest req;
+    if (!decode_control_request(header, payload, &req, &err)) {
+      note_quarantine(*err.reason, err.detail);
+      reply_error(s, err);
+    } else {
+      handle_control(s, req);
+    }
+    return;
+  }
+  Pending pending;
+  pending.session = s.id;
   if (!decode_predict_request(header, payload, &pending.req, &err)) {
     note_quarantine(*err.reason, err.detail);
-    send_error(session, err);
-    return true;
+    reply_error(s, err);
+    return;
   }
   if (pending.req.model_index >= registry_.size()) {
     err.request_id = header.request_id;
@@ -392,8 +170,8 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
     err.reason.reset();
     err.detail = "model index " + std::to_string(pending.req.model_index) +
                  " outside registry of " + std::to_string(registry_.size());
-    send_error(session, err);
-    return true;
+    reply_error(s, err);
+    return;
   }
   // Snapshot the slot's current publication: a concurrent promote can
   // swap the slot, but this request validated (and will score) against a
@@ -409,52 +187,57 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
                  " features, request carries " +
                  std::to_string(pending.req.features.size());
     note_quarantine(Reason::kSizeMismatch, err.detail);
-    send_error(session, err);
-    return true;
+    reply_error(s, err);
+    return;
   }
-  if (stopping_.load(std::memory_order_acquire)) {
+  if (loop_->stopping()) {
     err.request_id = header.request_id;
     err.status = ServeStatus::kShuttingDown;
     err.reason.reset();
     err.detail = "daemon is draining";
-    send_error(session, err, /*count_as_error=*/false);
-    return true;
+    reply_error(s, err, /*shed=*/true);
+    return;
   }
   // Admission control: past max-inflight the request is shed with a
   // typed BUSY reply — the client backs off, the daemon never queues
-  // unboundedly.
-  if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
-      config_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+  // unboundedly. The queue holds at most the unanswered requests, so
+  // it has room whenever this count does.
+  pending.t_enqueue = Clock::now();
+  if (unanswered_ >= config_.max_inflight ||
+      !queue_->try_push(std::move(pending))) {
     err.request_id = header.request_id;
     err.status = ServeStatus::kBusy;
     err.reason.reset();
     err.detail = "max-inflight " + std::to_string(config_.max_inflight) +
                  " reached";
-    send_error(session, err, /*count_as_error=*/false);
-    return true;
+    reply_error(s, err, /*shed=*/true);
+    return;
   }
-  pending.t_enqueue = std::chrono::steady_clock::now();
-  if (!queue_->try_push(std::move(pending))) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    err.request_id = header.request_id;
-    err.status = queue_->closed() ? ServeStatus::kShuttingDown
-                                  : ServeStatus::kBusy;
-    err.reason.reset();
-    err.detail = "request queue full";
-    send_error(session, err, /*count_as_error=*/false);
-    return true;
-  }
+  ++unanswered_;
+  ++s.pending;
   n_requests_.fetch_add(1, std::memory_order_relaxed);
   IOTAX_OBS_COUNT("serve.requests", 1);
-  IOTAX_OBS_GAUGE("serve.inflight",
-                  static_cast<double>(
-                      inflight_.load(std::memory_order_relaxed)));
-  return true;
+  IOTAX_OBS_GAUGE("serve.inflight", static_cast<double>(unanswered_));
 }
 
-void Server::handle_control(const std::shared_ptr<Session>& session,
-                            const ControlRequest& req) {
+void Server::on_wake() {
+  {
+    std::lock_guard<std::mutex> lock(outbox_mu_);
+    delivering_.swap(outbox_);
+  }
+  for (Reply& reply : delivering_) {
+    --unanswered_;
+    // A session stays known while it has requests pending.
+    Session& s = *loop_->find(reply.session);
+    --s.pending;
+    loop_->queue(s, reply.frame);
+    loop_->settle(s);
+  }
+  delivering_.clear();
+  IOTAX_OBS_GAUGE("serve.inflight", static_cast<double>(unanswered_));
+}
+
+void Server::handle_control(Session& s, const ControlRequest& req) {
   ControlResponse resp;
   resp.request_id = req.request_id;
   resp.shadow_requests = n_shadow_requests_.load(std::memory_order_relaxed);
@@ -464,12 +247,13 @@ void Server::handle_control(const std::shared_ptr<Session>& session,
     resp.max_abs_divergence = max_abs_divergence_;
   }
   if (req.model_index >= registry_.size()) {
-    resp.ok = false;
     resp.detail = "model index " + std::to_string(req.model_index) +
                   " outside registry of " + std::to_string(registry_.size());
-    write_frame(*session, encode_control_response(resp));
+    loop_->queue(s, encode_control_response(resp));
     return;
   }
+  // A refused verb reports the slot's current generation.
+  resp.generation = registry_.entry(req.model_index)->generation;
   switch (req.op) {
     case ControlOp::kStatus: {
       const auto entry = registry_.entry(req.model_index);
@@ -491,22 +275,16 @@ void Server::handle_control(const std::shared_ptr<Session>& session,
         candidate = shadow_;
       }
       if (candidate == nullptr) {
-        resp.ok = false;
-        resp.generation = registry_.entry(req.model_index)->generation;
         resp.detail = "no shadow candidate loaded";
         break;
       }
       if (req.model_index != config_.shadow_slot) {
-        resp.ok = false;
-        resp.generation = registry_.entry(req.model_index)->generation;
         resp.detail = "shadow is a candidate for slot " +
                       std::to_string(config_.shadow_slot) + ", not " +
                       std::to_string(req.model_index);
         break;
       }
       if (resp.shadow_requests < req.min_shadow_requests) {
-        resp.ok = false;
-        resp.generation = registry_.entry(req.model_index)->generation;
         resp.detail = "shadow has scored " +
                       std::to_string(resp.shadow_requests) + " of required " +
                       std::to_string(req.min_shadow_requests) + " request(s)";
@@ -544,14 +322,12 @@ void Server::handle_control(const std::shared_ptr<Session>& session,
                       ") as generation " +
                       std::to_string(restored->generation);
       } catch (const std::exception& e) {
-        resp.ok = false;
-        resp.generation = registry_.entry(req.model_index)->generation;
         resp.detail = e.what();
       }
       break;
     }
   }
-  write_frame(*session, encode_control_response(resp));
+  loop_->queue(s, encode_control_response(resp));
 }
 
 void Server::batcher_loop() {
@@ -582,6 +358,8 @@ void Server::run_batch(std::vector<Pending>&& batch) {
   // Group batch slots by (model, row width, dist?, shadow?) in
   // first-appearance order, then run each group through one
   // MatrixView-backed predict.
+  std::vector<Reply> replies;
+  replies.reserve(batch.size());
   struct Group {
     std::uint16_t model_index;
     std::size_t width;
@@ -687,17 +465,17 @@ void Server::run_batch(std::vector<Pending>&& batch) {
         err.request_id = batch[slot].req.request_id;
         err.status = ServeStatus::kInternal;
         err.detail = e.what();
-        send_error(batch[slot].session, err);
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        replies.push_back({batch[slot].session, encode_error_response(err)});
+        count_error();
       }
     }
     if (!ok) continue;
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     for (std::size_t r = 0; r < group.slots.size(); ++r) {
       const auto slot = group.slots[r];
       responses[r].request_id = batch[slot].req.request_id;
-      write_frame(*batch[slot].session, encode_predict_response(responses[r]));
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      replies.push_back(
+          {batch[slot].session, encode_predict_response(responses[r])});
       n_responses_.fetch_add(1, std::memory_order_relaxed);
       IOTAX_OBS_COUNT("serve.responses", 1);
       if (obs::enabled()) {
@@ -709,9 +487,16 @@ void Server::run_batch(std::vector<Pending>&& batch) {
       }
     }
   }
-  IOTAX_OBS_GAUGE("serve.inflight",
-                  static_cast<double>(
-                      inflight_.load(std::memory_order_relaxed)));
+  // Hand the whole batch to the loop at once: one lock, and one wake
+  // unless an earlier batch's wake has not been taken up yet.
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(outbox_mu_);
+    wake = outbox_.empty();
+    outbox_.insert(outbox_.end(), std::make_move_iterator(replies.begin()),
+                   std::make_move_iterator(replies.end()));
+  }
+  if (wake) loop_->wake();
 }
 
 }  // namespace iotax::serve

@@ -3,38 +3,37 @@
 // Unix-domain and/or TCP sockets using the framed binary protocol
 // (serve/protocol.hpp).
 //
-// Request lifecycle:
-//   session reader --> bounded MPMC queue --> batcher --> session socket
+//   event loop --> bounded MPMC queue --> batcher --> outbox --> event loop
 //
-// One reader thread per connection decodes frames and admits requests
-// into a BoundedQueue (capacity = --max-inflight). A single batcher
-// thread gathers up to --batch-size requests within a --batch-wait-us
-// window, assembles each model's rows into one Matrix, and runs the
-// ordinary batch-predict kernels — the same thread-pool code offline
-// `iotax predict` uses — so served answers are bit-identical to offline
-// predictions at any IOTAX_THREADS. Responses are written back on the
-// requester's socket under a per-session write lock (responses carry
-// the request id, so cross-request ordering is unconstrained).
+// Two threads, whatever the number of connections. The event loop
+// (loop.hpp, shared with the fleet router) accepts, decodes frames,
+// answers pings and control verbs, and admits predicts into a
+// BoundedQueue; past --max-inflight unanswered requests it sheds with a
+// typed BUSY. The batcher gathers up to --batch-size requests within a
+// --batch-wait-us window and runs the ordinary batch-predict kernels, so
+// served answers are bit-identical to offline `iotax predict` at any
+// IOTAX_THREADS. Each batch's encoded replies go back through one
+// mutex-guarded outbox and one eventfd wake; the queue and the outbox
+// are the only state the two threads share. Replies carry the request
+// id, so cross-request ordering is unconstrained.
 //
-// Failure model: malformed or truncated frames map to the shared
-// quarantine Reason vocabulary and produce a typed error reply; they
-// never kill the daemon. Admission control sheds load with a typed BUSY
-// reply once max-inflight requests are in the system, and a connection
-// past the fd-derived session cap (listener.hpp) gets the same typed
-// BUSY and is closed. stop() drains
-// gracefully: listeners close, readers stop admitting, every already-
-// admitted request is answered, then threads join.
+// Failure model: frame defects map to the quarantine Reason vocabulary
+// and get a typed error reply; they never kill the daemon. stop()
+// drains: listeners close, sessions stop reading, every admitted request
+// is answered, then threads join.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/ml/registry.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/serve/loop.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/util/mpmc.hpp"
 #include "src/util/quarantine.hpp"
@@ -85,16 +84,16 @@ struct ServeStats {
   double max_abs_divergence = 0.0;    // worst |production - shadow| seen
 };
 
-class Server {
+class Server : private EventLoop::Owner {
  public:
   explicit Server(ServeConfig config);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Load models, bind listeners, launch the accept and batcher
-  /// threads. Throws std::runtime_error on any setup failure (bad
-  /// checkpoint, unbindable socket).
+  /// Load models, bind listeners, launch the loop and batcher threads.
+  /// Throws std::runtime_error on any setup failure (bad checkpoint,
+  /// unbindable socket); a failed start leaves no fd or socket file.
   void start();
 
   /// Graceful drain: stop accepting, answer everything already
@@ -119,55 +118,62 @@ class Server {
   util::QuarantineReport quarantine() const;
 
  private:
-  struct Session;
   struct Pending;
-  /// One session's reader thread. Finished readers are joined as new
-  /// connections arrive, so retained threads track live sessions.
-  struct Reader {
-    std::thread thread;
-    std::weak_ptr<Session> session;
-    std::atomic<bool> done{false};
+  /// One encoded reply from the batcher, for the session `session`.
+  struct Reply {
+    std::uint64_t session;
+    std::string frame;
   };
 
-  void accept_loop();
-  /// Join and drop readers whose session has ended.
-  void reap_readers_locked();
-  void session_loop(std::shared_ptr<Session> session);
-  void batcher_loop();
-  /// Handle one complete frame from `session`; returns false when the
-  /// connection must close (unrecoverable framing defect).
-  bool handle_frame(const std::shared_ptr<Session>& session,
-                    const util::FrameHeader& header,
-                    std::span<const std::uint8_t> payload);
+  // EventLoop::Owner, on the loop thread.
+  void on_request(Session& s, const util::FrameHeader& header,
+                  std::span<const std::uint8_t> payload,
+                  std::span<const std::uint8_t> frame) override;
+  /// Move the outbox's replies onto their sessions.
+  void on_wake() override;
+  bool idle() const override { return unanswered_ == 0; }
+  void count_connection() override {
+    n_connections_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("serve.connections", 1);
+  }
+  void count_shed() override {
+    n_shed_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("serve.shed", 1);
+  }
+  void count_error() override {
+    n_errors_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("serve.errors", 1);
+  }
+  void note_quarantine(util::Reason reason,
+                       const std::string& detail) override;
+
   /// Apply one administrative verb (promote / rollback / status) and
   /// reply with a ControlResponse on the requester's session.
-  void handle_control(const std::shared_ptr<Session>& session,
-                      const ControlRequest& req);
+  void handle_control(Session& s, const ControlRequest& req);
+  /// Queue a typed error on `s`, counted as shed or as an error.
+  void reply_error(Session& s, const ErrorResponse& err, bool shed = false);
+  void batcher_loop();
   void run_batch(std::vector<Pending>&& batch);
-  void send_error(const std::shared_ptr<Session>& session,
-                  const ErrorResponse& err, bool count_as_error = true);
-  void note_quarantine(util::Reason reason, const std::string& detail);
-  static bool write_frame(Session& session, std::string_view bytes);
 
   ServeConfig config_;
   ml::ModelRegistry registry_;
 
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
   int bound_tcp_port_ = -1;
 
   std::unique_ptr<util::BoundedQueue<Pending>> queue_;
-  std::atomic<std::size_t> inflight_{0};
-
+  std::unique_ptr<EventLoop> loop_;
+  std::thread loop_thread_;
+  std::thread batcher_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  std::thread accept_thread_;
-  std::thread batcher_thread_;
-  /// Live-session bound from the fd budget (listener.hpp), set in start().
-  std::size_t max_sessions_ = 0;
-  mutable std::mutex sessions_mu_;
-  std::list<Reader> readers_;  // guarded by sessions_mu_
+  /// Replies the batcher finished and the loop has not yet picked up.
+  std::mutex outbox_mu_;
+  std::vector<Reply> outbox_;      // guarded by outbox_mu_
+  std::vector<Reply> delivering_;  // loop thread only
+  /// Admitted predicts whose reply has not reached the loop: what
+  /// --max-inflight bounds (loop thread only).
+  std::size_t unanswered_ = 0;
 
   mutable std::mutex quarantine_mu_;
   util::QuarantineReport quarantine_;  // guarded by quarantine_mu_

@@ -1,9 +1,10 @@
 // Bounded multi-producer / multi-consumer queue with explicit
-// backpressure, built for the serve request path: session readers
-// try_push() and treat a full queue as "shed this request", the batcher
-// pop_batch()es up to a batch size within a bounded gather window, and
-// close() starts a graceful drain — producers are refused, consumers
-// keep popping until the queue is empty and only then see "done".
+// backpressure, built for the serve request path: the daemon's event
+// loop (its one producer) try_push()es and treats a full queue as "shed
+// this request", the batcher pop_batch()es up to a batch size within a
+// bounded gather window, and close() starts a graceful drain —
+// producers are refused, consumers keep popping until the queue is
+// empty and only then see "done".
 //
 // All synchronisation is a mutex + two condition variables; no lock-free
 // cleverness, so the type is trivially ThreadSanitizer-clean and the
@@ -30,14 +31,18 @@ class BoundedQueue {
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
   /// Non-blocking push. False when the queue is full (backpressure: the
-  /// caller sheds) or closed (drain: the caller refuses new work).
+  /// caller sheds) or closed (drain: the caller refuses new work). Wakes
+  /// a consumer only when one waits for any item or this push fills the
+  /// batch being gathered: no other push can end a wait.
   bool try_push(T v) {
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || q_.size() >= capacity_) return false;
       q_.push_back(std::move(v));
+      wake = idle_ > 0 || q_.size() == gather_n_;
     }
-    nonempty_cv_.notify_one();
+    if (wake) nonempty_cv_.notify_one();
     return true;
   }
 
@@ -49,9 +54,12 @@ class BoundedQueue {
   std::vector<T> pop_batch(std::size_t max_n,
                            std::chrono::microseconds gather_wait) {
     std::unique_lock<std::mutex> lock(mu_);
+    ++idle_;
     nonempty_cv_.wait(lock, [&] { return !q_.empty() || closed_; });
+    --idle_;
     if (q_.empty()) return {};  // closed and drained
     if (q_.size() < max_n && !closed_) {
+      gather_n_ = max_n;
       const auto deadline = std::chrono::steady_clock::now() + gather_wait;
       nonempty_cv_.wait_until(lock, deadline, [&] {
         return q_.size() >= max_n || closed_;
@@ -94,6 +102,8 @@ class BoundedQueue {
   mutable std::mutex mu_;
   std::condition_variable nonempty_cv_;
   std::deque<T> q_;
+  std::size_t idle_ = 0;      // consumers waiting for any item
+  std::size_t gather_n_ = 0;  // batch size the consumer last gathered for
   bool closed_ = false;
 };
 

@@ -5,9 +5,13 @@
 // router end to end over static replica groups — failover mid-load with
 // zero client-visible failures and bit-identity to offline predictions.
 // Also the resource bounds of both front doors: threads and memory maps
-// stay flat under connection churn and many open sessions.
+// stay flat under connection churn and many open sessions, a failed
+// start leaves nothing open, and a client that never reads stalls only
+// itself.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -20,6 +24,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -1238,39 +1244,176 @@ TEST_F(FleetTest, RouterMapsStayFlatUnderConnectionChurn) {
 }
 
 TEST_F(FleetTest, RouterThreadCountIsFlatIn64Sessions) {
+  // Both front doors: the router (in front of one shard), then that
+  // shard's daemon addressed directly.
   serve::Server shard(shard_config("threads_g0"));
   shard.start();
   serve::Router router(router_config("threads_front", {{endpoint("threads_g0")}}));
   router.start();
   const auto offline = model_->predict(probe_->x);  // starts the pool too
-  // Warm-up: the first request opens the one backhaul (and the shard's
-  // reader for it).
-  {
-    auto warm = serve::Client::connect_unix(sock_path("threads_front"));
-    warm.send_predict(request_for_row(0, 1));
-    serve::Client::Reply reply;
-    ASSERT_TRUE(warm.read_reply(&reply));
+  for (const char* front : {"threads_front", "threads_g0"}) {
+    // Warm-up: through the router, the first request opens its one
+    // backhaul.
+    {
+      auto warm = serve::Client::connect_unix(sock_path(front));
+      warm.send_predict(request_for_row(0, 1));
+      serve::Client::Reply reply;
+      ASSERT_TRUE(warm.read_reply(&reply));
+    }
+    const std::size_t before = thread_count();
+    constexpr std::size_t kSessions = 64;
+    std::vector<serve::Client> clients;
+    for (std::size_t c = 0; c < kSessions; ++c) {
+      clients.push_back(serve::Client::connect_unix(sock_path(front)));
+      clients.back().send_predict(request_for_row(c % probe_->x.rows(), c + 1));
+    }
+    for (std::size_t c = 0; c < kSessions; ++c) {
+      serve::Client::Reply reply;
+      ASSERT_TRUE(clients[c].read_reply(&reply));
+      ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+      EXPECT_EQ(reply.request_id, c + 1);
+      expect_bit_identical(reply.predict.values,
+                           {offline[c % probe_->x.rows()]});
+    }
+    // All 64 sessions are still open here.
+    EXPECT_EQ(thread_count(), before) << front;
   }
-  const std::size_t before = thread_count();
-  constexpr std::size_t kSessions = 64;
-  std::vector<serve::Client> clients;
-  for (std::size_t c = 0; c < kSessions; ++c) {
-    clients.push_back(serve::Client::connect_unix(sock_path("threads_front")));
-    clients.back().send_predict(request_for_row(c % probe_->x.rows(), c + 1));
-  }
-  for (std::size_t c = 0; c < kSessions; ++c) {
-    serve::Client::Reply reply;
-    ASSERT_TRUE(clients[c].read_reply(&reply));
-    ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
-    EXPECT_EQ(reply.request_id, c + 1);
-    expect_bit_identical(reply.predict.values,
-                         {offline[c % probe_->x.rows()]});
-  }
-  // All 64 sessions are still open here.
-  EXPECT_EQ(thread_count(), before);
-  clients.clear();
   router.stop();
   shard.stop();
+}
+
+std::size_t fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(FleetTest, FailedStartLeavesNoFdOrSocketFile) {
+  // The unix listener binds, then the TCP port is already taken: start()
+  // throws, and neither front door may keep the bound fd or leave its
+  // socket file behind.
+  const int holder = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<const sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int taken = ntohs(addr.sin_port);
+  {
+    auto cfg = shard_config("failed_start");
+    cfg.tcp_port = taken;
+    serve::Server server(cfg);
+    const std::size_t before = fd_count();
+    EXPECT_THROW(server.start(), std::runtime_error);
+    EXPECT_FALSE(server.running());
+    EXPECT_EQ(fd_count(), before);
+    EXPECT_FALSE(std::filesystem::exists(cfg.unix_socket));
+  }
+  {
+    auto cfg = router_config("failed_start_front",
+                             {{endpoint("failed_start_none")}});
+    cfg.tcp_port = taken;
+    serve::Router router(cfg);
+    const std::size_t before = fd_count();
+    EXPECT_THROW(router.start(), std::runtime_error);
+    EXPECT_FALSE(router.running());
+    EXPECT_EQ(fd_count(), before);
+    EXPECT_FALSE(std::filesystem::exists(cfg.unix_socket));
+  }
+  ::close(holder);
+}
+
+/// Owns a raw client socket (the test needs nonblocking sends).
+struct RawFd {
+  int fd = -1;
+  ~RawFd() { reset(); }
+  void reset() {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+};
+
+TEST_F(FleetTest, ClientThatNeverReadsStallsNoOtherClient) {
+  // Client A pipelines predicts and never reads a reply. Once its sends
+  // stall, client B must still be answered at once, bit-identically, and
+  // stop() must return while A is still connected. Over both front
+  // doors: a daemon alone, and a router in front of one daemon.
+  const auto offline = model_->predict(probe_->x);
+  const auto check = [&](const std::string& front,
+                         const std::function<void()>& stop_front, RawFd& a) {
+    a.fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, front.c_str(), front.size() + 1);
+    ASSERT_EQ(::connect(a.fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    std::string burst;
+    for (std::size_t i = 0; i < 64; ++i) {
+      burst += serve::encode_predict_request(
+          request_for_row(i % probe_->x.rows(), i + 1));
+    }
+    // Send until nothing has gone out for 300 ms; a front door that
+    // never stopped reading would take the whole budget.
+    constexpr std::size_t kBudget = std::size_t{64} << 20;
+    std::size_t sent = 0;
+    while (sent < kBudget) {
+      pollfd pfd{a.fd, POLLOUT, 0};
+      if (::poll(&pfd, 1, 300) == 0) break;
+      const std::size_t off = sent % burst.size();
+      const ssize_t n = ::send(a.fd, burst.data() + off, burst.size() - off,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      ASSERT_TRUE(n >= 0 || errno == EAGAIN) << std::strerror(errno);
+      if (n > 0) sent += static_cast<std::size_t>(n);
+    }
+    EXPECT_LT(sent, kBudget) << front << " never stopped reading A";
+
+    auto b = serve::Client::connect_unix(front);
+    b.set_recv_timeout_ms(2000);
+    b.send_predict(request_for_row(5, 77));
+    serve::Client::Reply reply;
+    try {
+      ASSERT_TRUE(b.read_reply(&reply));
+      EXPECT_EQ(reply.type, FrameType::kPredictResponse)
+          << front << ": " << reply.error.detail;
+      EXPECT_EQ(reply.request_id, 77u);
+      if (reply.type == FrameType::kPredictResponse) {
+        expect_bit_identical(reply.predict.values, {offline[5]});
+      }
+    } catch (const serve::Client::Timeout&) {
+      ADD_FAILURE() << front << ": B was not answered within 2 s";
+    }
+    b.close();
+
+    auto stopped = std::async(std::launch::async, stop_front);
+    if (stopped.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << front << ": stop() blocked while A was connected";
+      a.reset();  // unwedge it so the test can end
+    }
+    stopped.get();
+  };
+  {
+    serve::Server daemon(shard_config("noread_daemon"));
+    daemon.start();
+    RawFd a;  // after the daemon: closed first if stop() wedged
+    check(sock_path("noread_daemon"), [&] { daemon.stop(); }, a);
+  }
+  {
+    serve::Server shard(shard_config("noread_g0"));
+    shard.start();
+    serve::Router router(router_config("noread_front", {{endpoint("noread_g0")}}));
+    router.start();
+    RawFd a;
+    check(sock_path("noread_front"), [&] { router.stop(); }, a);
+    shard.stop();
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The serving stack: frame codec, bounded MPMC queue, and the daemon
 // end to end over a real Unix socket — golden bit-identity against
 // offline predictions at IOTAX_THREADS 1 and 4, truncation at every
-// byte boundary, admission control, and graceful-drain accounting.
+// byte boundary, admission control, and graceful-drain accounting (also
+// with requests in flight when stop() is called).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -606,6 +608,65 @@ TEST_F(ServeTest, DrainAnswersEverythingAdmitted) {
   // stop() is idempotent.
   server.stop();
   EXPECT_FALSE(server.running());
+}
+
+TEST_F(ServeTest, DrainWithRequestsInFlightAnswersOrRefusesEach) {
+  // stop() lands while 64 pipelined predicts are unread or in flight.
+  // Each one read before the drain began is answered with its real
+  // prediction; one read after gets a typed kShuttingDown (a router
+  // fails over on it at once). Nothing is answered twice, and EOF
+  // follows once the last reply is out.
+  auto cfg = base_config("drain_inflight");
+  cfg.batch_size = 8;
+  cfg.batch_wait_us = 5000;
+  serve::Server server(cfg);
+  server.start();
+  const auto offline = model_->predict(probe_->x);
+  auto client = serve::Client::connect_unix(server.config().unix_socket);
+  client.set_recv_timeout_ms(5000);
+  serve::Client::Reply reply;
+  client.send_ping(1000);  // the session is accepted before stop() runs
+  ASSERT_TRUE(client.read_reply(&reply));
+  constexpr std::uint64_t kRequests = 64;
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    client.send_predict(request_for_row(id - 1, id));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::jthread stopper([&server] { server.stop(); });
+  std::set<std::uint64_t> answered;
+  std::uint64_t predicted = 0, refused = 0;
+  const auto next = [&] {
+    try {
+      return client.read_reply(&reply);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "no clean EOF after the last reply: " << e.what();
+      return false;
+    }
+  };
+  while (next()) {
+    ASSERT_GE(reply.request_id, 1u);
+    ASSERT_LE(reply.request_id, kRequests);
+    EXPECT_TRUE(answered.insert(reply.request_id).second)
+        << "request " << reply.request_id << " answered twice";
+    if (reply.type == FrameType::kPredictResponse) {
+      ++predicted;
+      expect_bit_identical(reply.predict.values,
+                           {offline[reply.request_id - 1]});
+    } else {
+      ASSERT_EQ(reply.type, FrameType::kErrorResponse);
+      EXPECT_EQ(reply.error.status, serve::ServeStatus::kShuttingDown);
+      ++refused;
+    }
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  // Everything was sent before stop(), so the drain read all of it.
+  EXPECT_EQ(answered.size(), kRequests);
+  stopper.join();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests, stats.responses);
+  EXPECT_EQ(stats.responses, predicted);
+  EXPECT_EQ(stats.shed, refused);
+  EXPECT_EQ(stats.errors, 0u);
 }
 
 TEST_F(ServeTest, RegistryServesMultipleModelsByIndex) {
