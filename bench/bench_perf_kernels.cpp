@@ -5,13 +5,15 @@
 // wall-clock speedup of the deterministic thread-pool paths; the rest
 // guard single-core throughput.
 // Invoked with --kernels_ab, the binary skips google-benchmark and runs
-// the scalar-vs-AVX2 A/B harness for the three SIMD kernels (histogram
-// split scan, packed forest traversal, dense GEMM) at IOTAX_THREADS 1
-// and 4, verifies the tiers agree bit for bit, and writes
-// BENCH_kernels.json for tools/check_bench.cmake (KIND=kernels).
+// the scalar-vs-AVX2 A/B harness for the SIMD kernels (histogram split
+// scan, packed forest traversal, dense GEMM, and MLP training's weight
+// gradient, input gradient and Adam step) at IOTAX_THREADS 1 and 4,
+// verifies the tiers agree bit for bit, and writes BENCH_kernels.json
+// for tools/check_bench.cmake (KIND=kernels).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <random>
@@ -437,12 +439,13 @@ TravWorkload make_trav_workload() {
       n.feature = static_cast<int>(rng() % kTravFeatures);
       n.split_bin = static_cast<int>(rng() % (kBins - 1));
       n.threshold = static_cast<double>(n.split_bin);
-      n.left = static_cast<int>(nodes.size());
-      n.right = n.left + 1;
+      const int left = static_cast<int>(nodes.size());
+      n.left = left;
+      n.right = left + 1;
+      nodes.push_back({});  // invalidates n
       nodes.push_back({});
-      nodes.push_back({});
-      stack.push_back({n.left, d - 1});
-      stack.push_back({n.right, d - 1});
+      stack.push_back({left, d - 1});
+      stack.push_back({left + 1, d - 1});
     }
     w.forest.add_tree(nodes, /*with_codes=*/true);
   }
@@ -495,6 +498,83 @@ void run_gemm(const GemmWorkload& w, std::vector<double>* out) {
       /*grain=*/64);
 }
 
+// --- MLP training kernels, mirroring Mlp::run_epochs --------------------
+//
+// kGemmRows rows in minibatches of kTrainBatch through a kGemmDim-wide
+// hidden layer; about half the output deltas are zero, as ReLU leaves
+// them.
+
+constexpr std::size_t kTrainBatch = 64;
+constexpr std::size_t kTrainBatches = kGemmRows / kTrainBatch;
+constexpr std::size_t kLayerParams = kGemmDim * kGemmDim + kGemmDim;
+
+struct TrainWorkload {
+  std::vector<double> a;      // kGemmRows x kGemmDim layer inputs
+  std::vector<double> delta;  // kGemmRows x kGemmDim output deltas
+  std::vector<double> w;      // kGemmDim x kGemmDim
+  std::vector<double> state;  // per batch: params | m | v | grad
+};
+
+TrainWorkload make_train_workload() {
+  TrainWorkload t;
+  std::mt19937 rng(404);
+  std::normal_distribution<double> d(0.0, 1.0);
+  t.a.resize(kGemmRows * kGemmDim);
+  t.delta.resize(kGemmRows * kGemmDim);
+  t.w.resize(kGemmDim * kGemmDim);
+  for (auto& v : t.a) v = std::max(0.0, d(rng));
+  for (auto& v : t.delta) v = rng() % 2 == 0 ? 0.0 : d(rng);
+  for (auto& v : t.w) v = d(rng);
+  t.state.resize(kTrainBatches * 4 * kLayerParams);
+  for (std::size_t k = 0; k < t.state.size(); ++k) {
+    const double x = d(rng);
+    // v (the third quarter of each batch's block) must be non-negative.
+    t.state[k] = (k / kLayerParams) % 4 == 2 ? std::abs(0.01 * x) : x;
+  }
+  return t;
+}
+
+// Weight and bias gradients of every minibatch, from zero.
+void run_grad_weights(const TrainWorkload& t, std::vector<double>* out) {
+  out->assign(kTrainBatches * kLayerParams, 0.0);
+  util::parallel_for(kTrainBatches, [&](std::size_t b) {
+    double* gw = out->data() + b * kLayerParams;
+    kn::dense_grad_weights(t.a.data() + b * kTrainBatch * kGemmDim,
+                           t.delta.data() + b * kTrainBatch * kGemmDim,
+                           kTrainBatch, kGemmDim, kGemmDim, gw,
+                           gw + kGemmDim * kGemmDim);
+  });
+}
+
+void run_grad_input(const TrainWorkload& t, std::vector<double>* out) {
+  out->assign(kGemmRows * kGemmDim, 0.0);
+  util::parallel_for(kTrainBatches, [&](std::size_t b) {
+    kn::dense_grad_input(t.delta.data() + b * kTrainBatch * kGemmDim,
+                         kTrainBatch, kGemmDim, t.w.data(), kGemmDim,
+                         out->data() + b * kTrainBatch * kGemmDim);
+  });
+}
+
+// One Adam step of a layer's weights and biases per minibatch.
+void run_adam(const TrainWorkload& t, std::vector<double>* out) {
+  *out = t.state;
+  kn::AdamStep step;
+  step.bc1 = 1.0 - std::pow(step.beta1, 3.0);
+  step.bc2 = 1.0 - std::pow(step.beta2, 3.0);
+  step.weight_decay = 1e-5;
+  step.batch_n = static_cast<double>(kTrainBatch);
+  util::parallel_for(kTrainBatches, [&](std::size_t b) {
+    double* p = out->data() + b * 4 * kLayerParams;
+    double* m = p + kLayerParams;
+    double* v = m + kLayerParams;
+    const double* g = v + kLayerParams;
+    const std::size_t nw = kGemmDim * kGemmDim;
+    kn::adam_step(p, m, v, g, nw, step, /*decay=*/true);
+    kn::adam_step(p + nw, m + nw, v + nw, g + nw, kGemmDim, step,
+                  /*decay=*/false);
+  });
+}
+
 struct AbResult {
   double scalar_ms[2];  // [0] = 1 thread, [1] = 4 threads
   double avx2_ms[2];
@@ -544,7 +624,8 @@ bool doubles_identical(const std::vector<double>& a,
 
 int run_kernels_ab() {
   bench::banner("SIMD kernel A/B (scalar vs AVX2)",
-                "histogram scan / packed traversal / dense GEMM");
+                "histogram scan / packed traversal / dense GEMM / MLP "
+                "training");
   const bool avx2_active = kn::avx2_compiled() && kn::avx2_supported();
   std::printf("dispatch: %s\n", kn::describe().c_str());
   if (!avx2_active) {
@@ -566,15 +647,30 @@ int run_kernels_ab() {
       [&](std::vector<double>* out) { run_gemm(gemm_w, out); },
       doubles_identical);
 
-  const KernelAb kernels[] = {
-      {"hist", hist}, {"traversal", trav}, {"gemm", gemm}};
+  const auto train_w = make_train_workload();
+  const auto grad_weights = ab_kernel<std::vector<double>>(
+      [&](std::vector<double>* out) { run_grad_weights(train_w, out); },
+      doubles_identical);
+  const auto grad_input = ab_kernel<std::vector<double>>(
+      [&](std::vector<double>* out) { run_grad_input(train_w, out); },
+      doubles_identical);
+  const auto adam = ab_kernel<std::vector<double>>(
+      [&](std::vector<double>* out) { run_adam(train_w, out); },
+      doubles_identical);
+
+  const KernelAb kernels[] = {{"hist", hist},
+                              {"traversal", trav},
+                              {"gemm", gemm},
+                              {"grad_weights", grad_weights},
+                              {"grad_input", grad_input},
+                              {"adam", adam}};
   bool identical = true;
-  std::printf("%-10s %4s %12s %12s %9s %6s\n", "kernel", "thr", "scalar_ms",
+  std::printf("%-12s %4s %12s %12s %9s %6s\n", "kernel", "thr", "scalar_ms",
               "avx2_ms", "speedup", "ident");
   for (const auto& k : kernels) {
     identical = identical && k.result.identical;
     for (int ti = 0; ti < 2; ++ti) {
-      std::printf("%-10s %4d %12.2f %12.2f %8.2fx %6s\n", k.name,
+      std::printf("%-12s %4d %12.2f %12.2f %8.2fx %6s\n", k.name,
                   ti == 0 ? 1 : 4, k.result.scalar_ms[ti],
                   k.result.avx2_ms[ti],
                   k.result.scalar_ms[ti] / k.result.avx2_ms[ti],

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "src/data/ooc.hpp"
 #include "src/obs/trace.hpp"
@@ -225,7 +226,25 @@ DeepEnsemble DeepEnsemble::load(std::istream& in) {
   params.size = k;
   DeepEnsemble ensemble(std::move(params));
   for (std::size_t i = 0; i < k; ++i) {
-    ensemble.members_.push_back(std::make_unique<Mlp>(Mlp::load(in)));
+    auto member = std::make_unique<Mlp>(Mlp::load(in));
+    // predict_uncertainty transforms its input once with member 0's
+    // scaler and feeds the result to every member.
+    if (i > 0) {
+      const Mlp& first = *ensemble.members_.front();
+      const std::string where =
+          "DeepEnsemble::load: member " + std::to_string(i);
+      if (member->n_features() != first.n_features()) {
+        throw std::runtime_error(where + " takes " +
+                                 std::to_string(member->n_features()) +
+                                 " inputs but member 0 takes " +
+                                 std::to_string(first.n_features()));
+      }
+      if (member->scaler().means() != first.scaler().means() ||
+          member->scaler().stddevs() != first.scaler().stddevs()) {
+        throw std::runtime_error(where + "'s scaler differs from member 0's");
+      }
+    }
+    ensemble.members_.push_back(std::move(member));
   }
   return ensemble;
 }

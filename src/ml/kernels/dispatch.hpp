@@ -1,5 +1,6 @@
 // Runtime kernel dispatch for the SIMD hot paths (GBT histogram scan,
-// packed tree traversal, MLP GEMM).
+// packed tree traversal, MLP GEMM, and MLP training's weight gradient,
+// input gradient and Adam step).
 //
 // Two tiers exist per kernel: a portable scalar implementation and an
 // AVX2 one. Selection is three-layered:
@@ -18,8 +19,11 @@
 //
 // Every AVX2 kernel is bit-identical to its scalar twin by construction:
 // lanes only ever carry *independent* accumulators (different rows,
-// different bins, different outputs), so no floating-point sum is ever
-// reassociated. The opt-in IOTAX_FAST_MATH=1 tier relaxes exactly that —
+// different bins, different outputs, different weights), so no
+// floating-point sum is ever reassociated. The same holds for what a
+// sum skips: the training kernels drop a zero delta in both tiers (the
+// AVX2 tier by compacting the nonzero ones first), never multiply it
+// in. The opt-in IOTAX_FAST_MATH=1 tier relaxes exactly that —
 // reassociated reductions and FMA contraction — and is validated by
 // tolerance tests instead of byte comparison.
 //

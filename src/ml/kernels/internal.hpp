@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "src/ml/kernels/forest.hpp"
+#include "src/ml/kernels/gemm.hpp"
 #include "src/ml/kernels/hist.hpp"
 
 namespace iotax::ml::kernels::avx2 {
@@ -29,5 +30,16 @@ void forest_values(const ForestView& f, const double* x, std::size_t stride,
 void dense_forward(const double* in, std::size_t n_rows, std::size_t in_dim,
                    const double* w, const double* bias, std::size_t out_dim,
                    double* out);
+
+void dense_grad_weights(const double* a, const double* d, std::size_t n_rows,
+                        std::size_t in_dim, std::size_t out_dim, double* gw,
+                        double* gb);
+
+void dense_grad_input(const double* d, std::size_t n_rows,
+                      std::size_t out_dim, const double* w,
+                      std::size_t in_dim, double* da);
+
+void adam_step(double* param, double* m, double* v, const double* grad,
+               std::size_t n, const AdamStep& s, bool decay);
 
 }  // namespace iotax::ml::kernels::avx2

@@ -5,11 +5,13 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "src/ml/kernels/gemm.hpp"
 #include "src/obs/trace.hpp"
 #include "src/stats/descriptive.hpp"
 #include "src/util/parallel.hpp"
+#include "src/util/rng.hpp"
 
 namespace iotax::ml {
 
@@ -73,40 +75,6 @@ constexpr double kLogVarMin = -8.0;
 constexpr double kLogVarMax = 4.0;
 }  // namespace
 
-void Mlp::forward(std::span<const double> input, std::vector<double>* acts,
-                  util::Rng* dropout_rng, std::vector<char>* masks) const {
-  // acts holds [input | layer0 out | layer1 out | ...]; pre-activation
-  // values are ReLU'd in place for hidden layers.
-  std::copy(input.begin(), input.end(), acts->begin());
-  const double keep = 1.0 - params_.dropout;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    const double* in = acts->data() + act_offsets_[l];
-    double* out = acts->data() + act_offsets_[l + 1];
-    for (std::size_t o = 0; o < layer.out; ++o) {
-      const double* w = layer.w.data() + o * layer.in;
-      double acc = layer.b[o];
-      for (std::size_t i = 0; i < layer.in; ++i) acc += w[i] * in[i];
-      out[o] = acc;
-    }
-    const bool is_hidden = l + 1 < layers_.size();
-    if (is_hidden) {
-      for (std::size_t o = 0; o < layer.out; ++o) {
-        out[o] = std::max(0.0, out[o]);  // ReLU
-      }
-      if (dropout_rng != nullptr && params_.dropout > 0.0) {
-        // Inverted dropout; masks recorded for the backward pass.
-        char* m = masks->data() + act_offsets_[l + 1];
-        for (std::size_t o = 0; o < layer.out; ++o) {
-          const bool kept = dropout_rng->uniform() < keep;
-          m[o] = kept ? 1 : 0;
-          out[o] = kept ? out[o] / keep : 0.0;
-        }
-      }
-    }
-  }
-}
-
 const double* Mlp::forward_batch(const double* in, std::size_t n_rows,
                                  std::vector<double>& buf_a,
                                  std::vector<double>& buf_b) const {
@@ -120,7 +88,7 @@ const double* Mlp::forward_batch(const double* in, std::size_t n_rows,
     kernels::dense_forward(cur, n_rows, layer.in, layer.w.data(),
                            layer.b.data(), layer.out, out_buf.data());
     if (l + 1 < layers_.size()) {
-      // ReLU, elementwise — same std::max as the per-row forward().
+      // ReLU, elementwise — the same std::max training applies.
       const std::size_t total = n_rows * layer.out;
       for (std::size_t k = 0; k < total; ++k) {
         out_buf[k] = std::max(0.0, out_buf[k]);
@@ -163,10 +131,6 @@ void Mlp::fit_impl(const data::Matrix& z, std::span<const double> y) {
 
   y_mean_ = stats::mean(y);
   y_scale_ = std::max(stats::stddev(y), 1e-6);
-  std::vector<double> ty(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    ty[i] = (y[i] - y_mean_) / y_scale_;
-  }
 
   // Architecture: input -> hidden... -> output (1 or 2 units).
   const std::size_t out_dim = params_.nll_head ? 2 : 1;
@@ -177,8 +141,6 @@ void Mlp::fit_impl(const data::Matrix& z, std::span<const double> y) {
 
   util::Rng rng(params_.seed);
   layers_.clear();
-  act_offsets_.assign(1, 0);
-  act_total_ = widths[0];
   for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
     Layer layer;
     layer.in = widths[l];
@@ -189,8 +151,6 @@ void Mlp::fit_impl(const data::Matrix& z, std::span<const double> y) {
     const double scale = std::sqrt(2.0 / static_cast<double>(layer.in));
     for (auto& w : layer.w) w = rng.normal(0.0, scale);
     layers_.push_back(std::move(layer));
-    act_offsets_.push_back(act_total_);
-    act_total_ += widths[l + 1];
   }
 
   // Fresh optimizer state; run_epochs advances it and fit_continue
@@ -221,20 +181,37 @@ void Mlp::run_epochs(const data::Matrix& z, std::span<const double> y,
   }
 
   MlpTrainState& st = *train_state_;
-  std::vector<MlpTrainState::Adam>& adam = st.adam;
-  constexpr double kBeta1 = 0.9;
-  constexpr double kBeta2 = 0.999;
-  constexpr double kEps = 1e-8;
+  const std::size_t n_layers = layers_.size();
+  const bool use_dropout = params_.dropout > 0.0;
+  const double keep = 1.0 - params_.dropout;
 
-  std::vector<double> acts(act_total_);
-  std::vector<double> deltas(act_total_);
-  std::vector<char> masks(act_total_, 1);
-  std::vector<std::vector<double>> gw(layers_.size());
-  std::vector<std::vector<double>> gb(layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
+  // Layer-major minibatch scratch, sized for the largest batch. acts[l]
+  // is layer l's input for every batch row (acts[0] the gathered rows,
+  // acts[l + 1] layer l's output after ReLU and dropout); masks[l] is
+  // hidden layer l's dropout mask; delta and delta_in ping-pong the
+  // output and input gradients of the layer being backpropagated.
+  const std::size_t max_rows = std::min(params_.batch_size, z.rows());
+  std::vector<std::vector<double>> acts(n_layers + 1);
+  std::vector<std::vector<char>> masks(use_dropout ? n_layers - 1 : 0);
+  const std::size_t in_dim = layers_.front().in;
+  std::size_t max_width = in_dim;
+  acts[0].resize(max_rows * in_dim);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    acts[l + 1].resize(max_rows * layers_[l].out);
+    if (l < masks.size()) masks[l].resize(max_rows * layers_[l].out);
+    max_width = std::max(max_width, layers_[l].out);
+  }
+  std::vector<double> delta(max_rows * max_width);
+  std::vector<double> delta_in(max_rows * max_width);
+  std::vector<std::vector<double>> gw(n_layers);
+  std::vector<std::vector<double>> gb(n_layers);
+  for (std::size_t l = 0; l < n_layers; ++l) {
     gw[l].assign(layers_[l].w.size(), 0.0);
     gb[l].assign(layers_[l].b.size(), 0.0);
   }
+  // Inference buffers for the obs-only loss pass.
+  std::vector<double> eval_a;
+  std::vector<double> eval_b;
 
   std::vector<std::size_t>& order = st.order;
   if (order.size() != z.rows()) {
@@ -242,113 +219,130 @@ void Mlp::run_epochs(const data::Matrix& z, std::span<const double> y,
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   }
 
+  kernels::AdamStep update;  // default betas and eps
+  update.learning_rate = params_.learning_rate;
+  update.weight_decay = params_.weight_decay;
+
   for (std::size_t epoch = 0; epoch < n_epochs; ++epoch) {
     obs::SpanGuard epoch_span("mlp.epoch");
     st.shuffle_rng.shuffle(order);
     for (std::size_t start = 0; start < order.size();
          start += params_.batch_size) {
-      const std::size_t end =
-          std::min(order.size(), start + params_.batch_size);
-      const auto batch_n = static_cast<double>(end - start);
+      const std::size_t n = std::min(order.size(), start + params_.batch_size) -
+                            start;
       for (auto& g : gw) std::fill(g.begin(), g.end(), 0.0);
       for (auto& g : gb) std::fill(g.begin(), g.end(), 0.0);
-
-      for (std::size_t bi = start; bi < end; ++bi) {
-        const std::size_t r = order[bi];
-        forward(z.row(r), &acts,
-                params_.dropout > 0.0 ? &st.dropout_rng : nullptr, &masks);
-
-        // Output deltas (dLoss/dPreactivation of the output layer).
-        const std::size_t out_off = act_offsets_.back();
-        std::fill(deltas.begin(), deltas.end(), 0.0);
-        if (params_.nll_head) {
-          const double mu = acts[out_off];
-          const double log_var =
-              std::clamp(acts[out_off + 1], kLogVarMin, kLogVarMax);
-          const double var = std::exp(log_var);
-          const double diff = mu - ty[r];
-          deltas[out_off] = diff / var;
-          deltas[out_off + 1] = 0.5 - 0.5 * diff * diff / var;
-        } else {
-          deltas[out_off] = acts[out_off] - ty[r];
-        }
-
-        // Backprop.
-        for (std::size_t li = layers_.size(); li > 0; --li) {
-          const std::size_t l = li - 1;
-          const Layer& layer = layers_[l];
-          const double* in = acts.data() + act_offsets_[l];
-          const double* dout = deltas.data() + act_offsets_[l + 1];
-          double* din = deltas.data() + act_offsets_[l];
-          for (std::size_t o = 0; o < layer.out; ++o) {
-            const double d = dout[o];
-            if (d == 0.0) continue;
-            double* gwp = gw[l].data() + o * layer.in;
-            const double* w = layer.w.data() + o * layer.in;
-            for (std::size_t i = 0; i < layer.in; ++i) {
-              gwp[i] += d * in[i];
-              din[i] += d * w[i];
-            }
-            gb[l][o] += d;
-          }
-          if (l > 0) {
-            // Through ReLU (and dropout mask) of the previous layer.
-            const char* m = masks.data() + act_offsets_[l];
-            const double keep = 1.0 - params_.dropout;
-            for (std::size_t i = 0; i < layer.in; ++i) {
-              if (in[i] <= 0.0) {
-                din[i] = 0.0;
-              } else if (params_.dropout > 0.0) {
-                din[i] = m[i] != 0 ? din[i] / keep : 0.0;
-              }
+      for (std::size_t r = 0; r < n; ++r) {
+        const auto row = z.row(order[start + r]);
+        std::copy(row.begin(), row.end(), acts[0].data() + r * in_dim);
+      }
+      if (use_dropout) {
+        // Row, then layer, then unit: the order a row-at-a-time forward
+        // draws them in, so dropout_rng yields the same stream.
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t l = 0; l < masks.size(); ++l) {
+            char* m = masks[l].data() + r * layers_[l].out;
+            for (std::size_t o = 0; o < layers_[l].out; ++o) {
+              m[o] = st.dropout_rng.uniform() < keep ? 1 : 0;
             }
           }
         }
       }
 
-      // Adam update with decoupled weight decay.
+      // Forward: dense layer, then ReLU and inverted dropout on hidden
+      // layers.
+      for (std::size_t l = 0; l < n_layers; ++l) {
+        const Layer& layer = layers_[l];
+        double* out = acts[l + 1].data();
+        kernels::dense_forward(acts[l].data(), n, layer.in, layer.w.data(),
+                               layer.b.data(), layer.out, out);
+        if (l + 1 == n_layers) break;
+        const std::size_t total = n * layer.out;
+        for (std::size_t k = 0; k < total; ++k) out[k] = std::max(0.0, out[k]);
+        if (use_dropout) {
+          const char* m = masks[l].data();
+          for (std::size_t k = 0; k < total; ++k) {
+            out[k] = m[k] != 0 ? out[k] / keep : 0.0;
+          }
+        }
+      }
+
+      // Output deltas (dLoss/dPreactivation of the output layer).
+      const std::size_t out_dim = layers_.back().out;
+      for (std::size_t r = 0; r < n; ++r) {
+        const double* act = acts[n_layers].data() + r * out_dim;
+        double* d = delta.data() + r * out_dim;
+        const double target = ty[order[start + r]];
+        if (params_.nll_head) {
+          const double log_var = std::clamp(act[1], kLogVarMin, kLogVarMax);
+          const double var = std::exp(log_var);
+          const double diff = act[0] - target;
+          d[0] = diff / var;
+          d[1] = 0.5 - 0.5 * diff * diff / var;
+        } else {
+          d[0] = act[0] - target;
+        }
+      }
+
+      // Backprop, top layer down. Layer 0's input gradient would be the
+      // gradient w.r.t. the data, which nothing reads, so it is skipped.
+      for (std::size_t l = n_layers; l-- > 0;) {
+        const Layer& layer = layers_[l];
+        kernels::dense_grad_weights(acts[l].data(), delta.data(), n, layer.in,
+                                    layer.out, gw[l].data(), gb[l].data());
+        if (l == 0) break;
+        kernels::dense_grad_input(delta.data(), n, layer.out, layer.w.data(),
+                                  layer.in, delta_in.data());
+        // Through ReLU (and dropout mask) of the previous layer.
+        const double* a = acts[l].data();
+        const std::size_t total = n * layer.in;
+        for (std::size_t k = 0; k < total; ++k) {
+          if (a[k] <= 0.0) {
+            delta_in[k] = 0.0;
+          } else if (use_dropout) {
+            delta_in[k] = masks[l - 1][k] != 0 ? delta_in[k] / keep : 0.0;
+          }
+        }
+        std::swap(delta, delta_in);
+      }
+
+      // Adam update with decoupled weight decay (biases are not decayed).
       ++st.step;
-      const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(st.step));
-      const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(st.step));
-      for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const auto step = static_cast<double>(st.step);
+      update.bc1 = 1.0 - std::pow(update.beta1, step);
+      update.bc2 = 1.0 - std::pow(update.beta2, step);
+      update.batch_n = static_cast<double>(n);
+      for (std::size_t l = 0; l < n_layers; ++l) {
         Layer& layer = layers_[l];
-        for (std::size_t i = 0; i < layer.w.size(); ++i) {
-          const double g = gw[l][i] / batch_n;
-          adam[l].mw[i] = kBeta1 * adam[l].mw[i] + (1.0 - kBeta1) * g;
-          adam[l].vw[i] = kBeta2 * adam[l].vw[i] + (1.0 - kBeta2) * g * g;
-          const double mhat = adam[l].mw[i] / bc1;
-          const double vhat = adam[l].vw[i] / bc2;
-          layer.w[i] -= params_.learning_rate *
-                        (mhat / (std::sqrt(vhat) + kEps) +
-                         params_.weight_decay * layer.w[i]);
-        }
-        for (std::size_t i = 0; i < layer.b.size(); ++i) {
-          const double g = gb[l][i] / batch_n;
-          adam[l].mb[i] = kBeta1 * adam[l].mb[i] + (1.0 - kBeta1) * g;
-          adam[l].vb[i] = kBeta2 * adam[l].vb[i] + (1.0 - kBeta2) * g * g;
-          const double mhat = adam[l].mb[i] / bc1;
-          const double vhat = adam[l].vb[i] / bc2;
-          layer.b[i] -= params_.learning_rate * mhat / (std::sqrt(vhat) + kEps);
-        }
+        MlpTrainState::Adam& adam = st.adam[l];
+        kernels::adam_step(layer.w.data(), adam.mw.data(), adam.vw.data(),
+                           gw[l].data(), layer.w.size(), update,
+                           /*decay=*/true);
+        kernels::adam_step(layer.b.data(), adam.mb.data(), adam.vb.data(),
+                           gb[l].data(), layer.b.size(), update,
+                           /*decay=*/false);
       }
     }
 
     if (obs::enabled()) {
-      // Mean training loss on the post-epoch weights. Runs only under
-      // observation and consumes no RNG (no dropout), so it cannot
-      // perturb the fitted model.
-      std::vector<double> eval_acts(act_total_);
-      const std::size_t out_off = act_offsets_.back();
+      // Mean training loss on the post-epoch weights, summed in row
+      // order. Runs only under observation and consumes no RNG (no
+      // dropout), so it cannot perturb the fitted model.
+      const std::size_t out_dim = layers_.back().out;
       double loss = 0.0;
-      for (std::size_t r = 0; r < z.rows(); ++r) {
-        forward(z.row(r), &eval_acts, nullptr, nullptr);
-        const double diff = eval_acts[out_off] - ty[r];
-        if (params_.nll_head) {
-          const double log_var =
-              std::clamp(eval_acts[out_off + 1], kLogVarMin, kLogVarMax);
-          loss += 0.5 * (log_var + diff * diff / std::exp(log_var));
-        } else {
-          loss += 0.5 * diff * diff;
+      for (std::size_t lo = 0; lo < z.rows(); lo += max_rows) {
+        const std::size_t hi = std::min(z.rows(), lo + max_rows);
+        const double* res =
+            forward_batch(z.row(lo).data(), hi - lo, eval_a, eval_b);
+        for (std::size_t r = lo; r < hi; ++r) {
+          const double* act = res + (r - lo) * out_dim;
+          const double diff = act[0] - ty[r];
+          if (params_.nll_head) {
+            const double log_var = std::clamp(act[1], kLogVarMin, kLogVarMax);
+            loss += 0.5 * (log_var + diff * diff / std::exp(log_var));
+          } else {
+            loss += 0.5 * diff * diff;
+          }
         }
       }
       obs::span_arg("epoch", static_cast<double>(epoch));
@@ -541,23 +535,51 @@ Mlp Mlp::load(std::istream& in) {
   expect_token(in, "layers");
   std::size_t n_layers = 0;
   in >> n_layers;
+  if (!in) throw std::runtime_error("Mlp::load: truncated");
+  if (n_layers != params.hidden.size() + 1) {
+    throw std::runtime_error(
+        "Mlp::load: " + std::to_string(n_layers) + " layers but hidden lists " +
+        std::to_string(params.hidden.size()) + " widths");
+  }
+  // Every shape is checked before its weights are allocated: inference
+  // walks the layers trusting that each one's input width is the
+  // previous one's output width and that the head matches nll_head.
   model.layers_.resize(n_layers);
-  model.act_offsets_.assign(1, 0);
-  model.act_total_ = n_features;
-  for (auto& layer : model.layers_) {
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    Layer& layer = model.layers_[l];
     expect_token(in, "layer");
     in >> layer.in >> layer.out;
+    if (!in) throw std::runtime_error("Mlp::load: truncated");
+    const std::string where = "Mlp::load: layer " + std::to_string(l);
+    if (l == 0 && layer.in != n_features) {
+      throw std::runtime_error(where + " takes " + std::to_string(layer.in) +
+                               " inputs but the scaler has " +
+                               std::to_string(n_features) + " features");
+    }
+    if (l > 0 && layer.in != model.layers_[l - 1].out) {
+      throw std::runtime_error(where + " takes " + std::to_string(layer.in) +
+                               " inputs but layer " + std::to_string(l - 1) +
+                               " gives " +
+                               std::to_string(model.layers_[l - 1].out));
+    }
+    if (l + 1 < n_layers && layer.out != params.hidden[l]) {
+      throw std::runtime_error(where + " is " + std::to_string(layer.out) +
+                               " wide but hidden lists " +
+                               std::to_string(params.hidden[l]));
+    }
+    const std::size_t head_width = params.nll_head ? 2 : 1;
+    if (l + 1 == n_layers && layer.out != head_width) {
+      throw std::runtime_error(where + " (the head) is " +
+                               std::to_string(layer.out) + " wide but " +
+                               (params.nll_head ? "an NLL" : "an MSE") +
+                               " head is " + std::to_string(head_width));
+    }
     layer.w.resize(layer.in * layer.out);
     layer.b.resize(layer.out);
     for (auto& w : layer.w) in >> w;
     for (auto& b : layer.b) in >> b;
-    model.act_offsets_.push_back(model.act_total_);
-    model.act_total_ += layer.out;
   }
   if (!in) throw std::runtime_error("Mlp::load: truncated");
-  if (model.layers_.empty() || model.layers_.front().in != n_features) {
-    throw std::runtime_error("Mlp::load: inconsistent architecture");
-  }
   model.fitted_ = true;
   return model;
 }

@@ -5,6 +5,21 @@
 //
 // Inputs are preprocessed internally (signed log1p + standardisation) and
 // the target is centred/scaled, so callers pass raw counter features.
+//
+// Training runs one layer at a time over a whole minibatch through the
+// dispatched kernels of src/ml/kernels/gemm.hpp, and its bits equal
+// those of training one row at a time (the reference trainer in
+// tests/ml_test.cpp):
+//   - the batch's dropout masks are drawn up front in row-at-a-time
+//     order (row, then layer, then unit), so dropout_rng yields the
+//     same stream;
+//   - the forward pass is kernels::dense_forward, the inference kernel,
+//     so training follows IOTAX_FAST_MATH as inference does (off by
+//     default, and only then bit-identical);
+//   - backprop skips a zero delta as a per-row `if (d == 0.0) continue`
+//     would, so 0 * inf never becomes NaN;
+//   - layer 0's input gradient (the gradient w.r.t. the data) is never
+//     computed, because nothing reads it.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +29,6 @@
 
 #include "src/data/scaler.hpp"
 #include "src/ml/model.hpp"
-#include "src/util/rng.hpp"
 
 namespace iotax::ml {
 
@@ -126,15 +140,12 @@ class Mlp final : public Regressor {
     std::vector<double> b;  // out
   };
 
-  void forward(std::span<const double> input, std::vector<double>* acts,
-               util::Rng* dropout_rng, std::vector<char>* masks) const;
-
-  /// Inference-only forward over a dense row-major block (n_rows x
-  /// input width, contiguous) through the dispatched GEMM microkernel
-  /// (kernels::dense_forward) — bit-identical per row to forward()
-  /// without dropout. Returns a pointer to the final layer's
-  /// activations (n_rows x out_dim) inside one of the two ping-pong
-  /// scratch buffers.
+  /// Forward over a dense row-major block (n_rows x input width,
+  /// contiguous) through the dispatched GEMM microkernel
+  /// (kernels::dense_forward), without dropout — bit-identical per row
+  /// to the training forward with dropout off. Returns a pointer to the
+  /// final layer's activations (n_rows x out_dim) inside one of the two
+  /// ping-pong scratch buffers.
   const double* forward_batch(const double* in, std::size_t n_rows,
                               std::vector<double>& buf_a,
                               std::vector<double>& buf_b) const;
@@ -156,10 +167,6 @@ class Mlp final : public Regressor {
   bool fitted_ = false;
   // Retained optimizer state for fit_continue; null on loaded models.
   std::unique_ptr<MlpTrainState> train_state_;
-
-  // Activation buffer offsets per layer (input + each layer output).
-  std::vector<std::size_t> act_offsets_;
-  std::size_t act_total_ = 0;
 };
 
 }  // namespace iotax::ml

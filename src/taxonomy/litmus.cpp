@@ -41,12 +41,15 @@ SystemBoundResult litmus_system_bound(const data::DatasetView& ds,
   const auto x_test_timed = feature_matrix(ds, timed_sets, split.test);
   const auto y_train = targets(ds, split.train);
   const auto y_test = targets(ds, split.test);
-  return litmus_system_bound(x_train_app, x_test_app, x_train_timed,
-                             x_test_timed, y_train, y_test, params);
+  ml::GradientBoostedTrees model(params);
+  model.fit(x_train_app, y_train);
+  const double err_app_only =
+      ml::median_abs_log_error(y_test, model.predict(x_test_app));
+  return litmus_system_bound(err_app_only, x_train_timed, x_test_timed,
+                             y_train, y_test, params);
 }
 
-SystemBoundResult litmus_system_bound(const data::MatrixView& x_train_app,
-                                      const data::MatrixView& x_test_app,
+SystemBoundResult litmus_system_bound(double err_app_only,
                                       const data::MatrixView& x_train_timed,
                                       const data::MatrixView& x_test_timed,
                                       std::span<const double> y_train,
@@ -55,27 +58,20 @@ SystemBoundResult litmus_system_bound(const data::MatrixView& x_train_app,
   if (y_train.empty() || y_test.empty()) {
     throw std::invalid_argument("litmus_system_bound: empty split side");
   }
+  // Remembering the whole lifetime of I/O weather takes a bigger model
+  // than app behaviour alone (§VII.A): more trees, and day-level bin
+  // resolution on the start-time column (weather events last hours to
+  // days; coarse quantile bins would average them away).
+  ml::GbtParams golden = params;
+  golden.n_estimators = std::max<std::size_t>(golden.n_estimators * 2, 128);
+  golden.per_feature_bins.assign(x_train_timed.cols(), golden.max_bins);
+  golden.per_feature_bins.back() = 2048;  // start time is the last column
+  ml::GradientBoostedTrees model(golden);
+  model.fit(x_train_timed, y_train);
   SystemBoundResult res;
-  {
-    ml::GradientBoostedTrees model(params);
-    model.fit(x_train_app, y_train);
-    res.err_app_only =
-        ml::median_abs_log_error(y_test, model.predict(x_test_app));
-  }
-  {
-    // Remembering the whole lifetime of I/O weather takes a bigger model
-    // than app behaviour alone (§VII.A): more trees, and day-level bin
-    // resolution on the start-time column (weather events last hours to
-    // days; coarse quantile bins would average them away).
-    ml::GbtParams golden = params;
-    golden.n_estimators = std::max<std::size_t>(golden.n_estimators * 2, 128);
-    golden.per_feature_bins.assign(x_train_timed.cols(), golden.max_bins);
-    golden.per_feature_bins.back() = 2048;  // start time is the last column
-    ml::GradientBoostedTrees model(golden);
-    model.fit(x_train_timed, y_train);
-    res.err_with_time =
-        ml::median_abs_log_error(y_test, model.predict(x_test_timed));
-  }
+  res.err_app_only = err_app_only;
+  res.err_with_time =
+      ml::median_abs_log_error(y_test, model.predict(x_test_timed));
   res.reduction_frac =
       res.err_app_only > 0.0
           ? (res.err_app_only - res.err_with_time) / res.err_app_only

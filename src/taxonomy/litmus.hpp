@@ -52,12 +52,13 @@ SystemBoundResult litmus_system_bound(const data::DatasetView& ds,
                                       const std::vector<FeatureSet>& app_sets,
                                       const ml::GbtParams& params);
 
-/// View-based variant used by the pipeline: the caller supplies
-/// app-feature and app+start-time slices of one shared matrix. The
+/// View-based variant used by the pipeline, which has already fit and
+/// scored the tuned app-feature model (Step 2.2) and passes its test
+/// error in as `err_app_only` instead of fitting the same model again.
+/// The caller supplies app+start-time slices of one shared matrix; the
 /// start-time column must be the LAST column of the timed views (its
 /// bin budget is widened to day-level resolution).
-SystemBoundResult litmus_system_bound(const data::MatrixView& x_train_app,
-                                      const data::MatrixView& x_test_app,
+SystemBoundResult litmus_system_bound(double err_app_only,
                                       const data::MatrixView& x_train_timed,
                                       const data::MatrixView& x_test_timed,
                                       std::span<const double> y_train,

@@ -155,8 +155,10 @@ TaxonomyReport run_taxonomy(const data::DatasetView& ds,
         feature_view(ds, timed_sets, &c_ttr, &r_ttr, split.train);
     const auto x_test_timed =
         feature_view(ds, timed_sets, &c_tte, &r_tte, split.test);
+    // The app-only side is the tuned model Step 2.2 already scored (in
+    // its fallback branch, the default-params baseline).
     report.system_bound =
-        litmus_system_bound(x_train, x_test, x_train_timed, x_test_timed,
+        litmus_system_bound(report.tuned_error, x_train_timed, x_test_timed,
                             y_train, y_test, report.tuned_params);
     report.health.push_back(healthy("system_bound", split.test.size(),
                                     req.min_test,

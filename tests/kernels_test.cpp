@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -270,12 +272,13 @@ std::vector<NodeDesc> random_tree(std::mt19937& rng, std::size_t n_features,
     // Thresholds consistent with a 1-unit-per-bin encoding so value and
     // code traversal route identically.
     n.threshold = static_cast<double>(n.split_bin);
-    n.left = static_cast<int>(nodes.size());
-    n.right = n.left + 1;
+    const int left = static_cast<int>(nodes.size());
+    n.left = left;
+    n.right = left + 1;
+    nodes.push_back({});  // invalidates n
     nodes.push_back({});
-    nodes.push_back({});
-    stack.push_back({n.left, d - 1});
-    stack.push_back({n.right, d - 1});
+    stack.push_back({left, d - 1});
+    stack.push_back({left + 1, d - 1});
   }
   return nodes;
 }
@@ -440,6 +443,160 @@ TEST(KernelsGemm, FastMathWithinTolerance) {
 }
 
 // ---------------------------------------------------------------------
+// Training kernels: scalar vs AVX2 bit-identity across odd shapes.
+
+// ReLU-like deltas: about half exactly zero, a few negative zeros, one
+// output column zero in every row and one row zero in every output.
+std::vector<double> sparse_deltas(std::mt19937& rng, std::size_t n_rows,
+                                  std::size_t out_dim) {
+  std::normal_distribution<double> d(0.0, 1.0);
+  std::vector<double> out(n_rows * out_dim);
+  for (auto& v : out) {
+    const auto pick = rng() % 8;
+    v = pick < 4 ? 0.0 : pick == 4 ? -0.0 : d(rng);
+  }
+  for (std::size_t r = 0; r < n_rows; ++r) out[r * out_dim] = 0.0;
+  for (std::size_t o = 0; o < out_dim; ++o) out[o] = 0.0;
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool all_finite(const std::vector<double>& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double x) { return std::isfinite(x); });
+}
+
+TEST(KernelsTrain, GradWeightsScalarVsAvx2) {
+  std::mt19937 rng(61);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (const std::size_t n_rows : {1UL, 3UL, 5UL, 17UL, 64UL, 65UL}) {
+    for (const std::size_t in_dim : {1UL, 3UL, 4UL, 13UL, 16UL, 37UL, 97UL}) {
+      for (const std::size_t out_dim : {1UL, 2UL, 7UL, 64UL}) {
+        std::vector<double> a(n_rows * in_dim);
+        for (auto& v : a) v = std::max(0.0, d(rng));
+        const auto delta = sparse_deltas(rng, n_rows, out_dim);
+        // Row 0's deltas are all zero, so an infinite activation there
+        // must never reach the gradient (0 * inf would be NaN).
+        a[in_dim / 2] = std::numeric_limits<double>::infinity();
+        // Nonzero starting gradients: the kernel accumulates.
+        std::vector<double> gw0(out_dim * in_dim);
+        std::vector<double> gb0(out_dim);
+        for (auto& v : gw0) v = d(rng);
+        for (auto& v : gb0) v = d(rng);
+        auto gw_s = gw0, gw_v = gw0, gb_s = gb0, gb_v = gb0;
+        {
+          ScopedKernels tier("scalar");
+          kn::dense_grad_weights(a.data(), delta.data(), n_rows, in_dim,
+                                 out_dim, gw_s.data(), gb_s.data());
+        }
+        {
+          ScopedKernels tier("avx2");
+          kn::dense_grad_weights(a.data(), delta.data(), n_rows, in_dim,
+                                 out_dim, gw_v.data(), gb_v.data());
+        }
+        const std::string shape = std::to_string(n_rows) + "x" +
+                                  std::to_string(in_dim) + "->" +
+                                  std::to_string(out_dim);
+        EXPECT_TRUE(same_bits(gw_s, gw_v)) << shape;
+        EXPECT_TRUE(same_bits(gb_s, gb_v)) << shape;
+        EXPECT_TRUE(all_finite(gw_v)) << shape;
+        // Output 0's deltas are zero in every row: untouched.
+        EXPECT_TRUE(std::equal(gw0.begin(), gw0.begin() + in_dim,
+                               gw_v.begin()))
+            << shape;
+      }
+    }
+  }
+}
+
+TEST(KernelsTrain, GradInputScalarVsAvx2) {
+  std::mt19937 rng(67);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (const std::size_t n_rows : {1UL, 3UL, 5UL, 17UL, 64UL}) {
+    for (const std::size_t out_dim : {1UL, 2UL, 7UL, 64UL}) {
+      for (const std::size_t in_dim : {1UL, 3UL, 4UL, 13UL, 16UL, 37UL, 97UL}) {
+        std::vector<double> w(out_dim * in_dim);
+        for (auto& v : w) v = d(rng);
+        const auto delta = sparse_deltas(rng, n_rows, out_dim);
+        // Output 0's delta is zero in every row, so an infinite weight
+        // in its row must never reach the input gradient.
+        w[in_dim / 2] = std::numeric_limits<double>::infinity();
+        std::vector<double> da_s(n_rows * in_dim, 123.0);
+        std::vector<double> da_v(n_rows * in_dim, -456.0);
+        {
+          ScopedKernels tier("scalar");
+          kn::dense_grad_input(delta.data(), n_rows, out_dim, w.data(),
+                               in_dim, da_s.data());
+        }
+        {
+          ScopedKernels tier("avx2");
+          kn::dense_grad_input(delta.data(), n_rows, out_dim, w.data(),
+                               in_dim, da_v.data());
+        }
+        const std::string shape = std::to_string(n_rows) + "x" +
+                                  std::to_string(out_dim) + "->" +
+                                  std::to_string(in_dim);
+        EXPECT_TRUE(same_bits(da_s, da_v)) << shape;
+        EXPECT_TRUE(all_finite(da_v)) << shape;
+        // Row 0's deltas are all zero: its gradient is exactly +0.0.
+        for (std::size_t i = 0; i < in_dim; ++i) {
+          EXPECT_EQ(std::signbit(da_v[i]), false) << shape;
+          EXPECT_EQ(da_v[i], 0.0) << shape;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTrain, AdamStepScalarVsAvx2) {
+  std::mt19937 rng(71);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (const std::size_t n : {1UL, 3UL, 4UL, 5UL, 17UL, 64UL, 100UL}) {
+    for (const bool decay : {true, false}) {
+      std::vector<double> param(n), m(n), v(n), grad(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Parameters on the scale of one step (biases start at zero):
+        // on O(1) values the step's last-bit rounding would vanish in
+        // the subtraction and hide a wrongly associated update.
+        param[i] = i % 3 == 0 ? 0.0 : 1e-3 * d(rng);
+        m[i] = 0.1 * d(rng);
+        v[i] = std::abs(0.01 * d(rng));
+        grad[i] = i % 5 == 0 ? 0.0 : 30.0 * d(rng);
+      }
+      kn::AdamStep s;
+      s.bc1 = 1.0 - std::pow(s.beta1, 7.0);
+      s.bc2 = 1.0 - std::pow(s.beta2, 7.0);
+      s.learning_rate = 3e-3;
+      s.weight_decay = 1e-4;
+      s.batch_n = 37.0;
+      auto p_s = param, m_s = m, v_s = v;
+      auto p_v = param, m_v = m, v_v = v;
+      {
+        ScopedKernels tier("scalar");
+        kn::adam_step(p_s.data(), m_s.data(), v_s.data(), grad.data(), n, s,
+                      decay);
+      }
+      {
+        ScopedKernels tier("avx2");
+        kn::adam_step(p_v.data(), m_v.data(), v_v.data(), grad.data(), n, s,
+                      decay);
+      }
+      const std::string what =
+          "n=" + std::to_string(n) + (decay ? " decay" : " bias");
+      EXPECT_TRUE(same_bits(p_s, p_v)) << what;
+      EXPECT_TRUE(same_bits(m_s, m_v)) << what;
+      EXPECT_TRUE(same_bits(v_s, v_v)) << what;
+      EXPECT_FALSE(same_bits(p_s, param)) << what;  // it did update
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Model-level determinism matrix: IOTAX_KERNELS x IOTAX_THREADS must
 // not change a single bit of fitted-model predictions.
 
@@ -502,28 +659,44 @@ TEST(KernelsDeterminism, MlpMatrixBitIdentical) {
   std::normal_distribution<double> yd(5.0, 1.0);
   for (auto& v : y) v = yd(rng);
 
-  std::vector<double> ref_pred;
-  bool first = true;
-  for (const char* policy : {"scalar", "avx2", "auto"}) {
-    for (const long threads : {1L, 4L}) {
-      ScopedKernels tier(policy);
-      ScopedThreads tc(threads);
-      ml::MlpParams params;
-      params.hidden = {16, 16};
-      params.epochs = 3;
-      ml::Mlp model(params);
-      model.fit(x, y);
-      const auto pred = model.predict(x);
-      if (first) {
-        ref_pred = pred;
-        first = false;
-        continue;
+  // MSE head without dropout, and an NLL head with dropout (training
+  // draws masks and backprops through them on every tier).
+  for (const bool nll_dropout : {false, true}) {
+    std::vector<double> ref_pred;
+    std::vector<double> ref_var;
+    bool first = true;
+    for (const char* policy : {"scalar", "avx2", "auto"}) {
+      for (const long threads : {1L, 4L}) {
+        ScopedKernels tier(policy);
+        ScopedThreads tc(threads);
+        ml::MlpParams params;
+        params.hidden = {16, 16};
+        params.epochs = 3;
+        if (nll_dropout) {
+          params.nll_head = true;
+          params.dropout = 0.15;
+        }
+        ml::Mlp model(params);
+        model.fit(x, y);
+        const auto pred = model.predict(x);
+        const auto var = nll_dropout ? model.predict_dist(x).variance
+                                     : std::vector<double>{};
+        if (first) {
+          ref_pred = pred;
+          ref_var = var;
+          first = false;
+          continue;
+        }
+        ASSERT_EQ(pred.size(), ref_pred.size());
+        EXPECT_EQ(std::memcmp(pred.data(), ref_pred.data(),
+                              pred.size() * sizeof(double)),
+                  0)
+            << params.to_string() << " policy=" << policy
+            << " threads=" << threads;
+        EXPECT_TRUE(same_bits(var, ref_var))
+            << params.to_string() << " policy=" << policy
+            << " threads=" << threads;
       }
-      ASSERT_EQ(pred.size(), ref_pred.size());
-      EXPECT_EQ(std::memcmp(pred.data(), ref_pred.data(),
-                            pred.size() * sizeof(double)),
-                0)
-          << "policy=" << policy << " threads=" << threads;
     }
   }
 }

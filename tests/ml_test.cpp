@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "src/data/matrix.hpp"
 #include "src/ml/binning.hpp"
@@ -353,6 +356,311 @@ TEST(Mlp, PredictDistRequiresNllHead) {
   ml::Mlp mlp(params);
   mlp.fit(prob.x_train, prob.y_train);
   EXPECT_THROW(mlp.predict_dist(prob.x_test), std::logic_error);
+}
+
+// Test-only per-row reference trainer: Mlp's row-at-a-time forward and
+// epoch loop as they were before training went layer-major, transcribed
+// (init, shuffle, dropout draws, backprop and Adam in the same order and
+// association). Mlp::fit must reproduce its predictions bit for bit. A
+// fixed reference rather than a stored digest: the digest would change
+// with the libm the test links.
+class RowwiseMlp {
+ public:
+  explicit RowwiseMlp(ml::MlpParams p) : p_(std::move(p)) {}
+
+  void fit(const data::Matrix& x, const std::vector<double>& y) {
+    const data::Matrix z = scaler_.fit_transform_log1p(x);
+    y_mean_ = stats::mean(y);
+    y_scale_ = std::max(stats::stddev(y), 1e-6);
+    std::vector<std::size_t> widths = {z.cols()};
+    for (std::size_t h : p_.hidden) widths.push_back(h);
+    widths.push_back(p_.nll_head ? 2 : 1);
+    util::Rng rng(p_.seed);
+    offsets_.assign(1, 0);
+    total_ = widths[0];
+    for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
+      Layer layer;
+      layer.in = widths[l];
+      layer.out = widths[l + 1];
+      layer.w.resize(layer.in * layer.out);
+      layer.b.assign(layer.out, 0.0);
+      const double scale = std::sqrt(2.0 / static_cast<double>(layer.in));
+      for (auto& w : layer.w) w = rng.normal(0.0, scale);
+      layer.mw.assign(layer.w.size(), 0.0);
+      layer.vw.assign(layer.w.size(), 0.0);
+      layer.mb.assign(layer.out, 0.0);
+      layer.vb.assign(layer.out, 0.0);
+      layers_.push_back(std::move(layer));
+      offsets_.push_back(total_);
+      total_ += widths[l + 1];
+    }
+    shuffle_rng_ = rng.fork(1);
+    dropout_rng_ = rng.fork(2);
+    run_epochs(z, y, p_.epochs);
+  }
+
+  void fit_continue(const data::Matrix& x, const std::vector<double>& y,
+                    std::size_t extra) {
+    run_epochs(scaler_.transform_log1p(x), y, extra);
+  }
+
+  // Mean and variance in target units (variance only for an NLL head).
+  void predict(const data::Matrix& x, std::vector<double>* mean,
+               std::vector<double>* variance) const {
+    const data::Matrix z = scaler_.transform_log1p(x);
+    std::vector<double> acts(total_);
+    mean->resize(z.rows());
+    variance->resize(p_.nll_head ? z.rows() : 0);
+    for (std::size_t r = 0; r < z.rows(); ++r) {
+      forward(z.row(r), &acts, nullptr, nullptr);
+      const double* out = acts.data() + offsets_.back();
+      (*mean)[r] = out[0] * y_scale_ + y_mean_;
+      if (p_.nll_head) {
+        const double log_var = std::clamp(out[1], -8.0, 4.0);
+        (*variance)[r] = std::exp(log_var) * y_scale_ * y_scale_;
+      }
+    }
+  }
+
+ private:
+  struct Layer {
+    std::size_t in = 0;
+    std::size_t out = 0;
+    std::vector<double> w, b, mw, vw, mb, vb;
+  };
+
+  void forward(std::span<const double> input, std::vector<double>* acts,
+               util::Rng* dropout_rng, std::vector<char>* masks) const {
+    std::copy(input.begin(), input.end(), acts->begin());
+    const double keep = 1.0 - p_.dropout;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const Layer& layer = layers_[l];
+      const double* in = acts->data() + offsets_[l];
+      double* out = acts->data() + offsets_[l + 1];
+      for (std::size_t o = 0; o < layer.out; ++o) {
+        const double* w = layer.w.data() + o * layer.in;
+        double acc = layer.b[o];
+        for (std::size_t i = 0; i < layer.in; ++i) acc += w[i] * in[i];
+        out[o] = acc;
+      }
+      if (l + 1 < layers_.size()) {
+        for (std::size_t o = 0; o < layer.out; ++o) {
+          out[o] = std::max(0.0, out[o]);
+        }
+        if (dropout_rng != nullptr && p_.dropout > 0.0) {
+          char* m = masks->data() + offsets_[l + 1];
+          for (std::size_t o = 0; o < layer.out; ++o) {
+            const bool kept = dropout_rng->uniform() < keep;
+            m[o] = kept ? 1 : 0;
+            out[o] = kept ? out[o] / keep : 0.0;
+          }
+        }
+      }
+    }
+  }
+
+  void run_epochs(const data::Matrix& z, const std::vector<double>& y,
+                  std::size_t n_epochs) {
+    std::vector<double> ty(y.size());
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      ty[i] = (y[i] - y_mean_) / y_scale_;
+    }
+    constexpr double kBeta1 = 0.9;
+    constexpr double kBeta2 = 0.999;
+    constexpr double kEps = 1e-8;
+    std::vector<double> acts(total_);
+    std::vector<double> deltas(total_);
+    std::vector<char> masks(total_, 1);
+    std::vector<std::vector<double>> gw(layers_.size());
+    std::vector<std::vector<double>> gb(layers_.size());
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      gw[l].assign(layers_[l].w.size(), 0.0);
+      gb[l].assign(layers_[l].b.size(), 0.0);
+    }
+    if (order_.size() != z.rows()) {
+      order_.resize(z.rows());
+      for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    }
+    for (std::size_t epoch = 0; epoch < n_epochs; ++epoch) {
+      shuffle_rng_.shuffle(order_);
+      for (std::size_t start = 0; start < order_.size();
+           start += p_.batch_size) {
+        const std::size_t end = std::min(order_.size(), start + p_.batch_size);
+        const auto batch_n = static_cast<double>(end - start);
+        for (auto& g : gw) std::fill(g.begin(), g.end(), 0.0);
+        for (auto& g : gb) std::fill(g.begin(), g.end(), 0.0);
+        for (std::size_t bi = start; bi < end; ++bi) {
+          const std::size_t r = order_[bi];
+          forward(z.row(r), &acts, p_.dropout > 0.0 ? &dropout_rng_ : nullptr,
+                  &masks);
+          const std::size_t out_off = offsets_.back();
+          std::fill(deltas.begin(), deltas.end(), 0.0);
+          if (p_.nll_head) {
+            const double mu = acts[out_off];
+            const double log_var = std::clamp(acts[out_off + 1], -8.0, 4.0);
+            const double var = std::exp(log_var);
+            const double diff = mu - ty[r];
+            deltas[out_off] = diff / var;
+            deltas[out_off + 1] = 0.5 - 0.5 * diff * diff / var;
+          } else {
+            deltas[out_off] = acts[out_off] - ty[r];
+          }
+          for (std::size_t li = layers_.size(); li > 0; --li) {
+            const std::size_t l = li - 1;
+            const Layer& layer = layers_[l];
+            const double* in = acts.data() + offsets_[l];
+            const double* dout = deltas.data() + offsets_[l + 1];
+            double* din = deltas.data() + offsets_[l];
+            for (std::size_t o = 0; o < layer.out; ++o) {
+              const double d = dout[o];
+              if (d == 0.0) continue;
+              double* gwp = gw[l].data() + o * layer.in;
+              const double* w = layer.w.data() + o * layer.in;
+              for (std::size_t i = 0; i < layer.in; ++i) {
+                gwp[i] += d * in[i];
+                din[i] += d * w[i];
+              }
+              gb[l][o] += d;
+            }
+            if (l > 0) {
+              const char* m = masks.data() + offsets_[l];
+              const double keep = 1.0 - p_.dropout;
+              for (std::size_t i = 0; i < layer.in; ++i) {
+                if (in[i] <= 0.0) {
+                  din[i] = 0.0;
+                } else if (p_.dropout > 0.0) {
+                  din[i] = m[i] != 0 ? din[i] / keep : 0.0;
+                }
+              }
+            }
+          }
+        }
+        ++step_;
+        const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(step_));
+        const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(step_));
+        for (std::size_t l = 0; l < layers_.size(); ++l) {
+          Layer& layer = layers_[l];
+          for (std::size_t i = 0; i < layer.w.size(); ++i) {
+            const double g = gw[l][i] / batch_n;
+            layer.mw[i] = kBeta1 * layer.mw[i] + (1.0 - kBeta1) * g;
+            layer.vw[i] = kBeta2 * layer.vw[i] + (1.0 - kBeta2) * g * g;
+            const double mhat = layer.mw[i] / bc1;
+            const double vhat = layer.vw[i] / bc2;
+            layer.w[i] -= p_.learning_rate * (mhat / (std::sqrt(vhat) + kEps) +
+                                              p_.weight_decay * layer.w[i]);
+          }
+          for (std::size_t i = 0; i < layer.b.size(); ++i) {
+            const double g = gb[l][i] / batch_n;
+            layer.mb[i] = kBeta1 * layer.mb[i] + (1.0 - kBeta1) * g;
+            layer.vb[i] = kBeta2 * layer.vb[i] + (1.0 - kBeta2) * g * g;
+            const double mhat = layer.mb[i] / bc1;
+            const double vhat = layer.vb[i] / bc2;
+            layer.b[i] -= p_.learning_rate * mhat / (std::sqrt(vhat) + kEps);
+          }
+        }
+      }
+    }
+  }
+
+  ml::MlpParams p_;
+  data::StandardScaler scaler_;
+  double y_mean_ = 0.0;
+  double y_scale_ = 1.0;
+  std::vector<Layer> layers_;
+  std::vector<std::size_t> offsets_;
+  std::size_t total_ = 0;
+  std::vector<std::size_t> order_;
+  std::size_t step_ = 0;
+  util::Rng shuffle_rng_{0};
+  util::Rng dropout_rng_{0};
+};
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Mlp's predictions (mean, and variance for an NLL head) against the
+// reference's, bit for bit.
+void expect_matches_reference(const ml::Mlp& mlp, const RowwiseMlp& ref,
+                              const data::Matrix& x, const std::string& what) {
+  std::vector<double> mean;
+  std::vector<double> variance;
+  ref.predict(x, &mean, &variance);
+  if (mlp.params().nll_head) {
+    const auto dist = mlp.predict_dist(x);
+    EXPECT_TRUE(same_bits(dist.mean, mean)) << what;
+    EXPECT_TRUE(same_bits(dist.variance, variance)) << what;
+  } else {
+    EXPECT_TRUE(same_bits(mlp.predict(x), mean)) << what;
+  }
+}
+
+TEST(MlpBatchTraining, BitIdenticalToRowwiseReference) {
+  const std::vector<std::vector<std::size_t>> archs = {
+      {}, {5}, {16, 7}, {96, 64, 96}};
+  for (const std::size_t rows : {63UL, 64UL, 65UL, 210UL}) {
+    const auto prob = make_problem(rows, 0, 0.05, 100 + rows);
+    for (const bool nll : {false, true}) {
+      for (const double dropout : {0.0, 0.15}) {
+        for (const auto& hidden : archs) {
+          for (const std::size_t batch : {1UL, 64UL, 300UL}) {
+            ml::MlpParams p;
+            p.hidden = hidden;
+            p.nll_head = nll;
+            p.dropout = dropout;
+            p.batch_size = batch;
+            p.epochs = 3;
+            p.learning_rate = 3e-3;
+            p.seed = 7 + batch;
+            ml::Mlp mlp(p);
+            mlp.fit(prob.x_train, prob.y_train);
+            RowwiseMlp ref(p);
+            ref.fit(prob.x_train, prob.y_train);
+            expect_matches_reference(mlp, ref, prob.x_train,
+                                     p.to_string() + " rows=" +
+                                         std::to_string(rows) + " batch=" +
+                                         std::to_string(batch));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MlpBatchTraining, FitContinueBitIdenticalToRowwiseReference) {
+  const auto prob = make_problem(150, 0, 0.05, 31);
+  for (const double dropout : {0.0, 0.15}) {
+    ml::MlpParams p;
+    p.hidden = {16, 7};
+    p.nll_head = true;
+    p.dropout = dropout;
+    p.batch_size = 64;
+    p.epochs = 2;
+    ml::Mlp mlp(p);
+    mlp.fit(prob.x_train, prob.y_train);
+    mlp.fit_continue(prob.x_train, prob.y_train, 3);
+    RowwiseMlp ref(p);
+    ref.fit(prob.x_train, prob.y_train);
+    ref.fit_continue(prob.x_train, prob.y_train, 3);
+    expect_matches_reference(mlp, ref, prob.x_train, p.to_string());
+  }
+}
+
+TEST(MlpBatchTraining, DeepEnsembleMembersBitIdenticalToRowwiseReference) {
+  const auto prob = make_problem(200, 0, 0.05, 37);
+  ml::EnsembleParams params;
+  params.size = 3;
+  params.epochs = 3;
+  ml::DeepEnsemble ens(params);
+  ens.fit(prob.x_train, prob.y_train);
+  for (std::size_t k = 0; k < ens.size(); ++k) {
+    RowwiseMlp ref(ens.member(k).params());
+    ref.fit(prob.x_train, prob.y_train);
+    expect_matches_reference(ens.member(k), ref, prob.x_train,
+                             "member " + std::to_string(k));
+  }
 }
 
 TEST(Search, GridSearchFindsReasonableConfig) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ml/ensemble.hpp"
@@ -134,6 +136,74 @@ TEST(MlpSerialize, LoadRejectsGarbage) {
   EXPECT_THROW(ml::Mlp::load(buf2), std::runtime_error);
 }
 
+// A checkpoint in Mlp::save's format with the given shapes: scaler
+// width `features` (means 0, stddevs 1), layers (in, out) and every
+// weight 0.5.
+std::string mlp_checkpoint(const std::vector<std::size_t>& hidden, bool nll,
+                           std::size_t features,
+                           const std::vector<std::pair<std::size_t,
+                                                       std::size_t>>& layers,
+                           double mean = 0.0) {
+  std::ostringstream out;
+  out << "iotax-mlp 1\nhidden " << hidden.size();
+  for (const auto h : hidden) out << ' ' << h;
+  out << "\nhyper 0.001 1e-05 0 30 64 " << (nll ? 1 : 0) << " 1\n";
+  out << "target 0 1\nscaler " << features << '\n';
+  for (std::size_t i = 0; i < features; ++i) out << mean << ' ';
+  out << '\n';
+  for (std::size_t i = 0; i < features; ++i) out << "1 ";
+  out << "\nlayers " << layers.size() << '\n';
+  for (const auto& [in, o] : layers) {
+    out << "layer " << in << ' ' << o << '\n';
+    for (std::size_t i = 0; i < in * o; ++i) out << "0.5 ";
+    out << '\n';
+    for (std::size_t i = 0; i < o; ++i) out << "0.5 ";
+    out << '\n';
+  }
+  return out.str();
+}
+
+// Load must throw a runtime_error whose message contains `names`.
+template <typename Model>
+void expect_load_rejects(const std::string& text, const std::string& names) {
+  std::istringstream in(text);
+  try {
+    (void)Model::load(in);
+    ADD_FAILURE() << "accepted a checkpoint that should name '" << names
+                  << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MlpSerialize, CraftedCheckpointOfTheRightShapeLoads) {
+  std::istringstream in(mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 1}}));
+  const auto model = ml::Mlp::load(in);
+  data::Matrix x(1, 2);
+  EXPECT_EQ(model.predict(x).size(), 1U);
+}
+
+TEST(MlpSerialize, LoadRejectsLayerWiderThanThePreviousOutput) {
+  // 2->2 then 5->1: predict would read 5 inputs from a 2-wide buffer.
+  expect_load_rejects<ml::Mlp>(
+      mlp_checkpoint({2}, false, 2, {{2, 2}, {5, 1}}), "layer 1");
+}
+
+TEST(MlpSerialize, LoadRejectsHeadThatDisagreesWithNllHead) {
+  expect_load_rejects<ml::Mlp>(
+      mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 1}}), "layer 1 (the head)");
+  expect_load_rejects<ml::Mlp>(
+      mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 2}}), "layer 1 (the head)");
+}
+
+TEST(MlpSerialize, LoadRejectsHiddenListThatDisagreesWithLayers) {
+  expect_load_rejects<ml::Mlp>(
+      mlp_checkpoint({3}, false, 2, {{2, 2}, {2, 1}}), "layer 0");
+  expect_load_rejects<ml::Mlp>(
+      mlp_checkpoint({2, 2}, false, 2, {{2, 2}, {2, 1}}), "2 layers");
+}
+
 TEST(MlpSerialize, SaveUnfittedThrows) {
   ml::Mlp model;
   std::stringstream buf;
@@ -186,6 +256,27 @@ TEST(EnsembleSerialize, RoundTripUncertaintyIdentical) {
     ASSERT_DOUBLE_EQ(a.aleatory[i], b.aleatory[i]);
     ASSERT_DOUBLE_EQ(a.epistemic[i], b.epistemic[i]);
   }
+}
+
+std::string ensemble_checkpoint(const std::string& member0,
+                                const std::string& member1) {
+  return "iotax-ensemble 1\nepochs 3\nseed 31\nmembers 2\n" + member0 +
+         member1;
+}
+
+TEST(EnsembleSerialize, LoadRejectsMembersWithDifferentInputWidths) {
+  // predict_uncertainty feeds every member member 0's transform.
+  const auto text = ensemble_checkpoint(
+      mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 2}}),
+      mlp_checkpoint({2}, true, 5, {{5, 2}, {2, 2}}));
+  expect_load_rejects<ml::DeepEnsemble>(text, "member 1");
+}
+
+TEST(EnsembleSerialize, LoadRejectsMembersWithDifferentScalers) {
+  const auto text = ensemble_checkpoint(
+      mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 2}}),
+      mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 2}}, /*mean=*/0.25));
+  expect_load_rejects<ml::DeepEnsemble>(text, "member 1");
 }
 
 // Regressor::load must dispatch on the magic token alone: a deployment

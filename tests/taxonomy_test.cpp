@@ -367,6 +367,8 @@ TEST(Pipeline, RunsEndToEndAndRenders) {
   EXPECT_GT(report.baseline_error, 0.0);
   EXPECT_GT(report.app_bound.median_abs_error, 0.0);
   EXPECT_LE(report.tuned_error, report.baseline_error * 1.15);
+  // Step 3.1's app-only side is the tuned model Step 2.2 already scored.
+  EXPECT_EQ(report.system_bound.err_app_only, report.tuned_error);
   EXPECT_GT(report.noise.median_abs_error, 0.0);
   // Segment sanity: all in [0,1]; noise floor below the app bound.
   for (double share :
