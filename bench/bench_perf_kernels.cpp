@@ -6,11 +6,14 @@
 // guard single-core throughput.
 // Invoked with --kernels_ab, the binary skips google-benchmark and runs
 // the scalar-vs-AVX2 A/B harness for the SIMD kernels (histogram split
-// scan, packed forest traversal, dense GEMM, and MLP training's weight
-// gradient, input gradient and Adam step) at IOTAX_THREADS 1 and 4,
-// verifies the tiers agree bit for bit, and writes BENCH_kernels.json
-// for tools/check_bench.cmake (KIND=kernels).
+// scan on a wide-bin level and on tree-shaped traffic, packed forest
+// traversal, dense GEMM, and MLP training's weight gradient, input
+// gradient and Adam step) at IOTAX_THREADS 1 and 4, verifies the tiers
+// agree bit for bit, and writes BENCH_kernels.json for
+// tools/check_bench.cmake (KIND=kernels).
 #include <benchmark/benchmark.h>
+
+#include <time.h>
 
 #include <algorithm>
 #include <cmath>
@@ -323,23 +326,33 @@ constexpr std::size_t kHistFeatures = 32;
 constexpr std::size_t kHistBins = 1024;
 constexpr std::size_t kHistNodes = 64;
 constexpr std::size_t kHistNodeRows = 780;
+// The tree-shaped hist entry: what build_tree actually scans on
+// default-budget counters. 64 bins; node sizes 2-256 with most scans at
+// n <= 16 (deep levels of small nodes); per feature one code holding
+// about 60% of rows; and some (feature, node) pairs whose rows all
+// share one code.
+constexpr std::size_t kTreeBins = 64;
+constexpr std::size_t kTreeFeatures = 32;
+constexpr std::size_t kTreeNodes = 4096;
 constexpr std::size_t kTrees = 64;
 constexpr int kTreeDepth = 6;
 constexpr std::size_t kTravFeatures = 16;
 constexpr std::size_t kGemmRows = 4096;
 constexpr std::size_t kGemmDim = 64;
-constexpr int kReps = 5;
+constexpr int kReps = 9;
 
-template <typename F>
-double best_of_ms(F&& fn) {
-  fn();  // warm-up (page in buffers, spin up the pool)
-  double best = 1e300;
-  for (int r = 0; r < kReps; ++r) {
-    bench::Timer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best * 1e3;
+// CPU time of the whole process, in seconds: a rep is charged for the
+// work its threads did, not for whatever else the host ran meanwhile.
+double process_cpu_s() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 // --- histogram split scan, mirroring build_tree's per-feature loop ----
@@ -402,11 +415,85 @@ bool scans_identical(const std::vector<kn::SplitScan>& a,
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].valid != b[i].valid || a[i].bin != b[i].bin ||
+        a[i].constant != b[i].constant ||
         std::memcmp(&a[i].gain, &b[i].gain, sizeof(double)) != 0) {
       return false;
     }
   }
   return true;
+}
+
+// --- histogram split scan on tree-shaped traffic -----------------------
+
+struct TreeHistWorkload {
+  std::vector<std::uint16_t> cols;  // feature-major, features x total rows
+  std::vector<std::size_t> order;
+  std::vector<double> grad;
+  std::vector<std::size_t> node_lo;  // kTreeNodes + 1 row offsets
+  std::vector<kn::FeatureScanParams> node_params;
+};
+
+TreeHistWorkload make_tree_hist_workload() {
+  TreeHistWorkload w;
+  std::mt19937 rng(505);
+  std::uniform_int_distribution<int> small(2, 16);
+  std::uniform_int_distribution<int> large(17, 256);
+  std::uniform_int_distribution<int> bin(0, kTreeBins - 1);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::normal_distribution<double> g(0.0, 2.0);
+  w.node_lo.push_back(0);
+  for (std::size_t node = 0; node < kTreeNodes; ++node) {
+    const int n = u(rng) < 0.8 ? small(rng) : large(rng);
+    w.node_lo.push_back(w.node_lo.back() + static_cast<std::size_t>(n));
+  }
+  const std::size_t total = w.node_lo.back();
+  w.cols.resize(kTreeFeatures * total);
+  for (std::size_t f = 0; f < kTreeFeatures; ++f) {
+    const auto dominant = static_cast<std::uint16_t>(bin(rng));
+    std::uint16_t* col = w.cols.data() + f * total;
+    for (std::size_t node = 0; node < kTreeNodes; ++node) {
+      const bool constant = u(rng) < 0.25;
+      for (std::size_t r = w.node_lo[node]; r < w.node_lo[node + 1]; ++r) {
+        col[r] = constant || u(rng) < 0.6
+                     ? dominant
+                     : static_cast<std::uint16_t>(bin(rng));
+      }
+    }
+  }
+  w.order.resize(total);
+  for (std::size_t i = 0; i < total; ++i) w.order[i] = i;
+  w.grad.resize(total);
+  for (auto& v : w.grad) v = g(rng);
+  for (std::size_t node = 0; node < kTreeNodes; ++node) {
+    double g_total = 0.0;
+    for (std::size_t r = w.node_lo[node]; r < w.node_lo[node + 1]; ++r) {
+      g_total += w.grad[r];
+    }
+    const auto h_total =
+        static_cast<double>(w.node_lo[node + 1] - w.node_lo[node]);
+    w.node_params.push_back(
+        {g_total, h_total, 1.0, 1.0, 0.0,
+         g_total * g_total / (h_total + 1.0)});
+  }
+  return w;
+}
+
+void run_tree_hist(const TreeHistWorkload& w,
+                   std::vector<kn::SplitScan>* out) {
+  out->assign(kTreeFeatures * kTreeNodes, {});
+  const std::size_t total = w.node_lo.back();
+  util::parallel_for_chunks(kTreeFeatures, [&](std::size_t lo,
+                                               std::size_t hi) {
+    for (std::size_t f = lo; f < hi; ++f) {
+      for (std::size_t node = 0; node < kTreeNodes; ++node) {
+        const std::size_t row_lo = w.node_lo[node];
+        (*out)[f * kTreeNodes + node] = kn::feature_scan(
+            w.cols.data() + f * total, w.order.data() + row_lo,
+            w.node_lo[node + 1] - row_lo, w.grad.data() + row_lo, kTreeBins,
+            w.node_params[node]);
+      }
+    }
+  });
 }
 
 // --- packed forest code traversal, mirroring predict_codes ------------
@@ -587,7 +674,10 @@ struct KernelAb {
 };
 
 // Time one kernel under both tiers and both thread counts; identity is
-// every output against the scalar single-thread reference.
+// every output against the scalar single-thread reference. The tiers
+// alternate rep by rep (and which goes first alternates too), so drift
+// in the host's load lands on both; each rep is charged its process CPU
+// time and the median rep is kept.
 template <typename OutT, typename RunFn, typename EqFn>
 AbResult ab_kernel(const RunFn& run, const EqFn& eq) {
   AbResult r;
@@ -597,21 +687,28 @@ AbResult ab_kernel(const RunFn& run, const EqFn& eq) {
     ScopedThreads threads(1);
     run(&reference);
   }
+  const char* const tiers[2] = {"scalar", "avx2"};
   const long thread_counts[2] = {1, 4};
   for (int ti = 0; ti < 2; ++ti) {
     ScopedThreads threads(thread_counts[ti]);
-    {
-      ScopedKernels tier("scalar");
-      OutT out;
-      r.scalar_ms[ti] = best_of_ms([&] { run(&out); });
-      r.identical = r.identical && eq(reference, out);
+    OutT out[2];
+    std::vector<double> ms[2];
+    for (int k = 0; k < 2; ++k) {  // warm-up: page in, spin up the pool
+      ScopedKernels tier(tiers[k]);
+      run(&out[k]);
     }
-    {
-      ScopedKernels tier("avx2");
-      OutT out;
-      r.avx2_ms[ti] = best_of_ms([&] { run(&out); });
-      r.identical = r.identical && eq(reference, out);
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (int j = 0; j < 2; ++j) {
+        const int k = rep % 2 == 0 ? j : 1 - j;
+        ScopedKernels tier(tiers[k]);
+        const double t0 = process_cpu_s();
+        run(&out[k]);
+        ms[k].push_back((process_cpu_s() - t0) * 1e3);
+        r.identical = r.identical && eq(reference, out[k]);
+      }
     }
+    r.scalar_ms[ti] = median(ms[0]);
+    r.avx2_ms[ti] = median(ms[1]);
   }
   return r;
 }
@@ -623,7 +720,7 @@ bool doubles_identical(const std::vector<double>& a,
 }
 
 int run_kernels_ab() {
-  bench::banner("SIMD kernel A/B (scalar vs AVX2)",
+  bench::banner("SIMD kernel A/B (scalar vs AVX2, median process CPU ms)",
                 "histogram scan / packed traversal / dense GEMM / MLP "
                 "training");
   const bool avx2_active = kn::avx2_compiled() && kn::avx2_supported();
@@ -635,6 +732,13 @@ int run_kernels_ab() {
   const auto hist_w = make_hist_workload();
   const auto hist = ab_kernel<std::vector<kn::SplitScan>>(
       [&](std::vector<kn::SplitScan>* out) { run_hist(hist_w, out); },
+      scans_identical);
+
+  const auto tree_hist_w = make_tree_hist_workload();
+  const auto tree_hist = ab_kernel<std::vector<kn::SplitScan>>(
+      [&](std::vector<kn::SplitScan>* out) {
+        run_tree_hist(tree_hist_w, out);
+      },
       scans_identical);
 
   const auto trav_w = make_trav_workload();
@@ -659,6 +763,7 @@ int run_kernels_ab() {
       doubles_identical);
 
   const KernelAb kernels[] = {{"hist", hist},
+                              {"hist_tree", tree_hist},
                               {"traversal", trav},
                               {"gemm", gemm},
                               {"grad_weights", grad_weights},

@@ -77,32 +77,63 @@ double GradientBoostedTrees::Tree::predict_codes(
   return nodes[static_cast<std::size_t>(idx)].value;
 }
 
-GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
-    const BinnedMatrix& binned, const std::vector<std::size_t>& rows,
-    const std::vector<std::size_t>& features, std::span<const double> grad) {
-  Tree tree;
-  // Work queue: (node index, row slice [lo, hi) in `order`, depth).
-  std::vector<std::size_t> order = rows;
+// Working memory of build_tree, kept for a whole fit so no tree or node
+// allocates: the row order, the node's gathered gradients, one scan slot
+// per live feature, the work stack and the pool of live-feature lists.
+struct GradientBoostedTrees::BuildScratch {
+  // A node to expand: its row slice [lo, hi) of `order`, and its live
+  // features, live[live_lo, live_hi).
   struct Item {
     int node;
     std::size_t lo;
     std::size_t hi;
     std::size_t depth;
+    std::size_t live_lo;
+    std::size_t live_hi;
   };
+  std::vector<std::size_t> order;
+  std::vector<double> node_grad;
+  std::vector<kernels::SplitScan> candidates;
   std::vector<Item> stack;
-  tree.nodes.push_back({});
-  stack.push_back({0, 0, order.size(), 0});
+  std::vector<std::size_t> live;
+};
 
+GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
+    const BinnedMatrix& binned, const std::vector<std::size_t>& rows,
+    const std::vector<std::size_t>& features, std::span<const double> grad,
+    BuildScratch& scratch) {
   // Histogram scratch is owned by the kernel layer (thread-local per
   // tier); hessian == 1 for squared loss, so the kernels track gradient
   // sums and counts.
-  std::vector<double> node_grad(order.size());
-  std::vector<kernels::SplitScan> candidates;
+  Tree tree;
+  auto& order = scratch.order;
+  auto& node_grad = scratch.node_grad;
+  auto& candidates = scratch.candidates;
+  auto& stack = scratch.stack;
+  auto& live = scratch.live;
+  order.assign(rows.begin(), rows.end());
+  node_grad.resize(order.size());
+  live.assign(features.begin(), features.end());
+  tree.nodes.push_back({});
+  stack.push_back({0, 0, order.size(), 0, 0, live.size()});
+
+  // A feature whose codes are all equal over a node stays so over its
+  // whole subtree, and with min_child_weight > 0 each of its bins leaves
+  // one side empty, so its scan can never be valid there: both children
+  // inherit the node's live list minus such features, in order, and the
+  // fixed-order argmax below cannot change. With min_child_weight <= 0 a
+  // constant feature can still post a gain of exactly 0, which beats a
+  // negative min_split_gain, so nothing is dropped. The lists live in
+  // one pool used as a stack: children's ranges end at or above every
+  // range still queued, so popping a node frees everything above its
+  // own range.
+  const bool drop_constant = params_.min_child_weight > 0.0;
   std::size_t hist_scans = 0;
 
   while (!stack.empty()) {
-    const Item item = stack.back();
+    const BuildScratch::Item item = stack.back();
     stack.pop_back();
+    live.resize(item.live_hi);
     auto& node = tree.nodes[static_cast<std::size_t>(item.node)];
     const std::size_t n = item.hi - item.lo;
     // Gather this node's gradients once, in ascending row order — every
@@ -138,23 +169,24 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
         params_.min_child_weight,
         params_.min_split_gain,
         parent_score};
+    const std::size_t n_live = item.live_hi - item.live_lo;
+    const std::size_t* node_features = live.data() + item.live_lo;
     const auto scan_feature = [&](std::size_t f) -> kernels::SplitScan {
-      const std::size_t bins = binned.n_bins(f);
-      if (bins < 2) return {};
       return kernels::feature_scan(binned.col_codes(f).data(),
                                    order.data() + item.lo, n,
-                                   node_grad.data(), bins, scan_params);
+                                   node_grad.data(), binned.n_bins(f),
+                                   scan_params);
     };
 
-    candidates.assign(features.size(), kernels::SplitScan{});
-    hist_scans += features.size();
-    if (n * features.size() >= kParallelScanWork && features.size() >= 2) {
-      util::parallel_for(features.size(), [&](std::size_t j) {
-        candidates[j] = scan_feature(features[j]);
+    candidates.assign(n_live, kernels::SplitScan{});
+    hist_scans += n_live;
+    if (n * n_live >= kParallelScanWork && n_live >= 2) {
+      util::parallel_for(n_live, [&](std::size_t j) {
+        candidates[j] = scan_feature(node_features[j]);
       });
     } else {
-      for (std::size_t j = 0; j < features.size(); ++j) {
-        candidates[j] = scan_feature(features[j]);
+      for (std::size_t j = 0; j < n_live; ++j) {
+        candidates[j] = scan_feature(node_features[j]);
       }
     }
 
@@ -162,10 +194,12 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     int best_feature = -1;
     std::size_t best_bin = 0;
     double best_gain = params_.min_split_gain;
-    for (std::size_t j = 0; j < features.size(); ++j) {
+    std::size_t n_constant = 0;
+    for (std::size_t j = 0; j < n_live; ++j) {
+      n_constant += candidates[j].constant ? 1 : 0;
       if (candidates[j].valid && candidates[j].gain > best_gain) {
         best_gain = candidates[j].gain;
-        best_feature = static_cast<int>(features[j]);
+        best_feature = static_cast<int>(node_features[j]);
         best_bin = candidates[j].bin;
       }
     }
@@ -197,8 +231,20 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     const int right = node.right;
     tree.nodes.push_back({});
     tree.nodes.push_back({});
-    stack.push_back({left, item.lo, mid, item.depth + 1});
-    stack.push_back({right, mid, item.hi, item.depth + 1});
+    std::size_t child_lo = item.live_lo;
+    std::size_t child_hi = item.live_hi;
+    if (drop_constant && n_constant > 0) {
+      child_lo = live.size();
+      for (std::size_t j = 0; j < n_live; ++j) {
+        if (!candidates[j].constant) {
+          const std::size_t kept = live[item.live_lo + j];
+          live.push_back(kept);
+        }
+      }
+      child_hi = live.size();
+    }
+    stack.push_back({left, item.lo, mid, item.depth + 1, child_lo, child_hi});
+    stack.push_back({right, mid, item.hi, item.depth + 1, child_lo, child_hi});
   }
   IOTAX_OBS_COUNT("gbt.hist_scans", hist_scans);
   return tree;
@@ -275,6 +321,7 @@ void GradientBoostedTrees::fit_impl(const data::MatrixView& x,
   const auto n_col = std::max<std::size_t>(
       1, static_cast<std::size_t>(params_.colsample *
                                   static_cast<double>(n_features_)));
+  BuildScratch scratch;
 
   // Early-stopping bookkeeping. Validation rows are encoded into the
   // training bins once up front, so the per-tree evaluation walks codes
@@ -313,7 +360,7 @@ void GradientBoostedTrees::fit_impl(const data::MatrixView& x,
             ? rng.sample_without_replacement(n_features_, n_col)
             : all_features;
 
-    Tree tree = build_tree(binned, rows, features, grad);
+    Tree tree = build_tree(binned, rows, features, grad, scratch);
     // Pack the new tree immediately: the per-round prediction updates
     // below run on the SoA layout, and packed_ stays in lockstep with
     // trees_ (re-synced only if early stopping trims the tail). Trees
@@ -439,6 +486,7 @@ void GradientBoostedTrees::fit_continue(const data::MatrixView& x,
   // without split bins, and PackedForest rejects code traversal unless
   // every tree carries them.
   kernels::PackedForest fresh;
+  BuildScratch scratch;
   for (std::size_t k = 0; k < extra_rounds; ++k) {
     const std::int64_t tree_t0 = obs::now_ns_if_enabled();
     if (params_.loss == GbtLoss::kQuantile) {
@@ -459,7 +507,7 @@ void GradientBoostedTrees::fit_continue(const data::MatrixView& x,
             ? rng.sample_without_replacement(n_features_, n_col)
             : all_features;
 
-    Tree tree = build_tree(binned, rows, features, grad);
+    Tree tree = build_tree(binned, rows, features, grad, scratch);
     pack_tree(fresh, tree, /*with_codes=*/true);
     const std::size_t local_t = fresh.n_trees() - 1;
     util::parallel_for_chunks(
@@ -513,6 +561,11 @@ void GradientBoostedTrees::rebuild_packed() {
 
 std::vector<double> GradientBoostedTrees::predict(
     const data::MatrixView& x) const {
+  return predict_prefix(x, trees_.size());
+}
+
+std::vector<double> GradientBoostedTrees::predict_prefix(
+    const data::MatrixView& x, std::size_t n_trees) const {
   if (!fitted_) {
     throw std::logic_error("GradientBoostedTrees::predict: not fitted");
   }
@@ -526,7 +579,7 @@ std::vector<double> GradientBoostedTrees::predict(
       x.rows(),
       [&](std::size_t lo, std::size_t hi) {
         // Materialize the chunk as a dense block (the view may be
-        // strided or row-mapped) and descend all trees on it at once.
+        // strided or row-mapped) and descend the trees on it at once.
         // The leaf per row — and the add order across trees — is
         // exactly the seed's per-row Tree::predict loop.
         std::vector<double> scratch;  // untouched when rows are spans
@@ -537,7 +590,7 @@ std::vector<double> GradientBoostedTrees::predict(
                     block.begin() +
                         static_cast<long>((i - lo) * n_features_));
         }
-        packed_.predict_values(block.data(), n_features_, hi - lo,
+        packed_.predict_values(n_trees, block.data(), n_features_, hi - lo,
                                out.data() + lo);
       },
       256);
@@ -546,30 +599,7 @@ std::vector<double> GradientBoostedTrees::predict(
 
 std::vector<double> GradientBoostedTrees::predict_codes(
     std::span<const std::uint16_t> codes) const {
-  if (!fitted_) {
-    throw std::logic_error("GradientBoostedTrees::predict_codes: not fitted");
-  }
-  if (!has_split_bins_) {
-    throw std::logic_error(
-        "GradientBoostedTrees::predict_codes: model has no fit-time split "
-        "bins (loaded from disk?) — use predict()");
-  }
-  if (n_features_ == 0 || codes.size() % n_features_ != 0) {
-    throw std::invalid_argument(
-        "GradientBoostedTrees::predict_codes: code count not a multiple of "
-        "the feature count");
-  }
-  IOTAX_TRACE_SPAN("gbt.predict");
-  const std::size_t n = codes.size() / n_features_;
-  std::vector<double> out(n, base_score_);
-  util::parallel_for_chunks(
-      n,
-      [&](std::size_t lo, std::size_t hi) {
-        packed_.predict_codes(codes.data() + lo * n_features_, n_features_,
-                              hi - lo, out.data() + lo);
-      },
-      256);
-  return out;
+  return predict_codes_prefix(codes, trees_.size());
 }
 
 std::vector<double> GradientBoostedTrees::predict_codes_prefix(
@@ -630,6 +660,46 @@ void expect_token(std::istream& in, const char* expected) {
 
 }  // namespace
 
+// Prediction walks a tree from node 0 along child links, and
+// PackedForest::add_tree relays it out breadth-first by the same links.
+// Both trust that the links form a tree: so an internal node's children
+// must lie above its own index and below the node count, and no node
+// may be a child twice. Then every walk visits each node at most once
+// and ends at a leaf.
+void GradientBoostedTrees::check_tree(const Tree& tree, std::size_t t,
+                                      std::size_t n_features) {
+  const auto fail = [&](std::size_t k, const std::string& what) {
+    throw std::runtime_error("GradientBoostedTrees::load: tree " +
+                             std::to_string(t) + " node " +
+                             std::to_string(k) + ": " + what);
+  };
+  const std::size_t n_nodes = tree.nodes.size();
+  if (n_nodes == 0) {
+    throw std::runtime_error("GradientBoostedTrees::load: tree " +
+                             std::to_string(t) + " has no nodes");
+  }
+  std::vector<char> is_child(n_nodes, 0);
+  for (std::size_t k = 0; k < n_nodes; ++k) {
+    const Node& n = tree.nodes[k];
+    if (n.feature < 0) continue;
+    if (static_cast<std::size_t>(n.feature) >= n_features) {
+      fail(k, "feature " + std::to_string(n.feature) + " out of range");
+    }
+    for (const int child : {n.left, n.right}) {
+      if (child <= static_cast<long>(k) ||
+          static_cast<std::size_t>(child) >= n_nodes) {
+        fail(k, "child " + std::to_string(child) + " not in (" +
+                    std::to_string(k) + ", " + std::to_string(n_nodes) +
+                    ")");
+      }
+      if (is_child[static_cast<std::size_t>(child)] != 0) {
+        fail(k, "child " + std::to_string(child) + " is already a child");
+      }
+      is_child[static_cast<std::size_t>(child)] = 1;
+    }
+  }
+}
+
 void GradientBoostedTrees::save(std::ostream& out) const {
   if (!fitted_) {
     throw std::logic_error("GradientBoostedTrees::save: not fitted");
@@ -679,27 +749,31 @@ GradientBoostedTrees GradientBoostedTrees::load(std::istream& in) {
   in >> model.base_score_;
   expect_token(in, "n_features");
   in >> model.n_features_;
+  // Every count below comes from the file, so vectors grow as their
+  // values are read instead of being sized by the count up front: a
+  // lying count then costs what the file holds, not what it claims.
   expect_token(in, "importance");
-  model.importance_.resize(model.n_features_);
-  for (auto& v : model.importance_) in >> v;
+  for (std::size_t i = 0; i < model.n_features_ && in; ++i) {
+    double v = 0.0;
+    if (in >> v) model.importance_.push_back(v);
+  }
   expect_token(in, "trees");
   std::size_t n_trees = 0;
   in >> n_trees;
-  model.trees_.resize(n_trees);
-  for (auto& tree : model.trees_) {
+  for (std::size_t t = 0; t < n_trees && in; ++t) {
     expect_token(in, "tree");
     std::size_t n_nodes = 0;
     in >> n_nodes;
-    tree.nodes.resize(n_nodes);
-    for (auto& n : tree.nodes) {
-      in >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
-      if (n.feature >= static_cast<int>(model.n_features_) ||
-          n.left >= static_cast<int>(n_nodes) ||
-          n.right >= static_cast<int>(n_nodes)) {
-        throw std::runtime_error(
-            "GradientBoostedTrees::load: node out of range");
+    Tree tree;
+    for (std::size_t k = 0; k < n_nodes && in; ++k) {
+      Node n;
+      if (in >> n.feature >> n.threshold >> n.left >> n.right >> n.value) {
+        tree.nodes.push_back(n);
       }
     }
+    if (!in) break;
+    check_tree(tree, t, model.n_features_);
+    model.trees_.push_back(std::move(tree));
   }
   if (!in) throw std::runtime_error("GradientBoostedTrees::load: truncated");
   model.fitted_ = true;

@@ -95,6 +95,15 @@ class GradientBoostedTrees final : public Regressor {
 
   std::vector<double> predict(const data::MatrixView& x) const override;
 
+  /// predict() using only the first `n_trees` boosting rounds (clamped
+  /// to the fitted count), routing raw rows by thresholds. Round t
+  /// depends only on the rounds before it, so this is bit-identical to
+  /// predict() on a model fitted with n_estimators == n_trees and the
+  /// same seed; a search hands its winner's prefix family over this way
+  /// instead of refitting it.
+  std::vector<double> predict_prefix(const data::MatrixView& x,
+                                     std::size_t n_trees) const;
+
   /// predict() for rows pre-encoded against the fit-time binning
   /// (BinnedMatrix::encode_all on the matrix this model was fitted
   /// with, or any input encoded by that same BinnedMatrix). Routing by
@@ -150,10 +159,16 @@ class GradientBoostedTrees final : public Regressor {
     double predict_codes(std::span<const std::uint16_t> codes) const;
   };
 
+  struct BuildScratch;
   Tree build_tree(const BinnedMatrix& binned,
                   const std::vector<std::size_t>& rows,
                   const std::vector<std::size_t>& features,
-                  std::span<const double> grad);
+                  std::span<const double> grad, BuildScratch& scratch);
+
+  /// load()'s structural check of tree `t`; throws std::runtime_error
+  /// naming the tree and node.
+  static void check_tree(const Tree& tree, std::size_t t,
+                         std::size_t n_features);
 
   void fit_impl(const data::MatrixView& x, std::span<const double> y,
                 const data::MatrixView& x_val, std::span<const double> y_val,

@@ -48,13 +48,14 @@ void forest_codes_scalar(const ForestView& f, std::size_t t_begin,
   }
 }
 
-void forest_values_scalar(const ForestView& f, const double* x,
+void forest_values_scalar(const ForestView& f, std::size_t t_begin,
+                          std::size_t t_end, const double* x,
                           std::size_t stride, std::size_t n_rows,
                           double* out) {
   for (std::size_t i = 0; i < n_rows; ++i) {
     const double* row = x + i * stride;
     double acc = out[i];
-    for (std::size_t t = 0; t < f.n_trees; ++t) {
+    for (std::size_t t = t_begin; t < t_end; ++t) {
       acc += descend_values(f, f.root[t], row);
     }
     out[i] = acc;
@@ -75,6 +76,18 @@ void dispatch_codes(const ForestView& f, std::size_t t_begin,
   }
 #endif
   forest_codes_scalar(f, t_begin, t_end, codes, stride, n_rows, out);
+}
+
+void dispatch_values(const ForestView& f, std::size_t t_begin,
+                     std::size_t t_end, const double* x, std::size_t stride,
+                     std::size_t n_rows, double* out) {
+#if defined(IOTAX_KERNELS_AVX2)
+  if (active_tier() == Tier::kAvx2) {
+    avx2::forest_values(f, t_begin, t_end, x, stride, n_rows, out);
+    return;
+  }
+#endif
+  forest_values_scalar(f, t_begin, t_end, x, stride, n_rows, out);
 }
 
 }  // namespace
@@ -183,15 +196,11 @@ void PackedForest::predict_codes_tree(std::size_t t,
   dispatch_codes(view(), t, t + 1, codes, stride, n_rows, out);
 }
 
-void PackedForest::predict_values(const double* x, std::size_t stride,
-                                  std::size_t n_rows, double* out) const {
-#if defined(IOTAX_KERNELS_AVX2)
-  if (active_tier() == Tier::kAvx2) {
-    avx2::forest_values(view(), x, stride, n_rows, out);
-    return;
-  }
-#endif
-  forest_values_scalar(view(), x, stride, n_rows, out);
+void PackedForest::predict_values(std::size_t t_end, const double* x,
+                                  std::size_t stride, std::size_t n_rows,
+                                  double* out) const {
+  dispatch_values(view(), 0, t_end < n_trees() ? t_end : n_trees(), x,
+                  stride, n_rows, out);
 }
 
 }  // namespace iotax::ml::kernels

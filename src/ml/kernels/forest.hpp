@@ -91,10 +91,13 @@ class PackedForest {
                           std::size_t stride, std::size_t n_rows,
                           double* out) const;
 
-  /// out[i] += sum over all trees, routing by raw feature values.
-  /// `x` is a dense row-major block with `stride` doubles per row.
-  void predict_values(const double* x, std::size_t stride, std::size_t n_rows,
-                      double* out) const;
+  /// out[i] += sum over trees [0, t_end), routing by raw feature values
+  /// (t_end clamped to n_trees(); pass n_trees() for the whole forest).
+  /// `x` is a dense row-major block with `stride` doubles per row. As
+  /// with predict_codes_prefix, a prefix is bit-identical to the forest
+  /// of a fit with that many rounds.
+  void predict_values(std::size_t t_end, const double* x, std::size_t stride,
+                      std::size_t n_rows, double* out) const;
 
   ForestView view() const {
     return {feature_.data(), split_.data(),     left_.data(),

@@ -93,8 +93,9 @@ void forest_codes(const ForestView& f, std::size_t t_begin, std::size_t t_end,
   }
 }
 
-void forest_values(const ForestView& f, const double* x, std::size_t stride,
-                   std::size_t n_rows, double* out) {
+void forest_values(const ForestView& f, std::size_t t_begin, std::size_t t_end,
+                   const double* x, std::size_t stride, std::size_t n_rows,
+                   double* out) {
   // 64-bit lanes throughout: double gathers read exactly 8 bytes, so no
   // tail hazard; only the <4-row remainder goes scalar.
   const auto s = static_cast<std::int64_t>(stride);
@@ -104,7 +105,7 @@ void forest_values(const ForestView& f, const double* x, std::size_t stride,
     const __m256i rowoff =
         _mm256_setr_epi64x(base, base + s, base + 2 * s, base + 3 * s);
     __m256d acc = _mm256_loadu_pd(out + i);
-    for (std::size_t t = 0; t < f.n_trees; ++t) {
+    for (std::size_t t = t_begin; t < t_end; ++t) {
       __m256i idx = _mm256_set1_epi64x(f.root[t]);
       for (std::int32_t d = 0; d < f.depth[t]; ++d) {
         const __m256i feat =
@@ -128,7 +129,7 @@ void forest_values(const ForestView& f, const double* x, std::size_t stride,
   for (; i < n_rows; ++i) {
     const double* row = x + i * stride;
     double acc = out[i];
-    for (std::size_t t = 0; t < f.n_trees; ++t) {
+    for (std::size_t t = t_begin; t < t_end; ++t) {
       acc += descend_values(f, f.root[t], row);
     }
     out[i] = acc;

@@ -9,10 +9,10 @@ namespace iotax::ml::kernels {
 
 namespace {
 
-// Literal transcription of the seed's scan_feature loop (gbt.cpp): the
-// scalar tier is the reference the AVX2 tier must match bit for bit.
-// Scratch lives here (one histogram pair per thread) and is fully
-// re-zeroed on entry, exactly like the seed.
+// Literal transcription of the seed's scan_feature loop (gbt.cpp), plus
+// the `constant` bit: the scalar tier is the reference the AVX2 tier
+// must match bit for bit. Scratch lives here (one histogram pair per
+// thread) and is fully re-zeroed on entry, exactly like the seed.
 SplitScan feature_scan_scalar(const std::uint16_t* col,
                               const std::size_t* order, std::size_t n,
                               const double* node_grad, std::size_t bins,
@@ -35,6 +35,8 @@ SplitScan feature_scan_scalar(const std::uint16_t* col,
     hg[b] += node_grad[i];
     hc[b] += 1.0;
   }
+  // Every row sits in one bin exactly when that bin holds all n.
+  cand.constant = n == 0 || hc[col[order[0]]] == static_cast<double>(n);
   double gl = 0.0;
   double hl = 0.0;
   double best = p.min_split_gain;
@@ -67,7 +69,11 @@ double node_sum_scalar(const double* v, std::size_t n) {
 SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
                        std::size_t n, const double* node_grad,
                        std::size_t bins, const FeatureScanParams& p) {
-  if (bins < 2) return {};
+  if (bins < 2) {
+    SplitScan none;
+    none.constant = true;
+    return none;
+  }
 #if defined(IOTAX_KERNELS_AVX2)
   if (active_tier() == Tier::kAvx2) {
     return avx2::feature_scan(col, order, n, node_grad, bins, p);

@@ -15,15 +15,23 @@
 //     vectorized, and the strict-> first-bin-wins argmax runs serially.
 //
 // The histogram workspaces are owned by the kernel layer (per-thread,
-// per-tier), not passed in: the AVX2 tier keeps its scratch all-zero
-// between calls and re-zeroes only the bins a scan touched, so the cost
-// of a scan scales with the node's touched-bin range instead of the
-// full bin count. Untouched bins can also be skipped in the sweep
-// without changing any output bit: an empty bin leaves the running
-// left-sums unchanged, so its gain duplicates the previous bin's and
-// can never win the strict `>` argmax; bins below the first touched bin
-// all see the all-empty prefix, so they collapse to a single evaluation
-// of the seed loop body at bin 0.
+// per-tier), not passed in. The AVX2 tier keeps its scratch all-zero
+// between calls, sets one bit per touched bin while it builds the
+// histogram (a register for features of at most 64 bins; a word per 64
+// bins plus a bit per touched word above that), then sweeps and
+// re-zeroes only the set bits, so a scan costs what the node touched,
+// not the bin count. Skipping an untouched bin changes no output bit:
+// it leaves the running left-sums unchanged, so its gain repeats the
+// previous bin's and can never win the strict `>` argmax; bins below
+// the first touched one all see the all-empty prefix, so they collapse
+// to one evaluation of the seed loop body at bin 0.
+//
+// SplitScan::constant reports a node in which every row has the same
+// code (or a feature of fewer than 2 bins). Such a feature stays
+// constant in every node below, and with min_child_weight > 0 every one
+// of its bins fails the weight screen on one side, so
+// GradientBoostedTrees::build_tree drops it from the subtree's live
+// feature list without changing any split.
 //
 // node_sum() is the node gradient total. By default it is the plain
 // sequential sum; under IOTAX_FAST_MATH=1 it reassociates into SIMD
@@ -45,11 +53,13 @@ struct FeatureScanParams {
 };
 
 /// Best split found within one feature; `valid` is false when no bin
-/// cleared the minimum gain.
+/// cleared the minimum gain. `constant` is true when every node row has
+/// the same code, or the feature has fewer than 2 bins.
 struct SplitScan {
   double gain = 0.0;
   std::size_t bin = 0;
   bool valid = false;
+  bool constant = false;
 };
 
 /// Histogram + best-bin scan of one feature for one tree node.

@@ -13,186 +13,208 @@
 namespace iotax::ml::kernels::avx2 {
 
 namespace {
-// Tier-owned histogram scratch, kept ALL-ZERO between calls: each scan
-// re-zeroes only what it touched on the way out, so the zeroing cost
-// scales with the node instead of the bin count. resize() zero-fills
-// any growth, so the invariant survives a larger-bins call.
+
+constexpr std::size_t kWordBits = 64;
+
+// Tier-owned scratch, kept ALL-ZERO between calls: each scan re-zeroes
+// only the bins it touched on the way out, so the zeroing cost scales
+// with the node instead of the bin count. resize() zero-fills any
+// growth, so the invariant survives a larger-bins call. The histograms
+// carry one slot past every code the current call can write (see
+// GainSweep::pad); tl_words holds one touched-bin bit per bin, one word
+// per 64 bins, for features wider than one word.
 thread_local util::aligned_vector<double> tl_hg;
 thread_local util::aligned_vector<double> tl_hc;
+thread_local util::aligned_vector<std::uint64_t> tl_words;
+
+inline std::size_t low_bit(std::uint64_t m) {
+  return static_cast<std::size_t>(__builtin_ctzll(m));
+}
+
+// The gain sweep over touched bins only. Bins are fed in ascending
+// order, up to four at a time; the running left sums gl/hl are a true
+// serial dependence (reassociating them would change the bits), so they
+// stay scalar in exactly the seed's order, and each block of them is
+// packed into a vector so the expensive part — two multiplies and two
+// divides per bin — runs 4-wide. All of it is elementwise IEEE
+// arithmetic in the scalar expression's association, so every lane
+// produces the exact double the scalar loop would. Bins failing the
+// min-child-weight screen get -inf, which the strict `>` skips just
+// like the scalar `continue`.
+//
+// Skipping an untouched bin is exact: its hg is +0.0 and its hc 0 (the
+// scratch invariant), so it leaves gl/hl unchanged and its gain repeats
+// the previous evaluated bin's, which the strict `>` never takes. The
+// bins below the first touched one all repeat bin 0's all-empty-prefix
+// gain, so the caller always feeds bin 0. A short block is padded with
+// the always-empty `pad` slot for the same reason: a padded lane repeats
+// the lane before it and cannot win.
+class GainSweep {
+ public:
+  GainSweep(const double* hg, const double* hc, std::size_t pad,
+            const FeatureScanParams& p)
+      : hg_(hg),
+        hc_(hc),
+        pad_(pad),
+        best_(p.min_split_gain),
+        v_gtot_(_mm256_set1_pd(p.g_total)),
+        v_htot_(_mm256_set1_pd(p.h_total)),
+        v_lam_(_mm256_set1_pd(p.reg_lambda)),
+        v_mcw_(_mm256_set1_pd(p.min_child_weight)),
+        v_parent_(_mm256_set1_pd(p.parent_score)),
+        v_best_(_mm256_set1_pd(p.min_split_gain)) {}
+
+  // Sweep the set bits of `m`, bin = base + bit, in ascending order.
+  void word(std::uint64_t m, std::size_t base) {
+    while (m != 0) {
+      std::size_t idx[4];
+      for (auto& i : idx) {
+        i = m != 0 ? base + low_bit(m) : pad_;
+        m &= m - 1;
+      }
+      block(idx);
+    }
+  }
+
+  SplitScan result() const { return cand_; }
+
+ private:
+  void block(const std::size_t (&idx)[4]) {
+    const double gl0 = gl_ + hg_[idx[0]];
+    const double gl1 = gl0 + hg_[idx[1]];
+    const double gl2 = gl1 + hg_[idx[2]];
+    const double gl3 = gl2 + hg_[idx[3]];
+    const double hl0 = hl_ + hc_[idx[0]];
+    const double hl1 = hl0 + hc_[idx[1]];
+    const double hl2 = hl1 + hc_[idx[2]];
+    const double hl3 = hl2 + hc_[idx[3]];
+    gl_ = gl3;
+    hl_ = hl3;
+    const __m256d vgl = _mm256_set_pd(gl3, gl2, gl1, gl0);
+    const __m256d vhl = _mm256_set_pd(hl3, hl2, hl1, hl0);
+    const __m256d vhr = _mm256_sub_pd(v_htot_, vhl);
+    const __m256d bad = _mm256_or_pd(_mm256_cmp_pd(vhl, v_mcw_, _CMP_LT_OQ),
+                                     _mm256_cmp_pd(vhr, v_mcw_, _CMP_LT_OQ));
+    const __m256d vgr = _mm256_sub_pd(v_gtot_, vgl);
+    const __m256d lterm = _mm256_div_pd(_mm256_mul_pd(vgl, vgl),
+                                        _mm256_add_pd(vhl, v_lam_));
+    const __m256d rterm = _mm256_div_pd(_mm256_mul_pd(vgr, vgr),
+                                        _mm256_add_pd(vhr, v_lam_));
+    const __m256d gain = _mm256_blendv_pd(
+        _mm256_sub_pd(_mm256_add_pd(lterm, rterm), v_parent_),
+        _mm256_set1_pd(-std::numeric_limits<double>::infinity()), bad);
+    // First-bin-wins argmax: lanes beating the block-entry best are
+    // rare, so the in-order scalar resolution only runs on a hit. The
+    // per-lane strict `>` against the running best reproduces the
+    // scalar tier's update order within the block.
+    if (_mm256_movemask_pd(_mm256_cmp_pd(gain, v_best_, _CMP_GT_OQ)) != 0) {
+      alignas(32) double lanes[4];
+      _mm256_store_pd(lanes, gain);
+      for (int k = 0; k < 4; ++k) {
+        if (lanes[k] > best_) {
+          best_ = lanes[k];
+          cand_.gain = lanes[k];
+          cand_.bin = idx[k];
+          cand_.valid = true;
+        }
+      }
+      v_best_ = _mm256_set1_pd(best_);
+    }
+  }
+
+  const double* hg_;
+  const double* hc_;
+  std::size_t pad_;
+  double gl_ = 0.0;
+  double hl_ = 0.0;
+  double best_;
+  SplitScan cand_;
+  __m256d v_gtot_;
+  __m256d v_htot_;
+  __m256d v_lam_;
+  __m256d v_mcw_;
+  __m256d v_parent_;
+  __m256d v_best_;
+};
+
 }  // namespace
 
 SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
                        std::size_t n, const double* node_grad,
                        std::size_t bins, const FeatureScanParams& p) {
-  if (tl_hg.size() < bins) {
-    tl_hg.resize(bins, 0.0);
-    tl_hc.resize(bins, 0.0);
+  if (tl_hg.size() < bins + 1) {
+    tl_hg.resize(bins + 1, 0.0);
+    tl_hc.resize(bins + 1, 0.0);
+    tl_words.resize((bins + kWordBits - 1) / kWordBits, 0);
   }
   double* hg = tl_hg.data();
   double* hc = tl_hc.data();
-  SplitScan cand;
+  // Codes are < bins, so the last slot stays zero for the whole call.
+  GainSweep sweep(hg, hc, tl_hg.size() - 1, p);
+  // Bin `bins - 1` can't split (the scalar loop stops before it); bin 0
+  // is always evaluated (it stands for the all-empty prefix when no row
+  // reached it).
+  const std::size_t last = bins - 1;
+  const std::uint64_t last_bit = std::uint64_t{1} << (last % kWordBits);
 
   // Histogram build: the adds scatter to data-dependent bins, so this
   // loop stays scalar and is kept verbatim from the scalar tier — each
   // add targets its own accumulator and rows are visited in ascending
-  // order, so the per-bin FP sequences are unchanged. (Unroll/prefetch
-  // and integer-count variants both measured slower here; the loop is
-  // already throughput-bound on the two read-add-write chains.) The
-  // touched-bin range tracked alongside bounds every later pass.
-  std::size_t bmin = bins;
-  std::size_t bmax = 0;
+  // order, so the per-bin FP sequences are unchanged. Alongside, set one
+  // bit per touched bin: in a register when the feature fits one word
+  // (every default-budget counter), else in tl_words plus a register
+  // bit per touched word.
+  if (bins <= kWordBits) {
+    std::uint64_t touched = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t b = col[order[i]];
+      hg[b] += node_grad[i];
+      hc[b] += 1.0;
+      touched |= std::uint64_t{1} << b;
+    }
+    sweep.word((touched | 1) & ~last_bit, 0);
+    for (std::uint64_t m = touched; m != 0; m &= m - 1) {
+      const std::size_t b = low_bit(m);
+      hg[b] = 0.0;
+      hc[b] = 0.0;
+    }
+    SplitScan cand = sweep.result();
+    cand.constant = (touched & (touched - 1)) == 0;
+    return cand;
+  }
+
+  std::uint64_t* words = tl_words.data();
+  std::uint64_t top = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t b = col[order[i]];
     hg[b] += node_grad[i];
     hc[b] += 1.0;
-    bmin = b < bmin ? b : bmin;
-    bmax = b > bmax ? b : bmax;
+    words[b / kWordBits] |= std::uint64_t{1} << (b % kWordBits);
+    top |= std::uint64_t{1} << (b / kWordBits);
   }
-
-  const std::size_t sweep = bins - 1;  // bin `bins-1` can't split
-  double gl = 0.0;
-  double hl = 0.0;
-  double best = p.min_split_gain;
-
-  // Every bin below bmin sees the all-empty prefix (gl = hl = 0), so
-  // the scalar tier computes the identical gain for each of them and
-  // its strict `>` can only ever take the first, bin 0. Reproduce that
-  // with a single evaluation of the seed loop body at bin 0 (hg[0] and
-  // hc[0] are zero here, so the adds are omitted). Also covers n == 0,
-  // where every bin is prefix.
-  if (bmin > 0) {
-    const double hr = p.h_total - hl;
-    if (!(hl < p.min_child_weight || hr < p.min_child_weight)) {
-      const double gr = p.g_total - gl;
-      const double gain = gl * gl / (hl + p.reg_lambda) +
-                          gr * gr / (hr + p.reg_lambda) - p.parent_score;
-      if (gain > best) {
-        best = gain;
-        cand.gain = gain;
-        cand.bin = 0;
-        cand.valid = true;
-      }
-    }
+  const bool constant =
+      n == 0 || hc[col[order[0]]] == static_cast<double>(n);
+  // The last bin is zeroed unconditionally below, so its bit can go.
+  words[0] |= 1;
+  top |= 1;
+  words[last / kWordBits] &= ~last_bit;
+  for (std::uint64_t t = top; t != 0; t &= t - 1) {
+    const std::size_t w = low_bit(t);
+    sweep.word(words[w], w * kWordBits);
   }
-
-  // Fused gain sweep over the touched range only, four bins per
-  // iteration. The running left sums gl/hl are a true serial dependence
-  // (reassociating them would change the bits), so they stay scalar in
-  // exactly the seed's order; each 4-bin block of them is then packed
-  // into a vector and the expensive part — two multiplies and two
-  // divides per bin — runs 4-wide. All of it is elementwise IEEE
-  // arithmetic in the scalar expression's association, so every lane
-  // produces the exact double the scalar loop would. Fusing matters: a
-  // separate prefix pass is latency-bound on the gl/hl chains with
-  // nothing to hide behind, where here the out-of-order window overlaps
-  // the chain with the previous block's divides. Bins failing the
-  // min-child-weight screen get -inf, which the strict `>` below skips
-  // just like the scalar `continue`.
-  //
-  // Trimming is exact: bins past bmax leave gl/hl fixed, so their gains
-  // duplicate the gain at bmax and lose the strict `>`; likewise a
-  // 4-bin block whose counts are all zero adds only +0.0 to gl/hl and
-  // duplicates the previous bin's gain, so it is skipped after one
-  // vector compare. (An empty bin's hg is +0.0 by the scratch
-  // invariant; dropping a `x + 0.0` can only flip a -0.0 left-sum to
-  // +0.0, and every use squares it or compares it, so the gains match
-  // bit for bit.)
-  const std::size_t stop = bmax + 1 < sweep ? bmax + 1 : sweep;  // exclusive
-  const __m256d v_gtot = _mm256_set1_pd(p.g_total);
-  const __m256d v_htot = _mm256_set1_pd(p.h_total);
-  const __m256d v_lam = _mm256_set1_pd(p.reg_lambda);
-  const __m256d v_mcw = _mm256_set1_pd(p.min_child_weight);
-  const __m256d v_parent = _mm256_set1_pd(p.parent_score);
-  const __m256d v_ninf =
-      _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  const __m256d v_zero = _mm256_setzero_pd();
-  __m256d v_best = _mm256_set1_pd(best);
-  std::size_t b = bmin;
-  for (; b + 4 <= stop; b += 4) {
-    const __m256d vcnt = _mm256_loadu_pd(hc + b);
-    if (_mm256_movemask_pd(_mm256_cmp_pd(vcnt, v_zero, _CMP_NEQ_OQ)) == 0) {
-      continue;  // all four bins empty — pure duplicates, skip
+  for (std::uint64_t t = top; t != 0; t &= t - 1) {
+    const std::size_t w = low_bit(t);
+    for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
+      const std::size_t b = w * kWordBits + low_bit(m);
+      hg[b] = 0.0;
+      hc[b] = 0.0;
     }
-    const double gl0 = gl + hg[b];
-    const double gl1 = gl0 + hg[b + 1];
-    const double gl2 = gl1 + hg[b + 2];
-    const double gl3 = gl2 + hg[b + 3];
-    const double hl0 = hl + hc[b];
-    const double hl1 = hl0 + hc[b + 1];
-    const double hl2 = hl1 + hc[b + 2];
-    const double hl3 = hl2 + hc[b + 3];
-    gl = gl3;
-    hl = hl3;
-    const __m256d vgl = _mm256_set_pd(gl3, gl2, gl1, gl0);
-    const __m256d vhl = _mm256_set_pd(hl3, hl2, hl1, hl0);
-    const __m256d vhr = _mm256_sub_pd(v_htot, vhl);
-    const __m256d bad =
-        _mm256_or_pd(_mm256_cmp_pd(vhl, v_mcw, _CMP_LT_OQ),
-                     _mm256_cmp_pd(vhr, v_mcw, _CMP_LT_OQ));
-    const __m256d vgr = _mm256_sub_pd(v_gtot, vgl);
-    const __m256d lterm = _mm256_div_pd(_mm256_mul_pd(vgl, vgl),
-                                        _mm256_add_pd(vhl, v_lam));
-    const __m256d rterm = _mm256_div_pd(_mm256_mul_pd(vgr, vgr),
-                                        _mm256_add_pd(vhr, v_lam));
-    const __m256d gain = _mm256_blendv_pd(
-        _mm256_sub_pd(_mm256_add_pd(lterm, rterm), v_parent), v_ninf, bad);
-    // First-bin-wins argmax: lanes beating the block-entry best are
-    // rare, so the in-order scalar resolution only runs on a hit. The
-    // per-lane strict `>` against the running best reproduces the
-    // scalar tier's update order within the block.
-    if (_mm256_movemask_pd(_mm256_cmp_pd(gain, v_best, _CMP_GT_OQ)) != 0) {
-      alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, gain);
-      for (int k = 0; k < 4; ++k) {
-        if (lanes[k] > best) {
-          best = lanes[k];
-          cand.gain = lanes[k];
-          cand.bin = b + static_cast<std::size_t>(k);
-          cand.valid = true;
-        }
-      }
-      v_best = _mm256_set1_pd(best);
-    }
+    words[w] = 0;
   }
-  // Remainder bins: the seed loop, continuing the same running sums.
-  for (; b < stop; ++b) {
-    gl += hg[b];
-    hl += hc[b];
-    const double hr = p.h_total - hl;
-    if (hl < p.min_child_weight || hr < p.min_child_weight) continue;
-    const double gr = p.g_total - gl;
-    const double gain = gl * gl / (hl + p.reg_lambda) +
-                        gr * gr / (hr + p.reg_lambda) - p.parent_score;
-    if (gain > best) {
-      best = gain;
-      cand.gain = gain;
-      cand.bin = b;
-      cand.valid = true;
-    }
-  }
-
-  // Restore the all-zero scratch invariant, paying only for what this
-  // scan dirtied: re-walk the rows when the node is smaller than its
-  // bin range, else stream zeros over [bmin, bmax].
-  if (n != 0) {
-    if (n < bmax - bmin + 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t t = col[order[i]];
-        hg[t] = 0.0;
-        hc[t] = 0.0;
-      }
-    } else {
-      std::size_t z = bmin;
-      for (; z + 4 <= bmax + 1; z += 4) {
-        _mm256_storeu_pd(hg + z, v_zero);
-        _mm256_storeu_pd(hc + z, v_zero);
-      }
-      for (; z <= bmax; ++z) {
-        hg[z] = 0.0;
-        hc[z] = 0.0;
-      }
-    }
-  }
+  hg[last] = 0.0;
+  hc[last] = 0.0;
+  SplitScan cand = sweep.result();
+  cand.constant = constant;
   return cand;
 }
 

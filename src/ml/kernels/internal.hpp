@@ -24,8 +24,9 @@ void forest_codes(const ForestView& f, std::size_t t_begin, std::size_t t_end,
                   const std::uint16_t* codes, std::size_t stride,
                   std::size_t n_rows, double* out);
 
-void forest_values(const ForestView& f, const double* x, std::size_t stride,
-                   std::size_t n_rows, double* out);
+void forest_values(const ForestView& f, std::size_t t_begin, std::size_t t_end,
+                   const double* x, std::size_t stride, std::size_t n_rows,
+                   double* out);
 
 void dense_forward(const double* in, std::size_t n_rows, std::size_t in_dim,
                    const double* w, const double* bias, std::size_t out_dim,

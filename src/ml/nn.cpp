@@ -472,6 +472,16 @@ void expect_token(std::istream& in, const char* expected) {
   }
 }
 
+// Replace `out` with up to `count` values read from `in`, stopping at
+// the first read that fails (the caller's stream check then reports the
+// truncation).
+template <typename T>
+void read_values(std::istream& in, std::size_t count, std::vector<T>& out) {
+  out.clear();
+  T v{};
+  for (std::size_t i = 0; i < count && in >> v; ++i) out.push_back(v);
+}
+
 }  // namespace
 
 void Mlp::save(std::ostream& out) const {
@@ -509,11 +519,13 @@ Mlp Mlp::load(std::istream& in) {
   if (version != 1) throw std::runtime_error("Mlp::load: bad version");
 
   MlpParams params;
+  // Every count and width below comes from the file, so vectors grow as
+  // their values are read instead of being sized up front: a lying
+  // count then costs what the file holds, not what it claims.
   expect_token(in, "hidden");
   std::size_t n_hidden = 0;
   in >> n_hidden;
-  params.hidden.resize(n_hidden);
-  for (auto& h : params.hidden) in >> h;
+  read_values(in, n_hidden, params.hidden);
   expect_token(in, "hyper");
   int nll = 0;
   in >> params.learning_rate >> params.weight_decay >> params.dropout >>
@@ -526,10 +538,11 @@ Mlp Mlp::load(std::istream& in) {
   expect_token(in, "scaler");
   std::size_t n_features = 0;
   in >> n_features;
-  std::vector<double> means(n_features);
-  std::vector<double> stds(n_features);
-  for (auto& v : means) in >> v;
-  for (auto& v : stds) in >> v;
+  std::vector<double> means;
+  std::vector<double> stds;
+  read_values(in, n_features, means);
+  read_values(in, n_features, stds);
+  if (!in) throw std::runtime_error("Mlp::load: truncated");
   model.scaler_ = data::StandardScaler::from_params(std::move(means),
                                                     std::move(stds));
   expect_token(in, "layers");
@@ -574,10 +587,8 @@ Mlp Mlp::load(std::istream& in) {
                                (params.nll_head ? "an NLL" : "an MSE") +
                                " head is " + std::to_string(head_width));
     }
-    layer.w.resize(layer.in * layer.out);
-    layer.b.resize(layer.out);
-    for (auto& w : layer.w) in >> w;
-    for (auto& b : layer.b) in >> b;
+    read_values(in, layer.in * layer.out, layer.w);
+    read_values(in, layer.out, layer.b);
   }
   if (!in) throw std::runtime_error("Mlp::load: truncated");
   model.fitted_ = true;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 
-#include "src/data/footprint.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
@@ -20,22 +20,6 @@ namespace {
 BinnedMatrix bin_for_search(const GbtParams& base, const data::MatrixView& x) {
   return base.per_feature_bins.empty() ? BinnedMatrix(x, base.max_bins)
                                        : BinnedMatrix(x, base.per_feature_bins);
-}
-
-SearchPoint evaluate(const GbtParams& params, const data::MatrixView& x_train,
-                     std::span<const double> y_train,
-                     const BinnedMatrix& binned,
-                     std::span<const std::uint16_t> val_codes,
-                     std::span<const double> y_val) {
-  obs::SpanGuard trial_span("search.trial");
-  IOTAX_OBS_COUNT("search.trials", 1);
-  GradientBoostedTrees model(params);
-  model.fit_binned(x_train, y_train, binned);
-  SearchPoint point;
-  point.params = params;
-  point.val_error = median_abs_log_error(y_val, model.predict_codes(val_codes));
-  obs::span_arg("val_error", point.val_error);
-  return point;
 }
 
 // The validation matrix encoded against the shared search binning:
@@ -62,6 +46,36 @@ bool same_except_trees(const GbtParams& a, const GbtParams& b) {
          a.seed == b.seed;
 }
 
+// The best group model so far, offered by the search threads as their
+// candidates are scored. Candidates are ordered by (val_error, index),
+// the order the serial strict-< fold in candidate order selects by, so
+// the kept model is the fold winner's at any thread count; a NaN or
+// infinite error never wins the fold and is never kept. Only the best
+// model so far outlives its group's trials.
+class BestModel {
+ public:
+  void offer(double val_error, std::size_t index,
+             std::shared_ptr<const GradientBoostedTrees> model) {
+    if (!(val_error < std::numeric_limits<double>::infinity())) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (model_ == nullptr || val_error < val_error_ ||
+        (val_error == val_error_ && index < index_)) {
+      val_error_ = val_error;
+      index_ = index;
+      model_ = std::move(model);
+    }
+  }
+  std::shared_ptr<const GradientBoostedTrees> take() {
+    return std::move(model_);
+  }
+
+ private:
+  std::mutex mu_;
+  double val_error_ = 0.0;
+  std::size_t index_ = 0;
+  std::shared_ptr<const GradientBoostedTrees> model_;
+};
+
 // Evaluate pre-generated candidates concurrently (each trial writes its
 // own slot), then fold serially in candidate order so `on_point`
 // callback order and the strict-< first-point-wins tie-breaking match
@@ -77,7 +91,8 @@ bool same_except_trees(const GbtParams& a, const GbtParams& b) {
 // the selected point, are bit-identical to fitting every candidate
 // separately, at a fraction of the tree builds. A grid with an
 // n_estimators ladder of {16,32,64,128} pays for 128 trees per depth
-// instead of 240.
+// instead of 240. The winning family's model is handed back with the
+// result (SearchResult::best_model).
 SearchResult evaluate_all(const std::vector<GbtParams>& points,
                           const data::MatrixView& x_train,
                           std::span<const double> y_train,
@@ -89,8 +104,7 @@ SearchResult evaluate_all(const std::vector<GbtParams>& points,
   const EncodedVal val = binned.encode_all_ooc(x_val);
 
   // Group candidate indices into prefix families, members sorted by
-  // ascending n_estimators. Searches with per-candidate seeds (random,
-  // halving populations) degenerate to singleton groups.
+  // ascending n_estimators.
   std::vector<std::vector<std::size_t>> groups;
   std::vector<bool> claimed(points.size(), false);
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -111,13 +125,15 @@ SearchResult evaluate_all(const std::vector<GbtParams>& points,
   }
 
   std::vector<SearchPoint> evaluated(points.size());
+  BestModel best_model;
   util::parallel_for(groups.size(), [&](std::size_t g) {
     const auto& members = groups[g];
-    GradientBoostedTrees model(points[members.back()]);
+    const auto model =
+        std::make_shared<GradientBoostedTrees>(points[members.back()]);
     {
       obs::SpanGuard fit_span("search.fit");
       obs::span_arg("group_size", static_cast<double>(members.size()));
-      model.fit_binned(x_train, y_train, binned);
+      model->fit_binned(x_train, y_train, binned);
     }
     for (const std::size_t idx : members) {
       obs::SpanGuard trial_span("search.trial");
@@ -126,8 +142,9 @@ SearchResult evaluate_all(const std::vector<GbtParams>& points,
       point.params = points[idx];
       point.val_error = median_abs_log_error(
           y_val,
-          model.predict_codes_prefix(val.codes(), points[idx].n_estimators));
+          model->predict_codes_prefix(val.codes(), points[idx].n_estimators));
       obs::span_arg("val_error", point.val_error);
+      best_model.offer(point.val_error, idx, model);
       evaluated[idx] = std::move(point);
     }
   });
@@ -139,6 +156,7 @@ SearchResult evaluate_all(const std::vector<GbtParams>& points,
     if (point.val_error < result.best.val_error) result.best = point;
     result.evaluated.push_back(std::move(point));
   }
+  result.best_model = best_model.take();
   return result;
 }
 
@@ -170,120 +188,6 @@ SearchResult grid_search(const GbtGrid& grid, const data::MatrixView& x_train,
     }
   }
   return evaluate_all(points, x_train, y_train, x_val, y_val, on_point);
-}
-
-SearchResult random_search(const GbtGrid& grid, std::size_t n_samples,
-                           const data::MatrixView& x_train,
-                           std::span<const double> y_train,
-                           const data::MatrixView& x_val,
-                           std::span<const double> y_val, util::Rng& rng,
-                           const SearchCallback& on_point) {
-  if (n_samples == 0) throw std::invalid_argument("random_search: 0 samples");
-  IOTAX_TRACE_SPAN("search.random");
-  // Serial RNG pass first, so the sampled stream is independent of how
-  // trials are later scheduled.
-  std::vector<GbtParams> points;
-  points.reserve(n_samples);
-  for (std::size_t i = 0; i < n_samples; ++i) {
-    GbtParams p = grid.base;
-    p.n_estimators = rng.choice(grid.n_estimators);
-    p.max_depth = rng.choice(grid.max_depth);
-    p.subsample = rng.choice(grid.subsample);
-    p.colsample = rng.choice(grid.colsample);
-    p.seed = rng.next();
-    points.push_back(p);
-  }
-  return evaluate_all(points, x_train, y_train, x_val, y_val, on_point);
-}
-
-
-SearchResult successive_halving(const GbtGrid& grid,
-                                const HalvingParams& params,
-                                const data::MatrixView& x_train,
-                                std::span<const double> y_train,
-                                const data::MatrixView& x_val,
-                                std::span<const double> y_val,
-                                const SearchCallback& on_point) {
-  if (params.initial_configs < 2 || params.elim_factor < 2) {
-    throw std::invalid_argument("successive_halving: bad params");
-  }
-  if (params.initial_budget_frac <= 0.0 || params.initial_budget_frac > 1.0) {
-    throw std::invalid_argument("successive_halving: bad budget fraction");
-  }
-  IOTAX_TRACE_SPAN("search.halving");
-  util::Rng rng(params.seed);
-
-  // Sample the initial population of configurations.
-  std::vector<GbtParams> population;
-  for (std::size_t i = 0; i < params.initial_configs; ++i) {
-    GbtParams p = grid.base;
-    p.n_estimators = rng.choice(grid.n_estimators);
-    p.max_depth = rng.choice(grid.max_depth);
-    p.subsample = rng.choice(grid.subsample);
-    p.colsample = rng.choice(grid.colsample);
-    p.seed = rng.next();
-    population.push_back(p);
-  }
-
-  SearchResult result;
-  result.best.val_error = std::numeric_limits<double>::infinity();
-  double budget_frac = params.initial_budget_frac;
-  std::vector<std::size_t> all_rows(x_train.rows());
-  for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
-
-  while (!population.empty()) {
-    const bool last_rung =
-        budget_frac >= 1.0 ||
-        population.size() <= 1;
-    // Rung training subset (a prefix of a fixed shuffle keeps rungs
-    // nested, as successive halving prescribes).
-    const auto n_rows = std::max<std::size_t>(
-        16, static_cast<std::size_t>(std::min(1.0, budget_frac) *
-                                     static_cast<double>(x_train.rows())));
-    util::Rng shuffle_rng(params.seed);  // same shuffle at every rung
-    auto rows = all_rows;
-    shuffle_rng.shuffle(rows);
-    rows.resize(n_rows);
-    // Row-index view into the caller's matrix — the rung never copies
-    // the training rows (previously a full take_rows per rung).
-    std::vector<std::size_t> sub_rows;
-    const data::MatrixView x_sub = x_train.take_rows(rows, &sub_rows);
-    std::vector<double> y_sub(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) y_sub[i] = y_train[rows[i]];
-
-    // One binned view per rung, shared by the whole surviving
-    // population; rung trials evaluate concurrently into slots. The
-    // rung's bin edges come from its row subset, so the validation
-    // encoding is per rung too.
-    const BinnedMatrix binned_sub = bin_for_search(grid.base, x_sub);
-    const EncodedVal val = binned_sub.encode_all_ooc(x_val);
-    std::vector<SearchPoint> rung(population.size());
-    util::parallel_for(population.size(), [&](std::size_t i) {
-      rung[i] =
-          evaluate(population[i], x_sub, y_sub, binned_sub, val.codes(), y_val);
-    });
-    for (const auto& point : rung) {
-      if (on_point) on_point(point);
-      if (last_rung && point.val_error < result.best.val_error) {
-        result.best = point;
-      }
-      result.evaluated.push_back(point);
-    }
-    if (last_rung) break;
-    // Keep the best 1/elim_factor of this rung.
-    std::sort(rung.begin(), rung.end(),
-              [](const SearchPoint& a, const SearchPoint& b) {
-                return a.val_error < b.val_error;
-              });
-    const auto survivors = std::max<std::size_t>(
-        1, rung.size() / params.elim_factor);
-    population.clear();
-    for (std::size_t i = 0; i < survivors; ++i) {
-      population.push_back(rung[i].params);
-    }
-    budget_frac *= static_cast<double>(params.elim_factor);
-  }
-  return result;
 }
 
 }  // namespace iotax::ml

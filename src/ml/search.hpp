@@ -1,11 +1,11 @@
 // Hyperparameter search for the GBT models (§VI.B): the paper trains
 // 8046 XGBoost configurations over four hyperparameters — number of
 // trees, tree depth, row fraction and column fraction — and selects on a
-// validation set. GridSearch reproduces that; RandomSearch is the cheaper
-// alternative used by the ablation benches.
+// validation set. grid_search reproduces that.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/ml/gbt.hpp"
@@ -21,6 +21,14 @@ struct SearchPoint {
 struct SearchResult {
   std::vector<SearchPoint> evaluated;  // in evaluation order
   SearchPoint best;
+  /// The fitted model of `best`'s prefix family: every candidate that
+  /// differs from `best` only in n_estimators shares one fit at the
+  /// family's largest tree count. Its first best.params.n_estimators
+  /// trees are bit-identical to fitting best.params on the training
+  /// matrix, so predict_prefix(x, best.params.n_estimators) scores the
+  /// winner without a refit. Null when no candidate had a finite
+  /// validation error.
+  std::shared_ptr<const GradientBoostedTrees> best_model;
 };
 
 struct GbtGrid {
@@ -39,35 +47,5 @@ SearchResult grid_search(const GbtGrid& grid, const data::MatrixView& x_train,
                          const data::MatrixView& x_val,
                          std::span<const double> y_val,
                          const SearchCallback& on_point = nullptr);
-
-/// Random search over the same space.
-SearchResult random_search(const GbtGrid& grid, std::size_t n_samples,
-                           const data::MatrixView& x_train,
-                           std::span<const double> y_train,
-                           const data::MatrixView& x_val,
-                           std::span<const double> y_val, util::Rng& rng,
-                           const SearchCallback& on_point = nullptr);
-
-/// Successive halving (Hyperband's inner loop): start many random
-/// configurations on a small row budget, keep the best `1/elim_factor`
-/// fraction at each rung, and multiply the budget by `elim_factor` until
-/// the full training set is reached. Finds near-grid-quality configs at
-/// a fraction of the grid's cost — the budget-aware alternative to the
-/// paper's 8046-model exhaustive sweep.
-struct HalvingParams {
-  std::size_t initial_configs = 27;
-  std::size_t elim_factor = 3;
-  /// Row budget of the first rung as a fraction of the training set.
-  double initial_budget_frac = 0.1;
-  std::uint64_t seed = 59;
-};
-
-SearchResult successive_halving(const GbtGrid& grid,
-                                const HalvingParams& params,
-                                const data::MatrixView& x_train,
-                                std::span<const double> y_train,
-                                const data::MatrixView& x_val,
-                                std::span<const double> y_val,
-                                const SearchCallback& on_point = nullptr);
 
 }  // namespace iotax::ml

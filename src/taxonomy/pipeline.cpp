@@ -131,10 +131,19 @@ TaxonomyReport run_taxonomy(const data::DatasetView& ds,
     const auto search =
         ml::grid_search(config.grid, x_train, y_train, x_val, y_val);
     report.tuned_params = search.best.params;
-    ml::GradientBoostedTrees tuned(report.tuned_params);
-    tuned.fit(x_train, y_train);
-    report.tuned_error =
-        ml::median_abs_log_error(y_test, tuned.predict(x_test));
+    // The search already fitted the winner: the first n_estimators trees
+    // of its prefix family's model are the tuned model. Refit only when
+    // no candidate scored a finite validation error.
+    std::vector<double> tuned_pred;
+    if (search.best_model != nullptr) {
+      tuned_pred = search.best_model->predict_prefix(
+          x_test, report.tuned_params.n_estimators);
+    } else {
+      ml::GradientBoostedTrees tuned(report.tuned_params);
+      tuned.fit(x_train, y_train);
+      tuned_pred = tuned.predict(x_test);
+    }
+    report.tuned_error = ml::median_abs_log_error(y_test, tuned_pred);
     report.health.push_back(healthy("search", split.val.size(), req.min_val,
                                     "validation split below minimum"));
   } else {

@@ -112,6 +112,55 @@ void expect_scan_identical(const ScanCase& c) {
   // Bit comparison, not EXPECT_DOUBLE_EQ: the contract is identity.
   EXPECT_EQ(std::memcmp(&s.gain, &v.gain, sizeof(double)), 0)
       << "scalar=" << s.gain << " avx2=" << v.gain;
+  // `constant` against a direct recount, not only tier against tier.
+  bool constant = true;
+  for (const auto r : c.order) constant = constant && c.col[r] == c.col[c.order[0]];
+  EXPECT_EQ(s.constant, constant);
+  EXPECT_EQ(v.constant, constant);
+}
+
+// A node as GradientBoostedTrees::build_tree scans it: n rows drawn
+// from a larger column, one code holding about 60% of them (sometimes
+// the last bin), tied codes and tied gradients, -0.0 gradients, and now
+// and then a node whose rows all share one code. Half the cases screen
+// with min_child_weight 0 and min_split_gain -1, where the all-empty
+// bin-0 prefix posts a live gain of 0.
+ScanCase tree_scan_case(std::mt19937& rng, std::size_t n, std::size_t bins) {
+  ScanCase c;
+  c.bins = bins;
+  std::uniform_int_distribution<int> bin_dist(0, static_cast<int>(bins) - 1);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::normal_distribution<double> grad_dist(0.0, 3.0);
+  const auto dominant = static_cast<std::uint16_t>(
+      u(rng) < 0.25 ? bins - 1 : static_cast<std::size_t>(bin_dist(rng)));
+  const bool all_same = u(rng) < 0.15;
+  const std::size_t rows = 2 * n + 3;
+  c.col.resize(rows);
+  for (auto& v : c.col) {
+    v = all_same || u(rng) < 0.6 ? dominant
+                                 : static_cast<std::uint16_t>(bin_dist(rng));
+  }
+  std::vector<std::size_t> all(rows);
+  for (std::size_t i = 0; i < rows; ++i) all[i] = i;
+  std::shuffle(all.begin(), all.end(), rng);
+  c.order.assign(all.begin(), all.begin() + static_cast<long>(n));
+  std::sort(c.order.begin(), c.order.end());
+  c.grad.resize(n);
+  double g_total = 0.0;
+  for (auto& g : c.grad) {
+    const double pick = u(rng);
+    g = pick < 0.1 ? -0.0 : pick < 0.2 ? 1.5 : grad_dist(rng);
+    g_total += g;
+  }
+  const bool loose = u(rng) < 0.5;
+  c.params.g_total = g_total;
+  c.params.h_total = static_cast<double>(n);
+  c.params.reg_lambda = 1.0;
+  c.params.min_child_weight = loose ? 0.0 : 1.0;
+  c.params.min_split_gain = loose ? -1.0 : 0.0;
+  c.params.parent_score =
+      g_total * g_total / (c.params.h_total + c.params.reg_lambda);
+  return c;
 }
 
 TEST(KernelsHist, ScalarVsAvx2Randomized) {
@@ -120,6 +169,14 @@ TEST(KernelsHist, ScalarVsAvx2Randomized) {
     const std::size_t rows = 1 + rng() % 400;
     const std::size_t bins = 2 + rng() % 60;
     expect_scan_identical(random_scan_case(rng, rows, bins));
+  }
+  // Tree-shaped traffic: 11 node sizes x 6 bin counts x 16 draws.
+  for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 189}) {
+    for (const std::size_t bins : {2, 3, 63, 64, 65, 2048}) {
+      for (int rep = 0; rep < 16; ++rep) {
+        expect_scan_identical(tree_scan_case(rng, n, bins));
+      }
+    }
   }
 }
 
@@ -147,18 +204,23 @@ TEST(KernelsHist, EmptyNode) {
 }
 
 TEST(KernelsHist, EmptyFeature) {
-  // All rows land in bin 0 (a constant feature): no valid split.
+  // All rows land in bin 0 (a constant feature): no valid split, and the
+  // same for a feature binned into a single code.
   std::mt19937 rng(17);
   ScanCase c = random_scan_case(rng, 64, 4);
   std::fill(c.col.begin(), c.col.end(), std::uint16_t{0});
-  expect_scan_identical(c);
-  EXPECT_FALSE(run_scan(c, "scalar").valid);
+  for (const std::size_t bins : {4, 1}) {
+    c.bins = bins;
+    expect_scan_identical(c);
+    EXPECT_FALSE(run_scan(c, "scalar").valid) << bins;
+    EXPECT_TRUE(run_scan(c, "scalar").constant) << bins;
+  }
 }
 
 TEST(KernelsHist, SparseOffsetBins) {
   // Codes confined to a narrow high window of a wide bin space: bin 0 is
-  // untouched (prefix collapse), most 4-bin blocks are empty (skip
-  // path), and a long all-empty suffix follows bmax (trim path).
+  // untouched (the single all-empty-prefix evaluation), and the sweep
+  // skips the untouched bins between and after the touched ones.
   std::mt19937 rng(29);
   for (int rep = 0; rep < 20; ++rep) {
     ScanCase c = random_scan_case(rng, 48, 256);
@@ -171,7 +233,7 @@ TEST(KernelsHist, SparseOffsetBins) {
 }
 
 TEST(KernelsHist, AllRowsInLastBin) {
-  // bmin == bmax == bins-1: the sweepable range is empty, so the result
+  // Every row in bin bins-1, which the sweep never evaluates: the result
   // must come from the all-empty-prefix evaluation alone.
   std::mt19937 rng(31);
   ScanCase c = random_scan_case(rng, 32, 8);
@@ -182,8 +244,8 @@ TEST(KernelsHist, AllRowsInLastBin) {
 
 TEST(KernelsHist, NegativeMinSplitGainZeroChildWeight) {
   // With min_split_gain < 0 and min_child_weight == 0 the all-empty
-  // prefix's +0.0 gain is a live candidate at bin 0 — the trimmed sweep
-  // must still report exactly what the scalar loop reports.
+  // prefix's +0.0 gain is a live candidate at bin 0 — the touched-bin
+  // sweep must still report exactly what the scalar loop reports.
   std::mt19937 rng(37);
   for (int rep = 0; rep < 20; ++rep) {
     ScanCase c = random_scan_case(rng, 24, 64);
@@ -350,19 +412,25 @@ TEST(KernelsForest, ValuesMatchReferenceBothTiers) {
     for (auto& v : x) v = xd(rng);
     // A NaN feature must route right under both tiers.
     if (n_rows > 2) x[n_features + 1] = std::nan("");
-    std::vector<double> expected(n_rows, -0.25);
-    for (std::size_t i = 0; i < n_rows; ++i) {
-      for (const auto& tree : trees) {
-        expected[i] += reference_values(tree, x.data() + i * n_features);
-      }
-    }
-    for (const char* policy : {"scalar", "avx2"}) {
-      ScopedKernels tier(policy);
-      std::vector<double> out(n_rows, -0.25);
-      forest.predict_values(x.data(), n_features, n_rows, out.data());
+    // Every tree prefix, the whole forest last.
+    for (std::size_t t_end = 0; t_end <= trees.size(); ++t_end) {
+      std::vector<double> expected(n_rows, -0.25);
       for (std::size_t i = 0; i < n_rows; ++i) {
-        EXPECT_EQ(std::memcmp(&expected[i], &out[i], sizeof(double)), 0)
-            << "policy=" << policy << " rows=" << n_rows << " i=" << i;
+        for (std::size_t t = 0; t < t_end; ++t) {
+          expected[i] +=
+              reference_values(trees[t], x.data() + i * n_features);
+        }
+      }
+      for (const char* policy : {"scalar", "avx2"}) {
+        ScopedKernels tier(policy);
+        std::vector<double> out(n_rows, -0.25);
+        forest.predict_values(t_end, x.data(), n_features, n_rows,
+                              out.data());
+        for (std::size_t i = 0; i < n_rows; ++i) {
+          EXPECT_EQ(std::memcmp(&expected[i], &out[i], sizeof(double)), 0)
+              << "policy=" << policy << " rows=" << n_rows
+              << " trees=" << t_end << " i=" << i;
+        }
       }
     }
   }

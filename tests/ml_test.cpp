@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "src/data/matrix.hpp"
 #include "src/ml/binning.hpp"
 #include "src/ml/ensemble.hpp"
 #include "src/ml/gbt.hpp"
+#include "src/ml/kernels/dispatch.hpp"
+#include "src/ml/kernels/hist.hpp"
 #include "src/ml/linear.hpp"
 #include "src/ml/metrics.hpp"
 #include "src/ml/model.hpp"
@@ -20,6 +24,25 @@
 
 namespace iotax {
 namespace {
+
+// Pin the kernel tier for one scope; restores "auto" on exit.
+class ScopedKernels {
+ public:
+  explicit ScopedKernels(const char* policy) {
+    ::setenv("IOTAX_KERNELS", policy, 1);
+    ml::kernels::refresh();
+  }
+  ~ScopedKernels() {
+    ::unsetenv("IOTAX_KERNELS");
+    ml::kernels::refresh();
+  }
+};
+
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* n) { ::setenv("IOTAX_THREADS", n, 1); }
+  ~ScopedThreads() { ::unsetenv("IOTAX_THREADS"); }
+};
 
 TEST(Metrics, LogErrorsAreSignedDifferences) {
   const std::vector<double> yt = {1.0, 2.0};
@@ -663,6 +686,238 @@ TEST(MlpBatchTraining, DeepEnsembleMembersBitIdenticalToRowwiseReference) {
   }
 }
 
+// Test-only reference booster: GradientBoostedTrees' squared-loss fit
+// as it was before each tree carried a live-feature list, so every node
+// scans every sampled feature. It is transcribed from public pieces
+// only: BinnedMatrix codes and thresholds, kernels::feature_scan on the
+// scalar tier, kernels::node_sum, and std::partition with the same
+// predicate. GradientBoostedTrees must reproduce its predictions and
+// importances bit for bit on either tier.
+class ReferenceGbt {
+ public:
+  explicit ReferenceGbt(ml::GbtParams p) : p_(std::move(p)) {}
+
+  void fit(const data::Matrix& x, const std::vector<double>& y) {
+    ScopedKernels tier("scalar");
+    const ml::BinnedMatrix binned(x, p_.max_bins);
+    base_ = stats::mean(y);
+    importance_.assign(x.cols(), 0.0);
+    util::Rng rng(p_.seed);
+    std::vector<double> preds(x.rows(), base_);
+    std::vector<double> grad(x.rows());
+    std::vector<std::size_t> all_rows(x.rows());
+    std::iota(all_rows.begin(), all_rows.end(), 0);
+    std::vector<std::size_t> all_features(x.cols());
+    std::iota(all_features.begin(), all_features.end(), 0);
+    const auto n_sub = std::max<std::size_t>(
+        2, static_cast<std::size_t>(p_.subsample *
+                                    static_cast<double>(x.rows())));
+    const auto n_col = std::max<std::size_t>(
+        1, static_cast<std::size_t>(p_.colsample *
+                                    static_cast<double>(x.cols())));
+    for (std::size_t t = 0; t < p_.n_estimators; ++t) {
+      for (std::size_t i = 0; i < x.rows(); ++i) grad[i] = preds[i] - y[i];
+      const auto rows = p_.subsample < 1.0
+                            ? rng.sample_without_replacement(x.rows(), n_sub)
+                            : all_rows;
+      const auto features =
+          p_.colsample < 1.0
+              ? rng.sample_without_replacement(x.cols(), n_col)
+              : all_features;
+      trees_.push_back(build(binned, rows, features, grad));
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        preds[i] += leaf(trees_.back(), [&](const Node& n) {
+          return binned.code(i, static_cast<std::size_t>(n.feature)) <=
+                 n.bin;
+        });
+      }
+    }
+  }
+
+  std::vector<double> predict(const data::Matrix& x) const {
+    std::vector<double> out(x.rows(), base_);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      for (const auto& tree : trees_) {
+        out[i] += leaf(tree, [&](const Node& n) {
+          return x(i, static_cast<std::size_t>(n.feature)) <= n.threshold;
+        });
+      }
+    }
+    return out;
+  }
+
+  std::vector<double> importances() const {
+    std::vector<double> imp = importance_;
+    double total = 0.0;
+    for (const double v : imp) total += v;
+    if (total > 0.0) {
+      for (double& v : imp) v /= total;
+    }
+    return imp;
+  }
+
+ private:
+  struct Node {
+    int feature = -1;
+    std::size_t bin = 0;
+    double threshold = 0.0;
+    std::size_t left = 0;
+    std::size_t right = 0;
+    double value = 0.0;
+  };
+  using Tree = std::vector<Node>;
+
+  template <typename GoesLeft>
+  static double leaf(const Tree& tree, const GoesLeft& goes_left) {
+    std::size_t k = 0;
+    while (tree[k].feature >= 0) {
+      k = goes_left(tree[k]) ? tree[k].left : tree[k].right;
+    }
+    return tree[k].value;
+  }
+
+  Tree build(const ml::BinnedMatrix& binned, std::vector<std::size_t> order,
+             const std::vector<std::size_t>& features,
+             const std::vector<double>& grad) {
+    struct Item {
+      std::size_t node;
+      std::size_t lo;
+      std::size_t hi;
+      std::size_t depth;
+    };
+    Tree tree(1);
+    std::vector<Item> stack = {{0, 0, order.size(), 0}};
+    std::vector<double> node_grad(order.size());
+    while (!stack.empty()) {
+      const Item item = stack.back();
+      stack.pop_back();
+      const std::size_t n = item.hi - item.lo;
+      for (std::size_t i = 0; i < n; ++i) {
+        node_grad[i] = grad[order[item.lo + i]];
+      }
+      const double g_total = ml::kernels::node_sum(node_grad.data(), n);
+      const auto h_total = static_cast<double>(n);
+      const double leaf_value =
+          -g_total / (h_total + p_.reg_lambda) * p_.learning_rate;
+      if (item.depth >= p_.max_depth ||
+          h_total < 2.0 * p_.min_child_weight) {
+        tree[item.node].value = leaf_value;
+        continue;
+      }
+      const ml::kernels::FeatureScanParams scan{
+          g_total,           h_total,
+          p_.reg_lambda,     p_.min_child_weight,
+          p_.min_split_gain, g_total * g_total / (h_total + p_.reg_lambda)};
+      int best_feature = -1;
+      std::size_t best_bin = 0;
+      double best_gain = p_.min_split_gain;
+      for (const std::size_t f : features) {
+        const auto c = ml::kernels::feature_scan(
+            binned.col_codes(f).data(), order.data() + item.lo, n,
+            node_grad.data(), binned.n_bins(f), scan);
+        if (c.valid && c.gain > best_gain) {
+          best_gain = c.gain;
+          best_feature = static_cast<int>(f);
+          best_bin = c.bin;
+        }
+      }
+      if (best_feature < 0) {
+        tree[item.node].value = leaf_value;
+        continue;
+      }
+      const auto f = static_cast<std::size_t>(best_feature);
+      const auto mid = static_cast<std::size_t>(
+          std::partition(order.begin() + static_cast<long>(item.lo),
+                         order.begin() + static_cast<long>(item.hi),
+                         [&](std::size_t r) {
+                           return binned.code(r, f) <= best_bin;
+                         }) -
+          order.begin());
+      if (mid == item.lo || mid == item.hi) {
+        tree[item.node].value = leaf_value;
+        continue;
+      }
+      Node& node = tree[item.node];
+      node.feature = best_feature;
+      node.bin = best_bin;
+      node.threshold = binned.threshold(f, best_bin);
+      node.left = tree.size();
+      node.right = tree.size() + 1;
+      importance_[f] += best_gain;
+      const std::size_t left = node.left;
+      tree.resize(tree.size() + 2);
+      stack.push_back({left, item.lo, mid, item.depth + 1});
+      stack.push_back({left + 1, mid, item.hi, item.depth + 1});
+    }
+    return tree;
+  }
+
+  ml::GbtParams p_;
+  double base_ = 0.0;
+  std::vector<double> importance_;
+  std::vector<Tree> trees_;
+};
+
+// Columns that make features go constant inside nodes: an all-zero
+// column, a near-constant one, a three-level one, two informative
+// continuous ones and noise.
+data::Matrix constant_prone_matrix(std::size_t n, util::Rng& rng) {
+  data::Matrix x(n, 6);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = rng.uniform(-2.0, 2.0);
+    x(i, 1) = rng.uniform(-2.0, 2.0);
+    x(i, 2) = 0.0;
+    x(i, 3) = rng.uniform() < 0.03 ? 1.0 : 0.0;
+    x(i, 4) = static_cast<double>(rng.uniform_int(0, 2));
+    x(i, 5) = rng.normal();
+  }
+  return x;
+}
+
+TEST(Gbt, LiveFeatureListBitIdenticalToFullScanReference) {
+  util::Rng rng(41);
+  const auto x = constant_prone_matrix(240, rng);
+  const auto probe = constant_prone_matrix(80, rng);
+  std::vector<double> y(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    y[i] = x(i, 0) * x(i, 4) - x(i, 1) + 2.0 * x(i, 3) + rng.normal(0.0, 0.1);
+  }
+  for (const double mcw : {0.0, 1.0, 5.0}) {
+    for (const double msg : {-1.0, 0.0}) {
+      for (const double sub : {1.0, 0.7}) {
+        for (const double col : {1.0, 0.7}) {
+          for (const std::size_t depth : {1UL, 6UL, 16UL}) {
+            ml::GbtParams p;
+            p.n_estimators = 4;
+            p.max_depth = depth;
+            p.min_child_weight = mcw;
+            p.min_split_gain = msg;
+            p.subsample = sub;
+            p.colsample = col;
+            ReferenceGbt ref(p);
+            ref.fit(x, y);
+            const auto want = ref.predict(probe);
+            const auto want_imp = ref.importances();
+            for (const char* tier : {"scalar", "avx2"}) {
+              ScopedKernels pin(tier);
+              ml::GradientBoostedTrees model(p);
+              model.fit(x, y);
+              const std::string what =
+                  std::string(tier) + " mcw=" + std::to_string(mcw) +
+                  " msg=" + std::to_string(msg) + " sub=" +
+                  std::to_string(sub) + " col=" + std::to_string(col) +
+                  " depth=" + std::to_string(depth);
+              EXPECT_TRUE(same_bits(model.predict(probe), want)) << what;
+              EXPECT_TRUE(same_bits(model.feature_importances(), want_imp))
+                  << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Search, GridSearchFindsReasonableConfig) {
   const auto prob = make_problem(800, 300, 0.05, 15);
   ml::GbtGrid grid;
@@ -683,17 +938,25 @@ TEST(Search, GridSearchFindsReasonableConfig) {
   }
 }
 
-TEST(Search, RandomSearchSamplesFromGrid) {
-  const auto prob = make_problem(400, 100, 0.05, 16);
+TEST(Search, BestModelPrefixMatchesRefit) {
+  const auto prob = make_problem(500, 200, 0.1, 19);
+  const auto val = make_problem(150, 0, 0.1, 20);
   ml::GbtGrid grid;
-  grid.n_estimators = {5, 10};
-  grid.max_depth = {2, 3};
-  util::Rng rng(17);
-  const auto res = ml::random_search(grid, 6, prob.x_train, prob.y_train,
-                                     prob.x_test, prob.y_test, rng);
-  EXPECT_EQ(res.evaluated.size(), 6u);
-  for (const auto& pt : res.evaluated) {
-    EXPECT_TRUE(pt.params.n_estimators == 5 || pt.params.n_estimators == 10);
+  grid.n_estimators = {6, 12, 24};
+  grid.max_depth = {2, 5};
+  grid.subsample = {0.8, 1.0};
+  grid.colsample = {1.0};
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreads pin(threads);
+    const auto res = ml::grid_search(grid, prob.x_train, prob.y_train,
+                                     val.x_train, val.y_train);
+    ASSERT_NE(res.best_model, nullptr) << threads;
+    ml::GradientBoostedTrees refit(res.best.params);
+    refit.fit(prob.x_train, prob.y_train);
+    EXPECT_TRUE(same_bits(res.best_model->predict_prefix(
+                              prob.x_test, res.best.params.n_estimators),
+                          refit.predict(prob.x_test)))
+        << "IOTAX_THREADS=" << threads;
   }
 }
 

@@ -441,13 +441,12 @@ TEST_F(ObsDeterminism, SearchOutputsBitIdentical) {
   expect_identical_everywhere([&] {
     ml::GbtGrid grid;
     grid.base.n_estimators = 8;
-    grid.n_estimators = {8};
+    grid.n_estimators = {4, 8};
     grid.max_depth = {3, 4};
     grid.subsample = {0.9};
     grid.colsample = {0.8};
-    util::Rng rng(5);
-    const auto result = ml::random_search(grid, 4, train.x, train.y, val.x,
-                                          val.y, rng);
+    const auto result =
+        ml::grid_search(grid, train.x, train.y, val.x, val.y);
     std::vector<double> errs;
     for (const auto& point : result.evaluated) errs.push_back(point.val_error);
     errs.push_back(result.best.val_error);

@@ -177,6 +177,83 @@ void expect_load_rejects(const std::string& text, const std::string& names) {
   }
 }
 
+// A one-tree checkpoint in GradientBoostedTrees::save's format over
+// two features; each node line is "feature threshold left right value".
+std::string gbt_checkpoint(const std::vector<std::string>& nodes,
+                           const std::string& n_trees = "1",
+                           const std::string& n_features = "2") {
+  std::ostringstream out;
+  out << "iotax-gbt 1\nparams 1 3 0.1 1 1 0 1 1 64 17 0 0.5\n"
+      << "base_score 0.25\nn_features " << n_features
+      << "\nimportance 0.5 0.5\ntrees " << n_trees << "\ntree "
+      << nodes.size() << '\n';
+  for (const auto& n : nodes) out << n << '\n';
+  return out.str();
+}
+
+TEST(GbtSerialize, CraftedTreeOfTheRightShapeLoads) {
+  std::istringstream in(gbt_checkpoint(
+      {"0 0.5 1 2 0", "1 1.5 3 4 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2",
+       "-1 0 -1 -1 3"}));
+  const auto model = ml::GradientBoostedTrees::load(in);
+  data::Matrix x(1, 2);
+  x(0, 1) = 2.0;  // left of the root, then right: node 4
+  EXPECT_EQ(model.predict(x), std::vector<double>{3.25});
+}
+
+TEST(GbtSerialize, LoadRejectsNegativeChild) {
+  // Packing this tree wrote to packed_of[-5].
+  expect_load_rejects<ml::GradientBoostedTrees>(
+      gbt_checkpoint({"0 0.5 -5 2 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2"}),
+      "tree 0 node 0: child -5");
+}
+
+TEST(GbtSerialize, LoadRejectsChildPointingAtTheRoot) {
+  // A cycle: the breadth-first relayout never ended.
+  expect_load_rejects<ml::GradientBoostedTrees>(
+      gbt_checkpoint({"0 0.5 1 2 0", "1 0.5 0 2 0", "-1 0 -1 -1 2"}),
+      "tree 0 node 1: child 0");
+}
+
+TEST(GbtSerialize, LoadRejectsSharedChild) {
+  // Node 3 under both 1 and 2: each sharing level doubled the walk.
+  expect_load_rejects<ml::GradientBoostedTrees>(
+      gbt_checkpoint({"0 0.5 1 2 0", "1 0.5 3 4 0", "1 0.5 3 4 0",
+                      "-1 0 -1 -1 1", "-1 0 -1 -1 2"}),
+      "tree 0 node 2: child 3 is already a child");
+}
+
+TEST(GbtSerialize, LoadRejectsHugeTreeCount) {
+  // The tree list was resized to this count before any tree was read.
+  std::istringstream in(gbt_checkpoint(
+      {"0 0.5 1 2 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2"}, "4000000000"));
+  EXPECT_THROW(ml::GradientBoostedTrees::load(in), std::runtime_error);
+}
+
+TEST(GbtSerialize, LoadRejectsHugeFeatureCount) {
+  // The importance vector was resized to this count up front.
+  std::istringstream in(gbt_checkpoint(
+      {"0 0.5 1 2 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2"}, "1", "4000000000"));
+  EXPECT_THROW(ml::GradientBoostedTrees::load(in), std::runtime_error);
+}
+
+TEST(MlpSerialize, LoadRejectsHugeHiddenList) {
+  // The hidden list, a layer's weights and the scaler were each sized
+  // by a count from the file before their values were read.
+  const std::string good = mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 1}});
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"hidden 1 2", "hidden 4000000000 2"},
+           {"hidden 1 2", "hidden 1 4000000000"},
+           {"layer 2 2", "layer 2 4000000000"},
+           {"scaler 2", "scaler 4000000000"}}) {
+    std::string text = good;
+    text.replace(text.find(from), from.size(), to);
+    std::istringstream in(text);
+    EXPECT_THROW(ml::Mlp::load(in), std::runtime_error) << to;
+  }
+}
+
 TEST(MlpSerialize, CraftedCheckpointOfTheRightShapeLoads) {
   std::istringstream in(mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 1}}));
   const auto model = ml::Mlp::load(in);

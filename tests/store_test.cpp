@@ -1,5 +1,5 @@
 // The out-of-core columnar store: pack -> open must be value-exact, and
-// every pipeline consumer (binning, GBT fit/predict, halving search, the
+// every pipeline consumer (binning, GBT fit/predict, grid search, the
 // five-step taxonomy) must produce byte-identical results whether the
 // dataset lives on the heap (CSV path) or in mapped column files
 // (--store path), in-RAM or out-of-core, at any thread count.
@@ -214,7 +214,7 @@ TEST(ColumnStore, OutOfCoreBinningBitIdentical) {
   EXPECT_EQ(copy.code(5, 3), in_ram.code(5, 3));
 }
 
-TEST(ColumnStore, GbtAndHalvingBitIdenticalThroughStore) {
+TEST(ColumnStore, GbtAndGridSearchBitIdenticalThroughStore) {
   const auto& ds = fixture().dataset;
   const auto dir = fresh_dir("iotax_store_gbt");
   data::pack_dataset(dir.string(), ds);
@@ -241,10 +241,7 @@ TEST(ColumnStore, GbtAndHalvingBitIdenticalThroughStore) {
     grid.max_depth = {3, 6};
     grid.subsample = {1.0};
     grid.colsample = {1.0};
-    ml::HalvingParams hp;
-    hp.initial_configs = 6;
-    const auto search =
-        ml::successive_halving(grid, hp, xt, yt, xv, yv);
+    const auto search = ml::grid_search(grid, xt, yt, xv, yv);
     std::ostringstream key;
     key.precision(17);
     key << save_model(model) << '\n';

@@ -247,7 +247,7 @@ TEST(ViewEquivalence, GbtTrainedOnViewMatchesCopyAtAnyThreadCount) {
   }
 }
 
-TEST(ViewEquivalence, HalvingSearchOnViewMatchesCopy) {
+TEST(ViewEquivalence, GridSearchOnViewMatchesCopy) {
   const auto x = make_matrix(240, 3, 13);
   const auto y = make_targets(x, 14);
   std::vector<std::size_t> train_rows(180);
@@ -268,11 +268,8 @@ TEST(ViewEquivalence, HalvingSearchOnViewMatchesCopy) {
   grid.max_depth = {3, 5};
   grid.subsample = {0.8};
   grid.colsample = {0.9};
-  ml::HalvingParams hp;
-  hp.initial_configs = 4;
-  hp.seed = 21;
   const auto run = [&](const data::MatrixView& xt, const data::MatrixView& xv) {
-    return ml::successive_halving(grid, hp, xt, y_train, xv, y_val);
+    return ml::grid_search(grid, xt, y_train, xv, y_val);
   };
   for (const char* threads : {"1", "4"}) {
     const auto a = with_threads(threads, [&] { return run(x_train, x_val); });
