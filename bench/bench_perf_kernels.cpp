@@ -317,12 +317,12 @@ class ScopedKernels {
 constexpr std::size_t kRows = 50000;
 constexpr std::size_t kBins = 64;
 constexpr std::size_t kHistFeatures = 32;
-// The hist scan's vector win is the gain sweep (the scatter-add build is
-// inherently scalar), so its workload is the sweep-heavy shape split
-// finding actually hits: a deep tree level — many small nodes — scanning
-// a high-resolution feature (per_feature_bins day-level start-time
-// budgets run to kMaxBins). 64 nodes x 780 rows under 1024 bins puts
-// roughly 6x more work in the sweep than in the build.
+// The wide-bin hist entry: the sweep-heavy shape split finding hits on
+// high-resolution features (per_feature_bins day-level start-time
+// budgets run to kMaxBins), a deep tree level — many small nodes —
+// scanning 1024-bin features, which take the kernel's one-feature wide
+// pass. 64 nodes x 780 rows under 1024 bins puts roughly 6x more work
+// in the sweep than in the build.
 constexpr std::size_t kHistBins = 1024;
 constexpr std::size_t kHistNodes = 64;
 constexpr std::size_t kHistNodeRows = 780;
@@ -355,92 +355,68 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-// --- histogram split scan, mirroring build_tree's per-feature loop ----
+// --- histogram split scan, mirroring build_tree's node scans ----------
 
 struct HistWorkload {
   std::vector<std::uint16_t> cols;  // feature-major, features x total rows
+  std::vector<std::size_t> bins;    // per feature
+  std::vector<std::size_t> features;  // every feature, in id order
   std::vector<std::size_t> order;
   std::vector<double> grad;
-  std::vector<kn::FeatureScanParams> node_params;  // one per node
+  std::vector<std::size_t> node_lo;  // nodes + 1 row offsets
+  std::vector<kn::NodeScanParams> node_params;  // one per node
+
+  std::size_t nodes() const { return node_params.size(); }
 };
+
+// Gradients, per-feature bins and per-node totals for a workload whose
+// columns and node offsets are filled in.
+void finish_hist_workload(HistWorkload& w, std::mt19937& rng,
+                          std::size_t n_features, std::size_t bins) {
+  const std::size_t total = w.node_lo.back();
+  std::normal_distribution<double> g(0.0, 2.0);
+  w.bins.assign(n_features, bins);
+  w.features.resize(n_features);
+  for (std::size_t f = 0; f < n_features; ++f) w.features[f] = f;
+  w.order.resize(total);
+  for (std::size_t i = 0; i < total; ++i) w.order[i] = i;
+  w.grad.resize(total);
+  for (auto& v : w.grad) v = g(rng);
+  for (std::size_t node = 0; node + 1 < w.node_lo.size(); ++node) {
+    double g_total = 0.0;
+    for (std::size_t r = w.node_lo[node]; r < w.node_lo[node + 1]; ++r) {
+      g_total += w.grad[r];
+    }
+    const auto h_total =
+        static_cast<double>(w.node_lo[node + 1] - w.node_lo[node]);
+    w.node_params.push_back(
+        {g_total, h_total, 1.0, 1.0, 0.0,
+         g_total * g_total / (h_total + 1.0)});
+  }
+}
 
 HistWorkload make_hist_workload() {
   HistWorkload w;
   std::mt19937 rng(101);
   const std::size_t total = kHistNodes * kHistNodeRows;
   std::uniform_int_distribution<int> bin(0, kHistBins - 1);
-  std::normal_distribution<double> g(0.0, 2.0);
   w.cols.resize(kHistFeatures * total);
   for (auto& c : w.cols) c = static_cast<std::uint16_t>(bin(rng));
-  w.order.resize(total);
-  for (std::size_t i = 0; i < total; ++i) w.order[i] = i;
-  w.grad.resize(total);
-  for (auto& v : w.grad) v = g(rng);
-  for (std::size_t node = 0; node < kHistNodes; ++node) {
-    double g_total = 0.0;
-    for (std::size_t i = 0; i < kHistNodeRows; ++i) {
-      g_total += w.grad[node * kHistNodeRows + i];
-    }
-    const double h_total = static_cast<double>(kHistNodeRows);
-    w.node_params.push_back(
-        {g_total, h_total, 1.0, 1.0, 0.0,
-         g_total * g_total / (h_total + 1.0)});
+  for (std::size_t node = 0; node <= kHistNodes; ++node) {
+    w.node_lo.push_back(node * kHistNodeRows);
   }
+  finish_hist_workload(w, rng, kHistFeatures, kHistBins);
   return w;
 }
 
-// One pass: scan every feature across every node of the level, results
-// into per-(feature, node) slots. The parallel shape (features across
-// the pool, kernel-owned per-thread scratch) is exactly gbt.cpp's
-// split search.
-void run_hist(const HistWorkload& w, std::vector<kn::SplitScan>* out) {
-  out->assign(kHistFeatures * kHistNodes, {});
-  const std::size_t total = kHistNodes * kHistNodeRows;
-  util::parallel_for_chunks(kHistFeatures, [&](std::size_t lo,
-                                               std::size_t hi) {
-    for (std::size_t f = lo; f < hi; ++f) {
-      for (std::size_t node = 0; node < kHistNodes; ++node) {
-        const std::size_t row_lo = node * kHistNodeRows;
-        (*out)[f * kHistNodes + node] = kn::feature_scan(
-            w.cols.data() + f * total, w.order.data() + row_lo,
-            kHistNodeRows, w.grad.data() + row_lo, kHistBins,
-            w.node_params[node]);
-      }
-    }
-  });
-}
-
-bool scans_identical(const std::vector<kn::SplitScan>& a,
-                     const std::vector<kn::SplitScan>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].valid != b[i].valid || a[i].bin != b[i].bin ||
-        a[i].constant != b[i].constant ||
-        std::memcmp(&a[i].gain, &b[i].gain, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// --- histogram split scan on tree-shaped traffic -----------------------
-
-struct TreeHistWorkload {
-  std::vector<std::uint16_t> cols;  // feature-major, features x total rows
-  std::vector<std::size_t> order;
-  std::vector<double> grad;
-  std::vector<std::size_t> node_lo;  // kTreeNodes + 1 row offsets
-  std::vector<kn::FeatureScanParams> node_params;
-};
-
-TreeHistWorkload make_tree_hist_workload() {
-  TreeHistWorkload w;
+// The tree-shaped hist entry (see kTreeBins).
+HistWorkload make_tree_hist_workload() {
+  HistWorkload w;
   std::mt19937 rng(505);
   std::uniform_int_distribution<int> small(2, 16);
   std::uniform_int_distribution<int> large(17, 256);
   std::uniform_int_distribution<int> bin(0, kTreeBins - 1);
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  std::normal_distribution<double> g(0.0, 2.0);
   w.node_lo.push_back(0);
   for (std::size_t node = 0; node < kTreeNodes; ++node) {
     const int n = u(rng) < 0.8 ? small(rng) : large(rng);
@@ -460,40 +436,40 @@ TreeHistWorkload make_tree_hist_workload() {
       }
     }
   }
-  w.order.resize(total);
-  for (std::size_t i = 0; i < total; ++i) w.order[i] = i;
-  w.grad.resize(total);
-  for (auto& v : w.grad) v = g(rng);
-  for (std::size_t node = 0; node < kTreeNodes; ++node) {
-    double g_total = 0.0;
-    for (std::size_t r = w.node_lo[node]; r < w.node_lo[node + 1]; ++r) {
-      g_total += w.grad[r];
-    }
-    const auto h_total =
-        static_cast<double>(w.node_lo[node + 1] - w.node_lo[node]);
-    w.node_params.push_back(
-        {g_total, h_total, 1.0, 1.0, 0.0,
-         g_total * g_total / (h_total + 1.0)});
-  }
+  finish_hist_workload(w, rng, kTreeFeatures, kTreeBins);
   return w;
 }
 
-void run_tree_hist(const TreeHistWorkload& w,
-                   std::vector<kn::SplitScan>* out) {
-  out->assign(kTreeFeatures * kTreeNodes, {});
-  const std::size_t total = w.node_lo.back();
-  util::parallel_for_chunks(kTreeFeatures, [&](std::size_t lo,
-                                               std::size_t hi) {
-    for (std::size_t f = lo; f < hi; ++f) {
-      for (std::size_t node = 0; node < kTreeNodes; ++node) {
-        const std::size_t row_lo = w.node_lo[node];
-        (*out)[f * kTreeNodes + node] = kn::feature_scan(
-            w.cols.data() + f * total, w.order.data() + row_lo,
-            w.node_lo[node + 1] - row_lo, w.grad.data() + row_lo, kTreeBins,
-            w.node_params[node]);
-      }
+// One pass: every node scanned once over every feature, as build_tree
+// scans a node, results into per-(node, feature) slots; nodes spread
+// across the pool, scratch kernel-owned per thread.
+void run_hist(const HistWorkload& w, std::vector<kn::SplitScan>* out) {
+  const std::size_t n_features = w.features.size();
+  out->assign(n_features * w.nodes(), {});
+  const kn::ScanColumns columns{w.cols.data(), w.node_lo.back(),
+                                w.bins.data()};
+  util::parallel_for_chunks(w.nodes(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t node = lo; node < hi; ++node) {
+      const std::size_t row_lo = w.node_lo[node];
+      kn::node_scan(columns, w.features.data(), n_features,
+                    w.order.data() + row_lo, w.node_lo[node + 1] - row_lo,
+                    w.grad.data() + row_lo, w.node_params[node],
+                    out->data() + node * n_features);
     }
   });
+}
+
+bool scans_identical(const std::vector<kn::SplitScan>& a,
+                     const std::vector<kn::SplitScan>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].valid != b[i].valid || a[i].bin != b[i].bin ||
+        a[i].constant != b[i].constant ||
+        std::memcmp(&a[i].gain, &b[i].gain, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // --- packed forest code traversal, mirroring predict_codes ------------
@@ -736,9 +712,7 @@ int run_kernels_ab() {
 
   const auto tree_hist_w = make_tree_hist_workload();
   const auto tree_hist = ab_kernel<std::vector<kn::SplitScan>>(
-      [&](std::vector<kn::SplitScan>* out) {
-        run_tree_hist(tree_hist_w, out);
-      },
+      [&](std::vector<kn::SplitScan>* out) { run_hist(tree_hist_w, out); },
       scans_identical);
 
   const auto trav_w = make_trav_workload();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -18,8 +19,8 @@ namespace iotax::ml {
 
 namespace {
 
-// Node size (rows in node × features scanned) below which the
-// per-feature scan stays serial: dispatch overhead would beat the win.
+// Node size (rows in node × features scanned) below which the node scan
+// stays on the calling thread: dispatch overhead would beat the win.
 constexpr std::size_t kParallelScanWork = 8192;
 
 }  // namespace
@@ -78,8 +79,9 @@ double GradientBoostedTrees::Tree::predict_codes(
 }
 
 // Working memory of build_tree, kept for a whole fit so no tree or node
-// allocates: the row order, the node's gathered gradients, one scan slot
-// per live feature, the work stack and the pool of live-feature lists.
+// allocates: the per-feature bin counts the scan kernel reads, the row
+// order, the node's gathered gradients, one scan slot per live feature,
+// the work stack and the pool of live-feature lists.
 struct GradientBoostedTrees::BuildScratch {
   // A node to expand: its row slice [lo, hi) of `order`, and its live
   // features, live[live_lo, live_hi).
@@ -91,6 +93,7 @@ struct GradientBoostedTrees::BuildScratch {
     std::size_t live_lo;
     std::size_t live_hi;
   };
+  std::vector<std::size_t> bins;
   std::vector<std::size_t> order;
   std::vector<double> node_grad;
   std::vector<kernels::SplitScan> candidates;
@@ -98,14 +101,52 @@ struct GradientBoostedTrees::BuildScratch {
   std::vector<std::size_t> live;
 };
 
+// What every boosting round of one fit reads and advances: the running
+// predictions, the gradient buffer, the row/feature sampling stream and
+// its draw sizes, the unsampled row and feature lists, and build_tree's
+// scratch.
+struct GradientBoostedTrees::Rounds {
+  Rounds(const GbtParams& p, std::size_t rows, std::size_t cols,
+         std::vector<double> start)
+      : preds(std::move(start)),
+        grad(rows),
+        rng(p.seed),
+        n_sub(std::max<std::size_t>(
+            2, static_cast<std::size_t>(p.subsample *
+                                        static_cast<double>(rows)))),
+        n_col(std::max<std::size_t>(
+            1, static_cast<std::size_t>(p.colsample *
+                                        static_cast<double>(cols)))),
+        all_rows(rows),
+        all_features(cols) {
+    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
+    std::iota(all_features.begin(), all_features.end(), std::size_t{0});
+  }
+
+  std::vector<double> preds;
+  std::vector<double> grad;
+  util::Rng rng;
+  std::size_t n_sub;
+  std::size_t n_col;
+  std::vector<std::size_t> all_rows;
+  std::vector<std::size_t> all_features;
+  BuildScratch build;
+};
+
 GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
-    const BinnedMatrix& binned, const std::vector<std::size_t>& rows,
-    const std::vector<std::size_t>& features, std::span<const double> grad,
+    const BinnedMatrix& binned, std::span<const std::size_t> rows,
+    std::span<const std::size_t> features, std::span<const double> grad,
     BuildScratch& scratch) {
   // Histogram scratch is owned by the kernel layer (thread-local per
   // tier); hessian == 1 for squared loss, so the kernels track gradient
   // sums and counts.
   Tree tree;
+  scratch.bins.resize(binned.cols());
+  for (std::size_t f = 0; f < binned.cols(); ++f) {
+    scratch.bins[f] = binned.n_bins(f);
+  }
+  const kernels::ScanColumns columns{binned.col_codes(0).data(),
+                                     binned.rows(), scratch.bins.data()};
   auto& order = scratch.order;
   auto& node_grad = scratch.node_grad;
   auto& candidates = scratch.candidates;
@@ -138,8 +179,8 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     const std::size_t n = item.hi - item.lo;
     // Gather this node's gradients once, in ascending row order — every
     // downstream sum sees the same FP sequence as reading grad[order[i]]
-    // in place, and the per-feature scans stream a dense buffer instead
-    // of re-gathering per feature.
+    // in place, and the node scan streams a dense buffer instead of
+    // re-gathering per feature.
     for (std::size_t i = 0; i < n; ++i) {
       node_grad[i] = grad[order[item.lo + i]];
     }
@@ -156,13 +197,16 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       continue;
     }
 
-    // Histogram + best-bin scan of one feature, via the dispatched
-    // kernel (kernels::feature_scan — the scalar tier is the seed loop
-    // verbatim, the AVX2 tier is bit-identical to it). The
+    // Histogram + best-bin scans of the live features, via the
+    // dispatched kernel (kernels::node_scan — the scalar tier is the seed
+    // loop verbatim, the AVX2 tier is bit-identical to it). The
     // within-feature strict `>` picks the first bin attaining the
     // feature's max gain, so folding features in fixed order below
     // reproduces the sequential first-feature-wins selection exactly.
-    const kernels::FeatureScanParams scan_params{
+    // A large node's list is split across the pool in chunks of whole
+    // kScanGroup groups; each feature's scan is the same whatever chunk
+    // or group it lands in.
+    const kernels::NodeScanParams scan_params{
         g_total,
         h_total,
         params_.reg_lambda,
@@ -171,23 +215,21 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
         parent_score};
     const std::size_t n_live = item.live_hi - item.live_lo;
     const std::size_t* node_features = live.data() + item.live_lo;
-    const auto scan_feature = [&](std::size_t f) -> kernels::SplitScan {
-      return kernels::feature_scan(binned.col_codes(f).data(),
-                                   order.data() + item.lo, n,
-                                   node_grad.data(), binned.n_bins(f),
-                                   scan_params);
+    const auto scan = [&](std::size_t lo, std::size_t hi) {
+      kernels::node_scan(columns, node_features + lo, hi - lo,
+                         order.data() + item.lo, n, node_grad.data(),
+                         scan_params, candidates.data() + lo);
     };
-
-    candidates.assign(n_live, kernels::SplitScan{});
+    candidates.resize(n_live);
     hist_scans += n_live;
-    if (n * n_live >= kParallelScanWork && n_live >= 2) {
-      util::parallel_for(n_live, [&](std::size_t j) {
-        candidates[j] = scan_feature(node_features[j]);
-      });
+    constexpr std::size_t kGroup = kernels::kScanGroup;
+    if (n * n_live >= kParallelScanWork && n_live > kGroup) {
+      util::parallel_for_chunks(
+          (n_live + kGroup - 1) / kGroup, [&](std::size_t lo, std::size_t hi) {
+            scan(lo * kGroup, std::min(n_live, hi * kGroup));
+          });
     } else {
-      for (std::size_t j = 0; j < n_live; ++j) {
-        candidates[j] = scan_feature(node_features[j]);
-      }
+      scan(0, n_live);
     }
 
     // Fixed-order argmin reduction over the per-feature slots.
@@ -306,22 +348,6 @@ void GradientBoostedTrees::fit_impl(const data::MatrixView& x,
                            : BinnedMatrix(x, params_.per_feature_bins));
   }
   const BinnedMatrix& binned = prebinned != nullptr ? *prebinned : *own_binned;
-  util::Rng rng(params_.seed);
-
-  std::vector<double> preds(x.rows(), base_score_);
-  std::vector<double> grad(x.rows());
-  std::vector<std::size_t> all_rows(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) all_rows[i] = i;
-  std::vector<std::size_t> all_features(n_features_);
-  for (std::size_t i = 0; i < n_features_; ++i) all_features[i] = i;
-
-  const auto n_sub = std::max<std::size_t>(
-      2, static_cast<std::size_t>(params_.subsample *
-                                  static_cast<double>(x.rows())));
-  const auto n_col = std::max<std::size_t>(
-      1, static_cast<std::size_t>(params_.colsample *
-                                  static_cast<double>(n_features_)));
-  BuildScratch scratch;
 
   // Early-stopping bookkeeping. Validation rows are encoded into the
   // training bins once up front, so the per-tree evaluation walks codes
@@ -338,60 +364,19 @@ void GradientBoostedTrees::fit_impl(const data::MatrixView& x,
   std::size_t best_round = 0;
   std::size_t rounds_since_best = 0;
 
+  Rounds rounds(params_, x.rows(), n_features_,
+                std::vector<double>(x.rows(), base_score_));
   for (std::size_t t = 0; t < params_.n_estimators; ++t) {
-    const std::int64_t tree_t0 = obs::now_ns_if_enabled();
-    if (params_.loss == GbtLoss::kQuantile) {
-      // Pinball-loss gradient: -alpha below the prediction target,
-      // (1-alpha) above; unit hessian (function-space gradient descent).
-      const double a = params_.quantile_alpha;
-      for (std::size_t i = 0; i < x.rows(); ++i) {
-        grad[i] = preds[i] >= y[i] ? (1.0 - a) : -a;
-      }
-    } else {
-      for (std::size_t i = 0; i < x.rows(); ++i) grad[i] = preds[i] - y[i];
-    }
-
-    std::vector<std::size_t> rows =
-        params_.subsample < 1.0 ? rng.sample_without_replacement(x.rows(),
-                                                                 n_sub)
-                                : all_rows;
-    std::vector<std::size_t> features =
-        params_.colsample < 1.0
-            ? rng.sample_without_replacement(n_features_, n_col)
-            : all_features;
-
-    Tree tree = build_tree(binned, rows, features, grad, scratch);
-    // Pack the new tree immediately: the per-round prediction updates
-    // below run on the SoA layout, and packed_ stays in lockstep with
-    // trees_ (re-synced only if early stopping trims the tail). Trees
-    // built here always carry fit-time split bins.
-    append_packed(tree, /*with_codes=*/true);
-    const std::size_t t_idx = packed_.n_trees() - 1;
-    // Update running predictions on all rows (per-index slots, so the
-    // result is identical at any thread count). Routing by bin codes
-    // gives the same leaf as routing the raw row by thresholds — see
-    // Tree::predict_codes — without re-reading the (possibly strided,
-    // table-backed) view once per tree.
-    util::parallel_for_chunks(
-        x.rows(),
-        [&](std::size_t lo, std::size_t hi) {
-          packed_.predict_codes_tree(t_idx, binned.row_codes(lo).data(),
-                                     n_features_, hi - lo,
-                                     preds.data() + lo);
-        },
-        512);
-    IOTAX_OBS_COUNT("gbt.trees", 1);
-    if (tree_t0 != 0) {
-      IOTAX_OBS_HIST_MS("gbt.tree_ms",
-                        static_cast<double>(obs::now_ns_if_enabled() - tree_t0) /
-                            1e6);
-    }
+    // packed_ stays in lockstep with trees_ (re-synced only if early
+    // stopping trims the tail); trees built here carry fit-time split
+    // bins.
+    boost_round(binned, y, rounds, packed_);
     if (use_eval) {
       // Batch-update the validation predictions, then accumulate the
       // squared error in row order — the same values and the same FP
       // sum sequence as the seed's fused loop, just two passes.
-      packed_.predict_codes_tree(t_idx, val_codes.data(), n_features_,
-                                 x_val.rows(), val_preds.data());
+      packed_.predict_codes_tree(packed_.n_trees() - 1, val_codes.data(),
+                                 n_features_, x_val.rows(), val_preds.data());
       double sq = 0.0;
       for (std::size_t i = 0; i < x_val.rows(); ++i) {
         const double d = val_preds[i] - y_val[i];
@@ -403,11 +388,9 @@ void GradientBoostedTrees::fit_impl(const data::MatrixView& x,
         best_round = t + 1;
         rounds_since_best = 0;
       } else if (++rounds_since_best >= params_.early_stopping_rounds) {
-        trees_.push_back(std::move(tree));
         break;
       }
     }
-    trees_.push_back(std::move(tree));
   }
   if (use_eval && best_round < trees_.size()) {
     trees_.resize(best_round);  // keep the best-validation prefix
@@ -454,76 +437,27 @@ void GradientBoostedTrees::fit_continue(const data::MatrixView& x,
   // Routing by raw thresholds reaches the same leaves code routing did,
   // so this also works on loaded checkpoints that carry no fit-time
   // codes.
-  std::vector<double> preds = predict(x);
+  Rounds rounds(params_, x.rows(), n_features_, predict(x));
 
   // Replay the subsample/colsample RNG stream past the existing rounds:
   // cold round t draws (rows, features) after t earlier rounds' draws,
   // so warm round trees_.size() + k must see the same stream position.
-  util::Rng rng(params_.seed);
-  const auto n_sub = std::max<std::size_t>(
-      2, static_cast<std::size_t>(params_.subsample *
-                                  static_cast<double>(x.rows())));
-  const auto n_col = std::max<std::size_t>(
-      1, static_cast<std::size_t>(params_.colsample *
-                                  static_cast<double>(n_features_)));
   for (std::size_t t = 0; t < trees_.size(); ++t) {
     if (params_.subsample < 1.0) {
-      rng.sample_without_replacement(x.rows(), n_sub);
+      rounds.rng.sample_without_replacement(x.rows(), rounds.n_sub);
     }
     if (params_.colsample < 1.0) {
-      rng.sample_without_replacement(n_features_, n_col);
+      rounds.rng.sample_without_replacement(n_features_, rounds.n_col);
     }
   }
-
-  std::vector<double> grad(x.rows());
-  std::vector<std::size_t> all_rows(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) all_rows[i] = i;
-  std::vector<std::size_t> all_features(n_features_);
-  for (std::size_t i = 0; i < n_features_; ++i) all_features[i] = i;
 
   // New trees land in a codes-only scratch forest for the per-round
   // prediction updates: the model's packed_ may hold loaded trees
   // without split bins, and PackedForest rejects code traversal unless
   // every tree carries them.
   kernels::PackedForest fresh;
-  BuildScratch scratch;
   for (std::size_t k = 0; k < extra_rounds; ++k) {
-    const std::int64_t tree_t0 = obs::now_ns_if_enabled();
-    if (params_.loss == GbtLoss::kQuantile) {
-      const double a = params_.quantile_alpha;
-      for (std::size_t i = 0; i < x.rows(); ++i) {
-        grad[i] = preds[i] >= y[i] ? (1.0 - a) : -a;
-      }
-    } else {
-      for (std::size_t i = 0; i < x.rows(); ++i) grad[i] = preds[i] - y[i];
-    }
-
-    std::vector<std::size_t> rows =
-        params_.subsample < 1.0 ? rng.sample_without_replacement(x.rows(),
-                                                                 n_sub)
-                                : all_rows;
-    std::vector<std::size_t> features =
-        params_.colsample < 1.0
-            ? rng.sample_without_replacement(n_features_, n_col)
-            : all_features;
-
-    Tree tree = build_tree(binned, rows, features, grad, scratch);
-    pack_tree(fresh, tree, /*with_codes=*/true);
-    const std::size_t local_t = fresh.n_trees() - 1;
-    util::parallel_for_chunks(
-        x.rows(),
-        [&](std::size_t lo, std::size_t hi) {
-          fresh.predict_codes_tree(local_t, binned.row_codes(lo).data(),
-                                   n_features_, hi - lo, preds.data() + lo);
-        },
-        512);
-    IOTAX_OBS_COUNT("gbt.trees", 1);
-    if (tree_t0 != 0) {
-      IOTAX_OBS_HIST_MS("gbt.tree_ms",
-                        static_cast<double>(obs::now_ns_if_enabled() - tree_t0) /
-                            1e6);
-    }
-    trees_.push_back(std::move(tree));
+    boost_round(binned, y, rounds, fresh);
   }
   obs::span_arg("trees", static_cast<double>(trees_.size()));
   // A continued forest has trees_.size() rounds total; advancing the
@@ -539,6 +473,63 @@ void GradientBoostedTrees::fit_continue(const data::MatrixView& x,
   rebuild_packed();
 }
 
+void GradientBoostedTrees::boost_round(const BinnedMatrix& binned,
+                                       std::span<const double> y,
+                                       Rounds& rounds,
+                                       kernels::PackedForest& forest) {
+  const std::int64_t tree_t0 = obs::now_ns_if_enabled();
+  const std::size_t n_rows = binned.rows();
+  auto& grad = rounds.grad;
+  auto& preds = rounds.preds;
+  if (params_.loss == GbtLoss::kQuantile) {
+    // Pinball-loss gradient: -alpha below the prediction target,
+    // (1-alpha) above; unit hessian (function-space gradient descent).
+    const double a = params_.quantile_alpha;
+    for (std::size_t i = 0; i < n_rows; ++i) {
+      grad[i] = preds[i] >= y[i] ? (1.0 - a) : -a;
+    }
+  } else {
+    for (std::size_t i = 0; i < n_rows; ++i) grad[i] = preds[i] - y[i];
+  }
+
+  // A sampled round draws its rows, then its features; an unsampled
+  // one reads the full lists in place.
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> features;
+  if (params_.subsample < 1.0) {
+    rows = rounds.rng.sample_without_replacement(n_rows, rounds.n_sub);
+  }
+  if (params_.colsample < 1.0) {
+    features = rounds.rng.sample_without_replacement(n_features_, rounds.n_col);
+  }
+  Tree tree = build_tree(binned,
+                         params_.subsample < 1.0 ? rows : rounds.all_rows,
+                         params_.colsample < 1.0 ? features
+                                                 : rounds.all_features,
+                         grad, rounds.build);
+  pack_tree(forest, tree, /*with_codes=*/true);
+  const std::size_t t_idx = forest.n_trees() - 1;
+  // Update running predictions on all rows (per-index slots, so the
+  // result is identical at any thread count). Routing by bin codes
+  // gives the same leaf as routing the raw row by thresholds — see
+  // Tree::predict_codes — without re-reading the (possibly strided,
+  // table-backed) view once per tree.
+  util::parallel_for_chunks(
+      n_rows,
+      [&](std::size_t lo, std::size_t hi) {
+        forest.predict_codes_tree(t_idx, binned.row_codes(lo).data(),
+                                  n_features_, hi - lo, preds.data() + lo);
+      },
+      512);
+  IOTAX_OBS_COUNT("gbt.trees", 1);
+  if (tree_t0 != 0) {
+    IOTAX_OBS_HIST_MS("gbt.tree_ms",
+                      static_cast<double>(obs::now_ns_if_enabled() - tree_t0) /
+                          1e6);
+  }
+  trees_.push_back(std::move(tree));
+}
+
 void GradientBoostedTrees::pack_tree(kernels::PackedForest& forest,
                                      const Tree& tree, bool with_codes) {
   std::vector<kernels::PackedForest::NodeDesc> descs;
@@ -550,13 +541,9 @@ void GradientBoostedTrees::pack_tree(kernels::PackedForest& forest,
   forest.add_tree(descs, with_codes);
 }
 
-void GradientBoostedTrees::append_packed(const Tree& tree, bool with_codes) {
-  pack_tree(packed_, tree, with_codes);
-}
-
 void GradientBoostedTrees::rebuild_packed() {
   packed_.clear();
-  for (const auto& tree : trees_) append_packed(tree, has_split_bins_);
+  for (const auto& tree : trees_) pack_tree(packed_, tree, has_split_bins_);
 }
 
 std::vector<double> GradientBoostedTrees::predict(

@@ -160,10 +160,16 @@ class GradientBoostedTrees final : public Regressor {
   };
 
   struct BuildScratch;
-  Tree build_tree(const BinnedMatrix& binned,
-                  const std::vector<std::size_t>& rows,
-                  const std::vector<std::size_t>& features,
+  struct Rounds;
+  Tree build_tree(const BinnedMatrix& binned, std::span<const std::size_t> rows,
+                  std::span<const std::size_t> features,
                   std::span<const double> grad, BuildScratch& scratch);
+  /// One boosting round, shared by fit and fit_continue: gradients, the
+  /// row/feature draw, build_tree, then the new tree is appended to
+  /// trees_ and to `forest`, through which the running predictions are
+  /// updated by code routing.
+  void boost_round(const BinnedMatrix& binned, std::span<const double> y,
+                   Rounds& rounds, kernels::PackedForest& forest);
 
   /// load()'s structural check of tree `t`; throws std::runtime_error
   /// naming the tree and node.
@@ -178,8 +184,6 @@ class GradientBoostedTrees final : public Regressor {
   /// layout).
   static void pack_tree(kernels::PackedForest& forest, const Tree& tree,
                         bool with_codes);
-  /// Append one tree to packed_ (the SoA batch-prediction layout).
-  void append_packed(const Tree& tree, bool with_codes);
   /// Rebuild packed_ from trees_ after they change wholesale.
   void rebuild_packed();
 

@@ -10,13 +10,14 @@ namespace iotax::ml::kernels {
 namespace {
 
 // Literal transcription of the seed's scan_feature loop (gbt.cpp), plus
-// the `constant` bit: the scalar tier is the reference the AVX2 tier
-// must match bit for bit. Scratch lives here (one histogram pair per
-// thread) and is fully re-zeroed on entry, exactly like the seed.
+// the `constant` bit: the scalar tier scans a node's features one at a
+// time with it, and is the reference the AVX2 tier must match bit for
+// bit. Scratch lives here (one histogram pair per thread) and is fully
+// re-zeroed on entry, exactly like the seed.
 SplitScan feature_scan_scalar(const std::uint16_t* col,
                               const std::size_t* order, std::size_t n,
                               const double* node_grad, std::size_t bins,
-                              const FeatureScanParams& p) {
+                              const NodeScanParams& p) {
   static thread_local std::vector<double> hg_buf;
   static thread_local std::vector<double> hc_buf;
   if (hg_buf.size() < bins) {
@@ -66,20 +67,21 @@ double node_sum_scalar(const double* v, std::size_t n) {
 
 }  // namespace
 
-SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
-                       std::size_t n, const double* node_grad,
-                       std::size_t bins, const FeatureScanParams& p) {
-  if (bins < 2) {
-    SplitScan none;
-    none.constant = true;
-    return none;
-  }
+void node_scan(const ScanColumns& cols, const std::size_t* features,
+               std::size_t n_features, const std::size_t* order,
+               std::size_t n, const double* node_grad,
+               const NodeScanParams& p, SplitScan* out) {
 #if defined(IOTAX_KERNELS_AVX2)
   if (active_tier() == Tier::kAvx2) {
-    return avx2::feature_scan(col, order, n, node_grad, bins, p);
+    avx2::node_scan(cols, features, n_features, order, n, node_grad, p, out);
+    return;
   }
 #endif
-  return feature_scan_scalar(col, order, n, node_grad, bins, p);
+  for (std::size_t j = 0; j < n_features; ++j) {
+    const std::size_t f = features[j];
+    out[j] = feature_scan_scalar(cols.codes + f * cols.stride, order, n,
+                                 node_grad, cols.bins[f], p);
+  }
 }
 
 double node_sum(const double* v, std::size_t n) {

@@ -1,22 +1,35 @@
 // GBT split-finding kernels: per-feature histogram accumulation plus the
 // best-bin gain sweep, over BinnedMatrix bin codes.
 //
-// feature_scan() is the per-(node, feature) unit of work in
-// GradientBoostedTrees::build_tree: accumulate the node's gradient sum
-// and row count into per-bin histograms, then sweep bins left-to-right
-// for the best split. Both tiers reproduce the seed loop exactly:
+// node_scan() is the per-node unit of work in
+// GradientBoostedTrees::build_tree: for every live feature, accumulate
+// the node's gradient sum and row count into per-bin histograms, then
+// sweep bins left-to-right for the best split. Both tiers reproduce the
+// seed loop exactly:
 //
-//   * histogram adds happen in ascending row order, so every bin's
-//     gradient sum sees the same FP addition sequence as the scalar
-//     loop (adds to distinct bins commute trivially — they are separate
-//     accumulators);
+//   * every bin's gradient sum adds the node's rows in ascending row
+//     order, so it sees the same FP addition sequence as the scalar loop
+//     (adds to distinct bins, or to distinct features' bins, commute
+//     trivially — they are separate accumulators);
 //   * the sweep's prefix sums stay sequential; only the per-bin gain
 //     arithmetic (mul/div/sub — all elementwise, IEEE-exact) is
 //     vectorized, and the strict-> first-bin-wins argmax runs serially.
 //
+// The build's only serial dependence is per (feature, bin): a bin's
+// add must wait for that bin's previous add, a store→load→add chain
+// whenever consecutive rows share a bin. Nothing orders one feature's
+// adds against another's, so the AVX2 tier builds kScanGroup features'
+// histograms in one pass over the node's rows: each row's index and
+// gradient are read once, each bin is one 16-byte {gradient sum, row
+// count} slot updated by one 128-bit add (its two lanes are the two
+// scalar accumulators), and the group's chains interleave instead of
+// queueing. Features of at most 64 bins (every default-budget counter)
+// go through the group pass; wider features take a one-feature pass
+// with the same slots.
+//
 // The histogram workspaces are owned by the kernel layer (per-thread,
 // per-tier), not passed in. The AVX2 tier keeps its scratch all-zero
-// between calls, sets one bit per touched bin while it builds the
+// between calls, sets one bit per touched bin while it builds a
 // histogram (a register for features of at most 64 bins; a word per 64
 // bins plus a bit per touched word above that), then sweeps and
 // re-zeroes only the set bits, so a scan costs what the node touched,
@@ -43,7 +56,13 @@
 
 namespace iotax::ml::kernels {
 
-struct FeatureScanParams {
+/// Features node_scan's AVX2 tier builds per pass over a node's rows.
+/// Callers that split a live list across threads cut it into chunks of
+/// a multiple of this, so only the list's last chunk ends in a short
+/// group.
+inline constexpr std::size_t kScanGroup = 4;
+
+struct NodeScanParams {
   double g_total = 0.0;          // node gradient sum
   double h_total = 0.0;          // node hessian sum (== row count)
   double reg_lambda = 0.0;       // L2 on leaf weights
@@ -62,17 +81,26 @@ struct SplitScan {
   bool constant = false;
 };
 
-/// Histogram + best-bin scan of one feature for one tree node.
-///   col       feature-major bin codes (BinnedMatrix::col_codes)
+/// Feature-major bin codes (BinnedMatrix::col_codes): feature f's code
+/// for base row r is codes[f * stride + r], and it has bins[f] bins.
+struct ScanColumns {
+  const std::uint16_t* codes = nullptr;
+  std::size_t stride = 0;
+  const std::size_t* bins = nullptr;
+};
+
+/// Histogram + best-bin scan of every live feature of one tree node;
+/// out[j] is feature features[j]'s scan.
+///   features  the node's live feature ids, length n_features
 ///   order     the node's base-row indices, length n
 ///   node_grad gradient gathered per node row (node_grad[i] pairs with
 ///             order[i]), length n
-///   bins      n_bins for this feature (>= 2)
 /// Histogram scratch is kernel-owned (thread-local per tier); callers
 /// pass no workspace.
-SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
-                       std::size_t n, const double* node_grad,
-                       std::size_t bins, const FeatureScanParams& p);
+void node_scan(const ScanColumns& cols, const std::size_t* features,
+               std::size_t n_features, const std::size_t* order,
+               std::size_t n, const double* node_grad,
+               const NodeScanParams& p, SplitScan* out);
 
 /// Sum of v[0..n): sequential by default; under fast_math, SIMD-lane
 /// accumulation reduced in fixed lane order (reassociated).

@@ -13,9 +13,10 @@
 
 namespace iotax::ml::kernels::avx2 {
 
-SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
-                       std::size_t n, const double* node_grad,
-                       std::size_t bins, const FeatureScanParams& p);
+void node_scan(const ScanColumns& cols, const std::size_t* features,
+               std::size_t n_features, const std::size_t* order,
+               std::size_t n, const double* node_grad,
+               const NodeScanParams& p, SplitScan* out);
 
 double node_sum_lanes(const double* v, std::size_t n);
 

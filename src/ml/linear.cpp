@@ -140,13 +140,21 @@ LinearRegressor LinearRegressor::load(std::istream& in) {
   LinearRegressor model(l2, log_transform != 0);
   expect("intercept");
   in >> model.intercept_;
+  // Both counts come from the file, so each vector grows as its values
+  // are read instead of being sized up front: a lying count then costs
+  // what the file holds, not what it claims.
+  const auto read_values = [&](std::size_t count, std::vector<double>& out) {
+    double v = 0.0;
+    for (std::size_t i = 0; i < count && in >> v; ++i) out.push_back(v);
+  };
   expect("scaler");
   std::size_t p = 0;
   in >> p;
-  std::vector<double> means(p);
-  std::vector<double> stds(p);
-  for (auto& v : means) in >> v;
-  for (auto& v : stds) in >> v;
+  std::vector<double> means;
+  std::vector<double> stds;
+  read_values(p, means);
+  read_values(p, stds);
+  if (!in) throw std::runtime_error("LinearRegressor::load: truncated");
   model.scaler_ =
       data::StandardScaler::from_params(std::move(means), std::move(stds));
   expect("coef");
@@ -155,8 +163,7 @@ LinearRegressor LinearRegressor::load(std::istream& in) {
   if (n_coef != p) {
     throw std::runtime_error("LinearRegressor::load: coef/scaler mismatch");
   }
-  model.coef_.resize(n_coef);
-  for (auto& v : model.coef_) in >> v;
+  read_values(n_coef, model.coef_);
   if (!in) throw std::runtime_error("LinearRegressor::load: truncated");
   model.fitted_ = true;
   return model;

@@ -27,13 +27,14 @@ struct Xy {
   std::vector<double> y;
 };
 
-Xy small_data(std::uint64_t seed) {
+Xy small_data(std::uint64_t seed, std::size_t rows = 400,
+              std::size_t cols = 3) {
   util::Rng rng(seed);
   Xy d;
-  d.x = data::Matrix(400, 3);
-  d.y.resize(400);
-  for (std::size_t i = 0; i < 400; ++i) {
-    for (std::size_t c = 0; c < 3; ++c) d.x(i, c) = rng.uniform(-1.0, 1.0);
+  d.x = data::Matrix(rows, cols);
+  d.y.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t c = 0; c < cols; ++c) d.x(i, c) = rng.uniform(-1.0, 1.0);
     d.y[i] = d.x(i, 0) - d.x(i, 1) * d.x(i, 2) + rng.normal(0.0, 0.1);
   }
   return d;
@@ -155,20 +156,30 @@ TEST_F(ThreadDeterminism, GridSearchBitIdentical) {
 }
 
 TEST_F(ThreadDeterminism, GbtFitBitIdentical) {
-  const auto train = small_data(10);
-  const auto [serial, threaded] = at_1_and_4_threads([&] {
-    ml::GbtParams params;
-    params.n_estimators = 20;
-    params.max_depth = 5;
-    params.subsample = 0.8;
-    params.colsample = 0.8;
-    ml::GradientBoostedTrees model(params);
-    model.fit(train.x, train.y);
-    return model.predict(train.x);
-  });
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], threaded[i]);
+  // The wide set's upper nodes hold enough rows x live features for
+  // build_tree to split their scans across the pool in chunks of
+  // four-feature groups, and its target leans on feature 4, the first
+  // of the second chunk.
+  auto wide = small_data(13, 3000, 11);
+  for (std::size_t i = 0; i < wide.y.size(); ++i) {
+    wide.y[i] += 3.0 * wide.x(i, 4);
+  }
+  for (const auto& [train, colsample] :
+       {std::pair{small_data(10), 0.8}, std::pair{wide, 1.0}}) {
+    const auto [serial, threaded] = at_1_and_4_threads([&] {
+      ml::GbtParams params;
+      params.n_estimators = 20;
+      params.max_depth = 5;
+      params.subsample = 0.8;
+      params.colsample = colsample;
+      ml::GradientBoostedTrees model(params);
+      model.fit(train.x, train.y);
+      return model.predict(train.x);
+    });
+    ASSERT_EQ(serial.size(), threaded.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i], threaded[i]);
+    }
   }
 }
 

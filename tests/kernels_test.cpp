@@ -57,109 +57,153 @@ bool avx2_active_possible() {
 }
 
 // ---------------------------------------------------------------------
-// feature_scan: scalar vs AVX2 bit-identity on randomized inputs.
+// node_scan: scalar vs AVX2 bit-identity on randomized nodes.
 
-struct ScanCase {
-  std::vector<std::uint16_t> col;   // feature-major codes, one per row
-  std::vector<std::size_t> order;   // node rows
-  std::vector<double> grad;         // gathered per node row
-  std::size_t bins;
-  kn::FeatureScanParams params;
+// A tree node as node_scan sees it: feature-major code columns over
+// `rows` base rows with per-feature bin counts, the node's live feature
+// list, its rows and their gathered gradients.
+struct NodeCase {
+  std::size_t rows = 0;
+  std::vector<std::uint16_t> codes;   // feature-major, one column per id
+  std::vector<std::size_t> bins;      // per feature id
+  std::vector<std::size_t> features;  // live list
+  std::vector<std::size_t> order;     // node rows
+  std::vector<double> grad;           // gathered per node row
+  kn::NodeScanParams params;
+
+  std::uint16_t* column(std::size_t f) { return codes.data() + f * rows; }
+  const std::uint16_t* column(std::size_t f) const {
+    return codes.data() + f * rows;
+  }
+
+  // Append a column of `bins` bins (codes all 0) to the live list.
+  std::size_t add_feature(std::size_t n_bins) {
+    codes.resize(codes.size() + rows, 0);
+    bins.push_back(n_bins);
+    features.push_back(bins.size() - 1);
+    return bins.size() - 1;
+  }
+
+  // Totals and parent score from the gradients, under the given screen.
+  void set_params(double min_child_weight, double min_split_gain) {
+    double g_total = 0.0;
+    for (const double g : grad) g_total += g;
+    params.g_total = g_total;
+    params.h_total = static_cast<double>(order.size());
+    params.reg_lambda = 1.0;
+    params.min_child_weight = min_child_weight;
+    params.min_split_gain = min_split_gain;
+    params.parent_score =
+        g_total * g_total / (params.h_total + params.reg_lambda);
+  }
 };
 
-ScanCase random_scan_case(std::mt19937& rng, std::size_t n_rows,
-                          std::size_t bins) {
-  ScanCase c;
-  c.bins = bins;
-  std::uniform_int_distribution<int> bin_dist(
-      0, static_cast<int>(bins) - 1);
-  std::normal_distribution<double> grad_dist(0.0, 3.0);
-  c.col.resize(n_rows);
-  for (auto& v : c.col) v = static_cast<std::uint16_t>(bin_dist(rng));
-  // A shuffled subset of rows, as build_tree's partitioning produces.
-  std::vector<std::size_t> all(n_rows);
-  for (std::size_t i = 0; i < n_rows; ++i) all[i] = i;
-  std::shuffle(all.begin(), all.end(), rng);
-  const std::size_t take = n_rows == 0 ? 0 : 1 + rng() % n_rows;
-  c.order.assign(all.begin(), all.begin() + static_cast<long>(take));
-  c.grad.resize(c.order.size());
-  double g_total = 0.0;
-  for (auto& g : c.grad) {
-    g = grad_dist(rng);
-    g_total += g;
-  }
-  c.params.g_total = g_total;
-  c.params.h_total = static_cast<double>(c.order.size());
-  c.params.reg_lambda = 1.0;
-  c.params.min_child_weight = 1.0;
-  c.params.min_split_gain = 0.0;
-  c.params.parent_score =
-      g_total * g_total / (c.params.h_total + c.params.reg_lambda);
-  return c;
-}
-
-kn::SplitScan run_scan(const ScanCase& c, const char* policy) {
-  ScopedKernels tier(policy);
-  return kn::feature_scan(c.col.data(), c.order.data(), c.order.size(),
-                          c.grad.data(), c.bins, c.params);
-}
-
-void expect_scan_identical(const ScanCase& c) {
-  const auto s = run_scan(c, "scalar");
-  const auto v = run_scan(c, "avx2");
-  EXPECT_EQ(s.valid, v.valid);
-  EXPECT_EQ(s.bin, v.bin);
-  // Bit comparison, not EXPECT_DOUBLE_EQ: the contract is identity.
-  EXPECT_EQ(std::memcmp(&s.gain, &v.gain, sizeof(double)), 0)
-      << "scalar=" << s.gain << " avx2=" << v.gain;
-  // `constant` against a direct recount, not only tier against tier.
-  bool constant = true;
-  for (const auto r : c.order) constant = constant && c.col[r] == c.col[c.order[0]];
-  EXPECT_EQ(s.constant, constant);
-  EXPECT_EQ(v.constant, constant);
-}
-
-// A node as GradientBoostedTrees::build_tree scans it: n rows drawn
-// from a larger column, one code holding about 60% of them (sometimes
-// the last bin), tied codes and tied gradients, -0.0 gradients, and now
-// and then a node whose rows all share one code. Half the cases screen
-// with min_child_weight 0 and min_split_gain -1, where the all-empty
-// bin-0 prefix posts a live gain of 0.
-ScanCase tree_scan_case(std::mt19937& rng, std::size_t n, std::size_t bins) {
-  ScanCase c;
-  c.bins = bins;
-  std::uniform_int_distribution<int> bin_dist(0, static_cast<int>(bins) - 1);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  std::normal_distribution<double> grad_dist(0.0, 3.0);
-  const auto dominant = static_cast<std::uint16_t>(
-      u(rng) < 0.25 ? bins - 1 : static_cast<std::size_t>(bin_dist(rng)));
-  const bool all_same = u(rng) < 0.15;
-  const std::size_t rows = 2 * n + 3;
-  c.col.resize(rows);
-  for (auto& v : c.col) {
-    v = all_same || u(rng) < 0.6 ? dominant
-                                 : static_cast<std::uint16_t>(bin_dist(rng));
-  }
+// A node of `take` rows (a shuffled subset of `rows`, as build_tree's
+// partitioning produces; 0 draws a random size) with normal gradients
+// and no features yet.
+NodeCase random_node(std::mt19937& rng, std::size_t rows,
+                     std::size_t take = 0) {
+  NodeCase c;
+  c.rows = rows;
   std::vector<std::size_t> all(rows);
   for (std::size_t i = 0; i < rows; ++i) all[i] = i;
   std::shuffle(all.begin(), all.end(), rng);
-  c.order.assign(all.begin(), all.begin() + static_cast<long>(n));
+  if (take == 0) take = rows == 0 ? 0 : 1 + rng() % rows;
+  c.order.assign(all.begin(), all.begin() + static_cast<long>(take));
+  std::normal_distribution<double> grad_dist(0.0, 3.0);
+  for (std::size_t i = 0; i < take; ++i) c.grad.push_back(grad_dist(rng));
+  c.set_params(1.0, 0.0);
+  return c;
+}
+
+// Append a feature of `bins` bins with uniform random codes.
+std::size_t add_uniform_feature(NodeCase& c, std::mt19937& rng,
+                                std::size_t bins) {
+  const std::size_t f = c.add_feature(bins);
+  std::uniform_int_distribution<int> bin_dist(0, static_cast<int>(bins) - 1);
+  std::uint16_t* col = c.column(f);
+  for (std::size_t r = 0; r < c.rows; ++r) {
+    col[r] = static_cast<std::uint16_t>(bin_dist(rng));
+  }
+  return f;
+}
+
+// A node with k uniform features of `bins` bins each.
+NodeCase random_scan_case(std::mt19937& rng, std::size_t rows,
+                          std::size_t bins, std::size_t k) {
+  NodeCase c = random_node(rng, rows);
+  for (std::size_t j = 0; j < k; ++j) add_uniform_feature(c, rng, bins);
+  return c;
+}
+
+std::vector<kn::SplitScan> run_scan(const NodeCase& c, const char* policy) {
+  ScopedKernels tier(policy);
+  std::vector<kn::SplitScan> out(c.features.size());
+  kn::node_scan({c.codes.data(), c.rows, c.bins.data()}, c.features.data(),
+                c.features.size(), c.order.data(), c.order.size(),
+                c.grad.data(), c.params, out.data());
+  return out;
+}
+
+void expect_scan_identical(const NodeCase& c) {
+  const auto s = run_scan(c, "scalar");
+  const auto v = run_scan(c, "avx2");
+  for (std::size_t j = 0; j < c.features.size(); ++j) {
+    const std::size_t f = c.features[j];
+    EXPECT_EQ(s[j].valid, v[j].valid) << "feature " << f;
+    EXPECT_EQ(s[j].bin, v[j].bin) << "feature " << f;
+    // Bit comparison, not EXPECT_DOUBLE_EQ: the contract is identity.
+    EXPECT_EQ(std::memcmp(&s[j].gain, &v[j].gain, sizeof(double)), 0)
+        << "feature " << f << " scalar=" << s[j].gain << " avx2=" << v[j].gain;
+    // `constant` against a direct recount, not only tier against tier.
+    const std::uint16_t* col = c.column(f);
+    bool constant = true;
+    for (const auto r : c.order) constant = constant && col[r] == col[c.order[0]];
+    EXPECT_EQ(s[j].constant, constant) << "feature " << f;
+    EXPECT_EQ(v[j].constant, constant) << "feature " << f;
+  }
+}
+
+// A node as GradientBoostedTrees::build_tree scans it: n rows drawn
+// from a larger column set, gradients with ties and -0.0, and a live
+// list of k features in permuted id order (with ids left out of it).
+// Each feature has a bin count from {1, 2, 3, 63, 64, 65, 2048} and is
+// one of: one code holding about 60% of the rows (sometimes the last
+// bin), every row on one random code, or every row in the last bin. Half
+// the nodes screen with min_child_weight 0 and min_split_gain -1, where
+// the all-empty bin-0 prefix posts a live gain of 0.
+NodeCase tree_scan_case(std::mt19937& rng, std::size_t n, std::size_t k) {
+  constexpr std::size_t kBinChoices[] = {1, 2, 3, 63, 64, 65, 2048};
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  NodeCase c = random_node(rng, 2 * n + 3, n);
   std::sort(c.order.begin(), c.order.end());
-  c.grad.resize(n);
-  double g_total = 0.0;
+  std::normal_distribution<double> grad_dist(0.0, 3.0);
   for (auto& g : c.grad) {
     const double pick = u(rng);
     g = pick < 0.1 ? -0.0 : pick < 0.2 ? 1.5 : grad_dist(rng);
-    g_total += g;
   }
+  const std::size_t n_ids = k + rng() % 4;
+  for (std::size_t f = 0; f < n_ids; ++f) {
+    const std::size_t bins = kBinChoices[rng() % 7];
+    c.add_feature(bins);
+    std::uniform_int_distribution<int> bin_dist(0, static_cast<int>(bins) - 1);
+    const double kind = u(rng);
+    const bool all_same = kind < 0.15;
+    const bool all_last = kind >= 0.15 && kind < 0.3;
+    const auto dominant = static_cast<std::uint16_t>(
+        all_last || u(rng) < 0.25 ? bins - 1
+                                  : static_cast<std::size_t>(bin_dist(rng)));
+    std::uint16_t* col = c.column(f);
+    for (std::size_t r = 0; r < c.rows; ++r) {
+      col[r] = all_same || all_last || u(rng) < 0.6
+                   ? dominant
+                   : static_cast<std::uint16_t>(bin_dist(rng));
+    }
+  }
+  std::shuffle(c.features.begin(), c.features.end(), rng);
+  c.features.resize(k);
   const bool loose = u(rng) < 0.5;
-  c.params.g_total = g_total;
-  c.params.h_total = static_cast<double>(n);
-  c.params.reg_lambda = 1.0;
-  c.params.min_child_weight = loose ? 0.0 : 1.0;
-  c.params.min_split_gain = loose ? -1.0 : 0.0;
-  c.params.parent_score =
-      g_total * g_total / (c.params.h_total + c.params.reg_lambda);
+  c.set_params(loose ? 0.0 : 1.0, loose ? -1.0 : 0.0);
   return c;
 }
 
@@ -168,52 +212,64 @@ TEST(KernelsHist, ScalarVsAvx2Randomized) {
   for (int rep = 0; rep < 50; ++rep) {
     const std::size_t rows = 1 + rng() % 400;
     const std::size_t bins = 2 + rng() % 60;
-    expect_scan_identical(random_scan_case(rng, rows, bins));
+    expect_scan_identical(random_scan_case(rng, rows, bins, 1 + rng() % 9));
   }
-  // Tree-shaped traffic: 11 node sizes x 6 bin counts x 16 draws.
+  // Tree-shaped traffic: 11 node sizes x live lists of 1-9 features x 8
+  // draws, so groups of four, short last groups of one to three and wide
+  // features interleaved with them all occur.
   for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 189}) {
-    for (const std::size_t bins : {2, 3, 63, 64, 65, 2048}) {
-      for (int rep = 0; rep < 16; ++rep) {
-        expect_scan_identical(tree_scan_case(rng, n, bins));
+    for (std::size_t k = 1; k <= 9; ++k) {
+      for (int rep = 0; rep < 8; ++rep) {
+        expect_scan_identical(tree_scan_case(rng, n, k));
       }
     }
   }
 }
 
 TEST(KernelsHist, MaxBinsEdge) {
+  // Two features at the bin ceiling among narrow ones.
   std::mt19937 rng(11);
-  expect_scan_identical(random_scan_case(rng, 1000, ml::kMaxBins));
+  NodeCase c = random_scan_case(rng, 1000, 64, 3);
+  add_uniform_feature(c, rng, ml::kMaxBins);
+  add_uniform_feature(c, rng, ml::kMaxBins);
+  std::swap(c.features[0], c.features[3]);
+  expect_scan_identical(c);
 }
 
 TEST(KernelsHist, SingleRow) {
   std::mt19937 rng(13);
-  expect_scan_identical(random_scan_case(rng, 1, 2));
+  expect_scan_identical(random_scan_case(rng, 1, 2, 5));
 }
 
 TEST(KernelsHist, EmptyNode) {
-  // n == 0: no rows reach this node. Both tiers must report no split.
+  // n == 0: no rows reach this node. Both tiers must report no split,
+  // on narrow and wide features alike.
   std::mt19937 rng(15);
-  ScanCase c = random_scan_case(rng, 8, 4);
+  NodeCase c = random_scan_case(rng, 8, 4, 5);
+  add_uniform_feature(c, rng, 300);
   c.order.clear();
   c.grad.clear();
-  c.params.g_total = 0.0;
-  c.params.h_total = 0.0;
-  c.params.parent_score = 0.0;
+  c.set_params(1.0, 0.0);
   expect_scan_identical(c);
-  EXPECT_FALSE(run_scan(c, "avx2").valid);
+  for (const auto& scan : run_scan(c, "avx2")) EXPECT_FALSE(scan.valid);
 }
 
 TEST(KernelsHist, EmptyFeature) {
   // All rows land in bin 0 (a constant feature): no valid split, and the
-  // same for a feature binned into a single code.
+  // same for a feature binned into a single code, grouped with a
+  // feature that can split.
   std::mt19937 rng(17);
-  ScanCase c = random_scan_case(rng, 64, 4);
-  std::fill(c.col.begin(), c.col.end(), std::uint16_t{0});
-  for (const std::size_t bins : {4, 1}) {
-    c.bins = bins;
-    expect_scan_identical(c);
-    EXPECT_FALSE(run_scan(c, "scalar").valid) << bins;
-    EXPECT_TRUE(run_scan(c, "scalar").constant) << bins;
+  NodeCase c = random_node(rng, 64);
+  c.add_feature(4);
+  c.add_feature(1);
+  add_uniform_feature(c, rng, 4);
+  expect_scan_identical(c);
+  for (const char* policy : {"scalar", "avx2"}) {
+    const auto scans = run_scan(c, policy);
+    for (std::size_t j = 0; j < 2; ++j) {
+      EXPECT_FALSE(scans[j].valid) << policy << " " << c.bins[j];
+      EXPECT_TRUE(scans[j].constant) << policy << " " << c.bins[j];
+    }
   }
 }
 
@@ -223,11 +279,9 @@ TEST(KernelsHist, SparseOffsetBins) {
   // skips the untouched bins between and after the touched ones.
   std::mt19937 rng(29);
   for (int rep = 0; rep < 20; ++rep) {
-    ScanCase c = random_scan_case(rng, 48, 256);
+    NodeCase c = random_scan_case(rng, 48, 256, 3);
     const std::uint16_t lo = static_cast<std::uint16_t>(96 + rng() % 32);
-    for (auto& v : c.col) {
-      v = static_cast<std::uint16_t>(lo + v % 24);
-    }
+    for (auto& v : c.codes) v = static_cast<std::uint16_t>(lo + v % 24);
     expect_scan_identical(c);
   }
 }
@@ -236,10 +290,10 @@ TEST(KernelsHist, AllRowsInLastBin) {
   // Every row in bin bins-1, which the sweep never evaluates: the result
   // must come from the all-empty-prefix evaluation alone.
   std::mt19937 rng(31);
-  ScanCase c = random_scan_case(rng, 32, 8);
-  std::fill(c.col.begin(), c.col.end(), std::uint16_t{7});
+  NodeCase c = random_scan_case(rng, 32, 8, 4);
+  std::fill(c.codes.begin(), c.codes.end(), std::uint16_t{7});
   expect_scan_identical(c);
-  EXPECT_FALSE(run_scan(c, "avx2").valid);
+  for (const auto& scan : run_scan(c, "avx2")) EXPECT_FALSE(scan.valid);
 }
 
 TEST(KernelsHist, NegativeMinSplitGainZeroChildWeight) {
@@ -248,28 +302,30 @@ TEST(KernelsHist, NegativeMinSplitGainZeroChildWeight) {
   // sweep must still report exactly what the scalar loop reports.
   std::mt19937 rng(37);
   for (int rep = 0; rep < 20; ++rep) {
-    ScanCase c = random_scan_case(rng, 24, 64);
-    for (auto& v : c.col) {
+    NodeCase c = random_scan_case(rng, 24, 64, 5);
+    for (auto& v : c.codes) {
       v = static_cast<std::uint16_t>(20 + v % 16);  // bin 0 untouched
     }
-    c.params.min_child_weight = 0.0;
-    c.params.min_split_gain = -0.5;
+    c.set_params(0.0, -0.5);
     expect_scan_identical(c);
   }
 }
 
 TEST(KernelsHist, ScratchInvariantAcrossCalls) {
-  // A wide-range scan followed by narrow ones on the same thread: any
+  // Full-range scans followed by narrow ones on the same thread: any
   // stale residue from the first scan's bins would corrupt the later
-  // histograms if the exit re-zeroing missed a touched bin.
+  // histograms if the exit re-zeroing missed a touched bin, in the wide
+  // pass's scratch or the group pass's.
   std::mt19937 rng(41);
-  ScanCase wide = random_scan_case(rng, 300, 128);
+  NodeCase wide = random_scan_case(rng, 300, 128, 2);
+  add_uniform_feature(wide, rng, 64);
+  add_uniform_feature(wide, rng, 64);
   expect_scan_identical(wide);
   for (int rep = 0; rep < 10; ++rep) {
-    ScanCase narrow = random_scan_case(rng, 16, 128);
-    for (auto& v : narrow.col) {
-      v = static_cast<std::uint16_t>(v % 128);
-    }
+    NodeCase narrow = random_scan_case(rng, 16, 128, 1);
+    add_uniform_feature(narrow, rng, 64);
+    add_uniform_feature(narrow, rng, 64);
+    for (auto& v : narrow.codes) v = static_cast<std::uint16_t>(v % 8);
     expect_scan_identical(narrow);
   }
 }

@@ -689,7 +689,7 @@ TEST(MlpBatchTraining, DeepEnsembleMembersBitIdenticalToRowwiseReference) {
 // Test-only reference booster: GradientBoostedTrees' squared-loss fit
 // as it was before each tree carried a live-feature list, so every node
 // scans every sampled feature. It is transcribed from public pieces
-// only: BinnedMatrix codes and thresholds, kernels::feature_scan on the
+// only: BinnedMatrix codes and thresholds, kernels::node_scan on the
 // scalar tier, kernels::node_sum, and std::partition with the same
 // predicate. GradientBoostedTrees must reproduce its predictions and
 // importances bit for bit on either tier.
@@ -788,6 +788,8 @@ class ReferenceGbt {
     Tree tree(1);
     std::vector<Item> stack = {{0, 0, order.size(), 0}};
     std::vector<double> node_grad(order.size());
+    std::vector<std::size_t> bins(binned.cols());
+    for (std::size_t f = 0; f < bins.size(); ++f) bins[f] = binned.n_bins(f);
     while (!stack.empty()) {
       const Item item = stack.back();
       stack.pop_back();
@@ -804,20 +806,24 @@ class ReferenceGbt {
         tree[item.node].value = leaf_value;
         continue;
       }
-      const ml::kernels::FeatureScanParams scan{
+      const ml::kernels::NodeScanParams scan{
           g_total,           h_total,
           p_.reg_lambda,     p_.min_child_weight,
           p_.min_split_gain, g_total * g_total / (h_total + p_.reg_lambda)};
+      std::vector<ml::kernels::SplitScan> scans(features.size());
+      ml::kernels::node_scan({binned.col_codes(0).data(), binned.rows(),
+                              bins.data()},
+                             features.data(), features.size(),
+                             order.data() + item.lo, n, node_grad.data(),
+                             scan, scans.data());
       int best_feature = -1;
       std::size_t best_bin = 0;
       double best_gain = p_.min_split_gain;
-      for (const std::size_t f : features) {
-        const auto c = ml::kernels::feature_scan(
-            binned.col_codes(f).data(), order.data() + item.lo, n,
-            node_grad.data(), binned.n_bins(f), scan);
+      for (std::size_t j = 0; j < features.size(); ++j) {
+        const auto& c = scans[j];
         if (c.valid && c.gain > best_gain) {
           best_gain = c.gain;
-          best_feature = static_cast<int>(f);
+          best_feature = static_cast<int>(features[j]);
           best_bin = c.bin;
         }
       }

@@ -302,6 +302,34 @@ TEST(LinearSerialize, RoundTripPredictionsIdentical) {
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
 }
 
+// A two-feature ridge checkpoint with `from` replaced by `to`.
+std::string linear_checkpoint(const std::string& from, const std::string& to) {
+  std::string text =
+      "iotax-linear 1\nparams 0.5 1\nintercept 0.25\nscaler 2\n0.1 0.2 \n"
+      "1 2 \ncoef 2\n0.3 0.4 \n";
+  if (!from.empty()) text.replace(text.find(from), from.size(), to);
+  return text;
+}
+
+TEST(LinearSerialize, LoadRejectsHugeScalerCount) {
+  // The scaler's means and stddevs were sized by this count before any
+  // value was read.
+  std::istringstream good(linear_checkpoint("", ""));
+  EXPECT_EQ(ml::LinearRegressor::load(good).coefficients().size(), 2U);
+  std::istringstream in(linear_checkpoint("scaler 2", "scaler 4000000000"));
+  EXPECT_THROW(ml::LinearRegressor::load(in), std::runtime_error);
+}
+
+TEST(LinearSerialize, LoadRejectsHugeCoefCount) {
+  // The coefficient count must equal the scaler's, so it can only lie
+  // together with it; neither may size a vector before its values are
+  // read.
+  std::string text = linear_checkpoint("coef 2", "coef 4000000000");
+  text.replace(text.find("scaler 2"), 8, "scaler 4000000000");
+  std::istringstream in(text);
+  EXPECT_THROW(ml::LinearRegressor::load(in), std::runtime_error);
+}
+
 TEST(MeanSerialize, RoundTripPredictionsIdentical) {
   const auto train = make_data(100, 10);
   ml::MeanRegressor model;
