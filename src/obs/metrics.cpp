@@ -54,7 +54,7 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
 
 double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
 
-double Histogram::quantile(double q) const {
+double Histogram::bucket_quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const auto counts = bucket_counts();
   std::uint64_t total = 0;
@@ -86,9 +86,9 @@ void Histogram::reset() {
 
 const std::vector<double>& latency_ms_edges() {
   static const std::vector<double> edges = {
-      0.1,    0.25,   0.5,    1.0,    2.5,    5.0,     10.0,    25.0,
-      50.0,   100.0,  250.0,  500.0,  1000.0, 2500.0,  5000.0,  10000.0,
-      25000.0, 60000.0};
+      0.005,  0.01,   0.025,  0.05,   0.1,    0.25,    0.5,     1.0,
+      2.5,    5.0,    10.0,   25.0,   50.0,   100.0,   250.0,   500.0,
+      1000.0, 2500.0, 5000.0, 10000.0, 25000.0, 60000.0};
   return edges;
 }
 

@@ -62,11 +62,13 @@ class Histogram {
   std::vector<std::uint64_t> bucket_counts() const;
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const;
-  /// Estimated q-quantile (q in [0,1]) by linear interpolation within
-  /// the bucket holding the q-th observation (Prometheus
-  /// histogram_quantile semantics). Returns NaN with no observations;
-  /// a quantile landing in the overflow bucket clamps to the last edge.
-  double quantile(double q) const;
+  /// Bucket estimate of the q-quantile (q in [0,1]): a linear
+  /// interpolation within the bucket holding the q-th observation
+  /// (Prometheus histogram_quantile semantics), not a sample's value —
+  /// where exact samples exist, take their nearest rank instead. Returns
+  /// NaN with no observations; an estimate landing in the overflow
+  /// bucket clamps to the last edge.
+  double bucket_quantile(double q) const;
   void reset();
 
  private:
@@ -76,7 +78,7 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Default latency bucket edges in milliseconds: 0.1 ms .. 60 s in a
+/// Default latency bucket edges in milliseconds: 5 µs .. 60 s in a
 /// 1-2.5-5 progression.
 const std::vector<double>& latency_ms_edges();
 

@@ -42,6 +42,7 @@
 
 #include "src/faults/chaos.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/serve/server.hpp"
 #include "src/util/backoff.hpp"
 #include "src/util/quarantine.hpp"
 
@@ -67,7 +68,8 @@ struct Endpoint {
 /// of the request, so a replayed workload always routes identically.
 std::size_t fleet_slot(const PredictRequest& req, std::size_t n_groups);
 
-struct SupervisorConfig {
+/// The BatchConfig settings pass through to each shard's ServeConfig.
+struct SupervisorConfig : BatchConfig {
   /// The iotax binary to exec shards from (argv[0] of the parent, or
   /// an explicit --iotax-bin override in tests).
   std::string iotax_bin;
@@ -81,10 +83,6 @@ struct SupervisorConfig {
   /// Non-empty switches shards to TCP on 127.0.0.1; must hold exactly
   /// n_groups * n_replicas distinct ports (row-major by group).
   std::vector<int> shard_ports;
-  /// Passed through to each shard's ServeConfig.
-  std::size_t batch_size = 32;
-  std::uint64_t batch_wait_us = 200;
-  std::size_t max_inflight = 256;
   /// Health loop: every interval, each live shard gets a ping that must
   /// answer within the timeout; silence means hung -> SIGKILL + restart.
   std::uint64_t health_interval_ms = 100;

@@ -24,6 +24,14 @@ struct Server::Pending {
   Clock::time_point t_enqueue;
 };
 
+namespace {
+
+double ms_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+}  // namespace
+
 Server::Server(ServeConfig config) : config_(std::move(config)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
   if (config_.max_inflight == 0) config_.max_inflight = 1;
@@ -340,19 +348,26 @@ void Server::batcher_loop() {
 }
 
 void Server::run_batch(std::vector<Pending>&& batch) {
+  const bool timed = obs::enabled();
+  const Clock::time_point t_popped = timed ? Clock::now() : Clock::time_point{};
   IOTAX_TRACE_SPAN("serve.batch");
   obs::span_arg("rows", static_cast<double>(batch.size()));
   n_batches_.fetch_add(1, std::memory_order_relaxed);
   IOTAX_OBS_COUNT("serve.batches", 1);
-  if (obs::enabled()) {
-    // Rows per executed batch: how much batching the admission window
-    // actually achieves, and thus how much of the packed-kernel batch
-    // speedup each request sees (wide buckets — sizes are powers-ish).
+  if (timed) {
+    // Rows per executed batch: how much batching the queue actually
+    // achieves, and thus how much of the packed-kernel batch speedup
+    // each request sees (wide buckets — sizes are powers-ish).
     static obs::Histogram& batch_rows_hist =
         obs::MetricsRegistry::global().histogram(
             "serve.batch_rows", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
                                  128.0, 256.0, 512.0});
     batch_rows_hist.observe(static_cast<double>(batch.size()));
+    // Queue wait, per row: from admission to the batcher taking it.
+    for (const auto& pending : batch) {
+      IOTAX_OBS_HIST_MS("serve.queue_wait_ms",
+                        ms_between(pending.t_enqueue, t_popped));
+    }
   }
 
   // Group batch slots by (model, row width, dist?, shadow?) in
@@ -478,14 +493,14 @@ void Server::run_batch(std::vector<Pending>&& batch) {
           {batch[slot].session, encode_predict_response(responses[r])});
       n_responses_.fetch_add(1, std::memory_order_relaxed);
       IOTAX_OBS_COUNT("serve.responses", 1);
-      if (obs::enabled()) {
-        const double ms =
-            std::chrono::duration<double, std::milli>(
-                now - batch[slot].t_enqueue)
-                .count();
-        IOTAX_OBS_HIST_MS("serve.request_ms", ms);
-      }
+      IOTAX_OBS_HIST_MS("serve.request_ms",
+                        ms_between(batch[slot].t_enqueue, now));
     }
+  }
+  // The batch itself, kernel plus encode: what the daemon spends on a
+  // request once it has left the queue.
+  if (timed) {
+    IOTAX_OBS_HIST_MS("serve.batch_ms", ms_between(t_popped, Clock::now()));
   }
   // Hand the whole batch to the loop at once: one lock, and one wake
   // unless an earlier batch's wake has not been taken up yet.

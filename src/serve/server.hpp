@@ -9,13 +9,15 @@
 // (loop.hpp, shared with the fleet router) accepts, decodes frames,
 // answers pings and control verbs, and admits predicts into a
 // BoundedQueue; past --max-inflight unanswered requests it sheds with a
-// typed BUSY. The batcher gathers up to --batch-size requests within a
-// --batch-wait-us window and runs the ordinary batch-predict kernels, so
-// served answers are bit-identical to offline `iotax predict` at any
-// IOTAX_THREADS. Each batch's encoded replies go back through one
-// mutex-guarded outbox and one eventfd wake; the queue and the outbox
-// are the only state the two threads share. Replies carry the request
-// id, so cross-request ordering is unconstrained.
+// typed BUSY. The batcher wakes on the first queued request and takes
+// everything that has arrived, up to --batch-size: a batch closes on what
+// is queued, and only a non-zero --batch-wait-us holds one open for more.
+// It runs the ordinary batch-predict kernels, so served answers are
+// bit-identical to offline `iotax predict` at any IOTAX_THREADS and
+// whatever the batch composition. Each batch's encoded replies go back
+// through one mutex-guarded outbox and one eventfd wake; the queue and
+// the outbox are the only state the two threads share. Replies carry
+// the request id, so cross-request ordering is unconstrained.
 //
 // Failure model: frame defects map to the quarantine Reason vocabulary
 // and get a typed error reply; they never kill the daemon. stop()
@@ -40,7 +42,25 @@
 
 namespace iotax::serve {
 
-struct ServeConfig {
+/// Batching and admission: the settings a daemon and every shard of a
+/// fleet share, and the one place their defaults are written (the
+/// `serve` and `fleet` verbs default their flags to these).
+struct BatchConfig {
+  /// Micro-batching: a batch closes on what has arrived. The batcher
+  /// takes every queued request, up to `batch_size`, as soon as the
+  /// first is there. A non-zero `batch_wait_us` holds a batch short of
+  /// `batch_size` open for up to that long after its first request.
+  std::size_t batch_size = 32;
+  std::uint64_t batch_wait_us = 0;
+  /// Admission control: requests beyond this many in flight get a typed
+  /// BUSY reply instead of queueing (also the queue capacity).
+  std::size_t max_inflight = 256;
+};
+
+/// One daemon: how it batches (BatchConfig: a batch closes on what has
+/// arrived unless `batch_wait_us` holds it), what it loads and where it
+/// listens.
+struct ServeConfig : BatchConfig {
   /// Checkpoints to load; requests address them by index in this order.
   std::vector<std::string> model_files;
   /// Unix-domain listener path ("" disables). The path is unlinked on
@@ -49,13 +69,6 @@ struct ServeConfig {
   /// TCP listener port on 127.0.0.1 (-1 disables, 0 picks an ephemeral
   /// port — read it back with Server::tcp_port()).
   int tcp_port = -1;
-  /// Micro-batching: a batch closes at `batch_size` requests or
-  /// `batch_wait_us` after its first request, whichever comes first.
-  std::size_t batch_size = 32;
-  std::uint64_t batch_wait_us = 200;
-  /// Admission control: requests beyond this many in flight get a typed
-  /// BUSY reply instead of queueing (also the queue capacity).
-  std::size_t max_inflight = 256;
   /// Shadow deployment: a candidate checkpoint served beside production
   /// ("" disables). Requests flagged kFlagShadow get values =
   /// {production, shadow}; divergence between the two is accounted

@@ -1,10 +1,10 @@
 // Bounded multi-producer / multi-consumer queue with explicit
 // backpressure, built for the serve request path: the daemon's event
 // loop (its one producer) try_push()es and treats a full queue as "shed
-// this request", the batcher pop_batch()es up to a batch size within a
-// bounded gather window, and close() starts a graceful drain —
-// producers are refused, consumers keep popping until the queue is
-// empty and only then see "done".
+// this request", the batcher pop_batch()es whatever has arrived, up to a
+// batch size (a non-zero hold keeps a short batch open for more), and
+// close() starts a graceful drain — producers are refused, consumers
+// keep popping until the queue is empty and only then see "done".
 //
 // All synchronisation is a mutex + two condition variables; no lock-free
 // cleverness, so the type is trivially ThreadSanitizer-clean and the
@@ -33,7 +33,7 @@ class BoundedQueue {
   /// Non-blocking push. False when the queue is full (backpressure: the
   /// caller sheds) or closed (drain: the caller refuses new work). Wakes
   /// a consumer only when one waits for any item or this push fills the
-  /// batch being gathered: no other push can end a wait.
+  /// batch being held open: no other push can end a wait.
   bool try_push(T v) {
     bool wake = false;
     {
@@ -46,21 +46,24 @@ class BoundedQueue {
     return true;
   }
 
-  /// Pop up to `max_n` items as one batch. Blocks until at least one
-  /// item is available (or the queue is closed); once the first item of
-  /// the batch is in hand, waits at most `gather_wait` for more before
-  /// returning what accumulated. Returns an empty vector only when the
-  /// queue is closed *and* drained — the consumer's signal to exit.
-  std::vector<T> pop_batch(std::size_t max_n,
-                           std::chrono::microseconds gather_wait) {
+  /// Pop up to `max_n` items as one batch. Blocks, with no timeout,
+  /// until at least one item is available (or the queue is closed), then
+  /// takes everything queued up to `max_n`: a batch closes on what has
+  /// already arrived. A non-zero `hold` keeps a batch short of `max_n`
+  /// open for at most that long after its first item, to gather more. A
+  /// zero hold never enters the timed wait, since a wait whose deadline
+  /// has passed still sleeps out the kernel's timer slack. Returns an
+  /// empty vector only when the queue is closed *and* drained — the
+  /// consumer's signal to exit.
+  std::vector<T> pop_batch(std::size_t max_n, std::chrono::microseconds hold) {
     std::unique_lock<std::mutex> lock(mu_);
     ++idle_;
     nonempty_cv_.wait(lock, [&] { return !q_.empty() || closed_; });
     --idle_;
     if (q_.empty()) return {};  // closed and drained
-    if (q_.size() < max_n && !closed_) {
+    if (hold.count() > 0 && q_.size() < max_n && !closed_) {
       gather_n_ = max_n;
-      const auto deadline = std::chrono::steady_clock::now() + gather_wait;
+      const auto deadline = std::chrono::steady_clock::now() + hold;
       nonempty_cv_.wait_until(lock, deadline, [&] {
         return q_.size() >= max_n || closed_;
       });
@@ -103,7 +106,7 @@ class BoundedQueue {
   std::condition_variable nonempty_cv_;
   std::deque<T> q_;
   std::size_t idle_ = 0;      // consumers waiting for any item
-  std::size_t gather_n_ = 0;  // batch size the consumer last gathered for
+  std::size_t gather_n_ = 0;  // batch size the consumer last held open for
   bool closed_ = false;
 };
 

@@ -160,23 +160,23 @@ TEST_F(ObsTest, HistogramBucketEdgesAreInclusiveUpperBounds) {
 
 TEST_F(ObsTest, HistogramQuantilesInterpolateWithinBuckets) {
   obs::Histogram h({1.0, 2.0, 4.0});
-  EXPECT_TRUE(std::isnan(h.quantile(0.5)));  // empty histogram
-  // 10 observations in (1, 2]: the quantile interpolates linearly
+  EXPECT_TRUE(std::isnan(h.bucket_quantile(0.5)));  // empty histogram
+  // 10 observations in (1, 2]: the estimate interpolates linearly
   // through that bucket.
   for (int i = 0; i < 10; ++i) h.observe(1.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.5);   // rank 5 of 10 -> midpoint
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 2.0);   // upper edge of the bucket
+  EXPECT_DOUBLE_EQ(h.bucket_quantile(0.5), 1.5);   // rank 5 of 10 -> midpoint
+  EXPECT_DOUBLE_EQ(h.bucket_quantile(1.0), 2.0);   // upper edge of the bucket
   // Spread across buckets: 10 in (1,2], 10 in (2,4].
   for (int i = 0; i < 10; ++i) h.observe(3.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);   // rank 10 closes bucket 1
-  EXPECT_DOUBLE_EQ(h.quantile(0.75), 3.0);  // rank 15, halfway into (2,4]
+  EXPECT_DOUBLE_EQ(h.bucket_quantile(0.5), 2.0);   // rank 10 closes bucket 1
+  EXPECT_DOUBLE_EQ(h.bucket_quantile(0.75), 3.0);  // rank 15, halfway into (2,4]
   // Observations beyond the last edge clamp to it (the overflow bucket
   // has no upper bound to interpolate toward).
   h.observe(100.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
+  EXPECT_DOUBLE_EQ(h.bucket_quantile(1.0), 4.0);
   // Out-of-range q is clamped, not an error.
-  EXPECT_DOUBLE_EQ(h.quantile(-0.5), h.quantile(0.0));
-  EXPECT_DOUBLE_EQ(h.quantile(1.5), h.quantile(1.0));
+  EXPECT_DOUBLE_EQ(h.bucket_quantile(-0.5), h.bucket_quantile(0.0));
+  EXPECT_DOUBLE_EQ(h.bucket_quantile(1.5), h.bucket_quantile(1.0));
 }
 
 TEST_F(ObsTest, HistogramRejectsBadEdges) {

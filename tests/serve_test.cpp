@@ -1,8 +1,9 @@
 // The serving stack: frame codec, bounded MPMC queue, and the daemon
 // end to end over a real Unix socket — golden bit-identity against
 // offline predictions at IOTAX_THREADS 1 and 4, truncation at every
-// byte boundary, admission control, and graceful-drain accounting (also
-// with requests in flight when stop() is called).
+// byte boundary, admission control, graceful-drain accounting (also
+// with requests in flight when stop() is called), and batches that close
+// on what has arrived unless a hold is asked for.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,6 +24,7 @@
 #include "src/data/matrix.hpp"
 #include "src/ml/gbt.hpp"
 #include "src/ml/registry.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/serve/client.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
@@ -667,6 +669,52 @@ TEST_F(ServeTest, DrainWithRequestsInFlightAnswersOrRefusesEach) {
   EXPECT_EQ(stats.responses, predicted);
   EXPECT_EQ(stats.shed, refused);
   EXPECT_EQ(stats.errors, 0u);
+}
+
+TEST_F(ServeTest, LoneRequestIsNotHeldForCompany) {
+  // A batch closes on what has arrived: under the default config a lone
+  // request leaves the queue as soon as the batcher wakes, instead of
+  // sitting out a gather window for company that never comes. An
+  // explicit batch_wait_us still holds a short batch open, which the
+  // hold-based serve and fleet tests rely on. Each request is sent
+  // alone, so the sum of serve.queue_wait_ms grows by exactly its one
+  // sample.
+  const bool obs_was_on = obs::enabled();
+  obs::set_enabled(true);
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Histogram& queue_wait =
+      registry.histogram("serve.queue_wait_ms", obs::latency_ms_edges());
+  const auto lone_waits_ms = [&](const serve::ServeConfig& cfg,
+                                 std::size_t n) {
+    registry.reset();
+    serve::Server server(cfg);
+    server.start();
+    auto client = serve::Client::connect_unix(cfg.unix_socket);
+    std::vector<double> waits;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double before = queue_wait.sum();
+      client.send_predict(request_for_row(i, i + 1));
+      serve::Client::Reply reply;
+      EXPECT_TRUE(client.read_reply(&reply));
+      EXPECT_EQ(reply.type, FrameType::kPredictResponse);
+      EXPECT_EQ(queue_wait.count(), i + 1);
+      waits.push_back(queue_wait.sum() - before);
+    }
+    client.close();
+    server.stop();
+    return waits;
+  };
+
+  const auto unheld = lone_waits_ms(base_config("lone"), 20);
+  EXPECT_LE(*std::min_element(unheld.begin(), unheld.end()), 0.1)
+      << "every lone request waited in the queue for company";
+
+  auto held = base_config("lone_held");
+  held.batch_wait_us = 20000;
+  for (const double ms : lone_waits_ms(held, 3)) EXPECT_GE(ms, 20.0);
+
+  registry.reset();
+  obs::set_enabled(obs_was_on);
 }
 
 TEST_F(ServeTest, RegistryServesMultipleModelsByIndex) {

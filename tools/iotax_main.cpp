@@ -1021,6 +1021,17 @@ int cmd_audit(const cli::Args& args) {
   return rc;
 }
 
+/// --batch-size, --batch-wait-us and --max-inflight, each defaulting to
+/// what `cfg` already holds: serve::BatchConfig's defaults.
+void read_batch_flags(const cli::Args& args, serve::BatchConfig* cfg) {
+  cfg->batch_size = static_cast<std::size_t>(args.get_int_or(
+      "batch-size", static_cast<long long>(cfg->batch_size)));
+  cfg->batch_wait_us = static_cast<std::uint64_t>(args.get_int_or(
+      "batch-wait-us", static_cast<long long>(cfg->batch_wait_us)));
+  cfg->max_inflight = static_cast<std::size_t>(args.get_int_or(
+      "max-inflight", static_cast<long long>(cfg->max_inflight)));
+}
+
 std::atomic<int> g_serve_signal{0};
 
 void serve_signal_handler(int sig) { g_serve_signal.store(sig); }
@@ -1039,12 +1050,7 @@ int cmd_serve(const cli::Args& args) {
   }
   cfg.unix_socket = args.get_or("socket", "");
   cfg.tcp_port = static_cast<int>(args.get_int_or("port", -1));
-  cfg.batch_size =
-      static_cast<std::size_t>(args.get_int_or("batch-size", 32));
-  cfg.batch_wait_us =
-      static_cast<std::uint64_t>(args.get_int_or("batch-wait-us", 200));
-  cfg.max_inflight =
-      static_cast<std::size_t>(args.get_int_or("max-inflight", 256));
+  read_batch_flags(args, &cfg);
   cfg.shadow_file = args.get_or("shadow", "");
   cfg.shadow_slot =
       static_cast<std::size_t>(args.get_int_or("shadow-slot", 0));
@@ -1124,8 +1130,9 @@ int cmd_serve(const cli::Args& args) {
     auto& hist = obs::MetricsRegistry::global().histogram(
         "serve.request_ms", obs::latency_ms_edges());
     if (hist.count() > 0) {
-      std::printf("serve: latency p50 %.3f ms, p99 %.3f ms\n",
-                  hist.quantile(0.5), hist.quantile(0.99));
+      std::printf("serve: latency p50 ~%.3f ms, p99 ~%.3f ms "
+                  "(bucket estimates)\n",
+                  hist.bucket_quantile(0.5), hist.bucket_quantile(0.99));
     }
   }
   const auto quarantined = server.quarantine();
@@ -1174,12 +1181,7 @@ int cmd_fleet(const cli::Args& args) {
       sup.shard_ports.push_back(std::stoi(std::string(trimmed)));
     }
   }
-  sup.batch_size =
-      static_cast<std::size_t>(args.get_int_or("batch-size", 32));
-  sup.batch_wait_us =
-      static_cast<std::uint64_t>(args.get_int_or("batch-wait-us", 200));
-  sup.max_inflight =
-      static_cast<std::size_t>(args.get_int_or("max-inflight", 256));
+  read_batch_flags(args, &sup);
   sup.health_interval_ms =
       static_cast<std::uint64_t>(args.get_int_or("health-interval-ms", 100));
   sup.health_timeout_ms =
