@@ -80,10 +80,10 @@ BurstResult run_burst() {
   std::ostringstream ckpt;
   clf.save(ckpt);
   std::istringstream in(ckpt.str());
-  const auto loaded = ml::BurstClassifier::load(in);
-  const auto prob2 = loaded.predict(x_test);
+  const auto loaded = ml::Regressor::load(in);
+  const auto prob2 = loaded->predict(x_test);
   std::ostringstream ckpt2;
-  loaded.save(ckpt2);
+  loaded->save(ckpt2);
   r.roundtrip_identical = prob == prob2 && ckpt.str() == ckpt2.str();
 
   // Correctness bit 2: a threshold-kind classifier over the same

@@ -1,9 +1,10 @@
 #include "src/ml/classifier.hpp"
 
 #include <cmath>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
+
+#include "src/ml/checkpoint.hpp"
 
 namespace iotax::ml {
 
@@ -15,15 +16,6 @@ double sigmoid(double z) {
   if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
   const double e = std::exp(z);
   return e / (1.0 + e);
-}
-
-void expect_token(std::istream& in, const char* want) {
-  std::string token;
-  in >> token;
-  if (token != want) {
-    throw std::runtime_error(std::string("BurstClassifier::load: expected '") +
-                             want + "', got '" + token + "'");
-  }
 }
 
 /// Platt scaling per Lin, Weng & Keerthi (2007): fit sigmoid(a*s + b)
@@ -209,8 +201,7 @@ std::string BurstClassifier::name() const {
 
 void BurstClassifier::save(std::ostream& out) const {
   if (!fitted_) throw std::logic_error("BurstClassifier::save: not fitted");
-  out.precision(17);
-  out << "iotax-classifier 1\n";
+  write_header(out, "iotax-classifier");
   out << "kind "
       << (params_.kind == ClassifierKind::kLogistic ? "logistic"
                                                     : "threshold")
@@ -221,38 +212,23 @@ void BurstClassifier::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("BurstClassifier::save: stream failure");
 }
 
-BurstClassifier BurstClassifier::load(std::istream& in) {
-  expect_token(in, "iotax-classifier");
-  int version = 0;
-  in >> version;
-  if (version != 1) {
-    throw std::runtime_error("BurstClassifier::load: bad version");
-  }
-  expect_token(in, "kind");
-  std::string kind;
-  in >> kind;
-  ClassifierParams params;
-  if (kind == "logistic") {
-    params.kind = ClassifierKind::kLogistic;
-  } else if (kind == "threshold") {
-    params.kind = ClassifierKind::kThreshold;
-  } else {
-    throw std::runtime_error("BurstClassifier::load: bad kind '" + kind + "'");
-  }
-  expect_token(in, "threshold");
-  in >> params.threshold;
-  double a = 1.0, b = 0.0;
-  expect_token(in, "platt");
-  in >> a >> b;
-  if (!in) throw std::runtime_error("BurstClassifier::load: truncated header");
-
+BurstClassifier BurstClassifier::read(CheckpointReader& r) {
   BurstClassifier model;
-  model.gbt_ = GradientBoostedTrees::load(in);
+  ClassifierParams& params = model.params_;
+  std::string kind;
+  r.expect("kind") >> kind;
+  if (kind != "logistic" && kind != "threshold") {
+    r.fail(util::Reason::kBadNumber,
+           "iotax-classifier kind '" + kind + "' is not logistic or threshold");
+  }
+  params.kind = kind == "logistic" ? ClassifierKind::kLogistic
+                                   : ClassifierKind::kThreshold;
+  r.expect("threshold") >> params.threshold;
+  r.expect("platt") >> model.platt_a_ >> model.platt_b_;
+  r.header("iotax-gbt");
+  model.gbt_ = GradientBoostedTrees::read(r);
   params.gbt = model.gbt_.params();
-  params.validate();
-  model.params_ = std::move(params);
-  model.platt_a_ = a;
-  model.platt_b_ = b;
+  r.checked([&] { params.validate(); });
   model.fitted_ = true;
   return model;
 }

@@ -71,7 +71,8 @@ class BurstClassifier final : public Regressor {
   std::size_t n_features() const override { return gbt_.n_features(); }
 
   void save(std::ostream& out) const override;
-  static BurstClassifier load(std::istream& in);
+  /// Reads the decision layer, then a nested "iotax-gbt" section.
+  static BurstClassifier read(CheckpointReader& r);
 
   const ClassifierParams& params() const { return params_; }
   /// Platt slope/intercept (kLogistic, fitted); 1/0 otherwise.

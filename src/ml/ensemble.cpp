@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "src/data/ooc.hpp"
+#include "src/ml/checkpoint.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/parallel.hpp"
 
@@ -193,7 +193,7 @@ void DeepEnsemble::save(std::ostream& out) const {
   if (members_.empty()) {
     throw std::logic_error("DeepEnsemble::save: not fitted");
   }
-  out << "iotax-ensemble 1\n";
+  write_header(out, "iotax-ensemble");
   out << "epochs " << params_.epochs << '\n';
   out << "seed " << params_.seed << '\n';
   out << "members " << members_.size() << '\n';
@@ -201,48 +201,36 @@ void DeepEnsemble::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("DeepEnsemble::save: stream failure");
 }
 
-DeepEnsemble DeepEnsemble::load(std::istream& in) {
-  const auto expect = [&](const char* token) {
-    std::string got;
-    in >> got;
-    if (got != token) {
-      throw std::runtime_error(std::string("DeepEnsemble::load: expected '") +
-                               token + "', got '" + got + "'");
-    }
-  };
-  expect("iotax-ensemble");
-  int version = 0;
-  in >> version;
-  if (version != 1) throw std::runtime_error("DeepEnsemble::load: version");
+DeepEnsemble DeepEnsemble::read(CheckpointReader& r) {
   EnsembleParams params;
-  expect("epochs");
-  in >> params.epochs;
-  expect("seed");
-  in >> params.seed;
-  expect("members");
-  std::size_t k = 0;
-  in >> k;
-  if (!in || k < 2) throw std::runtime_error("DeepEnsemble::load: bad size");
-  params.size = k;
+  r.expect("epochs") >> params.epochs;
+  r.expect("seed") >> params.seed;
+  r.expect("members") >> params.size;
+  const auto mismatch = [&](const std::string& what) {
+    r.fail(util::Reason::kSizeMismatch, "iotax-ensemble " + what);
+  };
+  if (params.size < 2) {
+    mismatch("has " + std::to_string(params.size) +
+             " members; it needs at least 2");
+  }
   DeepEnsemble ensemble(std::move(params));
-  for (std::size_t i = 0; i < k; ++i) {
-    auto member = std::make_unique<Mlp>(Mlp::load(in));
+  for (std::size_t i = 0; i < ensemble.params_.size; ++i) {
+    r.header("iotax-mlp");
+    auto member = std::make_unique<Mlp>(Mlp::read(r));
+    // fit always trains NLL heads, and predict_uncertainty needs one
+    // from every member.
+    if (!member->params().nll_head) {
+      mismatch("member " + std::to_string(i) +
+               " has an MSE head; members need an NLL head");
+    }
     // predict_uncertainty transforms its input once with member 0's
-    // scaler and feeds the result to every member.
-    if (i > 0) {
-      const Mlp& first = *ensemble.members_.front();
-      const std::string where =
-          "DeepEnsemble::load: member " + std::to_string(i);
-      if (member->n_features() != first.n_features()) {
-        throw std::runtime_error(where + " takes " +
-                                 std::to_string(member->n_features()) +
-                                 " inputs but member 0 takes " +
-                                 std::to_string(first.n_features()));
-      }
-      if (member->scaler().means() != first.scaler().means() ||
-          member->scaler().stddevs() != first.scaler().stddevs()) {
-        throw std::runtime_error(where + "'s scaler differs from member 0's");
-      }
+    // scaler and feeds the result to every member. Mlp::read ties a
+    // member's input width to its scaler's, so this covers the widths.
+    const Mlp& first = i > 0 ? *ensemble.members_.front() : *member;
+    if (member->scaler().means() != first.scaler().means() ||
+        member->scaler().stddevs() != first.scaler().stddevs()) {
+      mismatch("member " + std::to_string(i) +
+               "'s input scaler differs from member 0's");
     }
     ensemble.members_.push_back(std::move(member));
   }

@@ -70,7 +70,8 @@ class DeepEnsemble final : public Regressor {
   /// round-tripped; a loaded ensemble predicts, it is not refittable
   /// from the same history.
   void save(std::ostream& out) const override;
-  static DeepEnsemble load(std::istream& in);
+  /// Reads at least two NLL-head "iotax-mlp" members with one scaler.
+  static DeepEnsemble read(CheckpointReader& r);
 
   std::size_t size() const { return members_.size(); }
   const Mlp& member(std::size_t i) const { return *members_.at(i); }

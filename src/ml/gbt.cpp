@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
 
+#include "src/ml/checkpoint.hpp"
 #include "src/ml/kernels/hist.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -632,67 +632,11 @@ std::vector<double> GradientBoostedTrees::feature_importances() const {
   return imp;
 }
 
-
-namespace {
-
-void expect_token(std::istream& in, const char* expected) {
-  std::string token;
-  in >> token;
-  if (token != expected) {
-    throw std::runtime_error(std::string("GradientBoostedTrees::load: "
-                                         "expected '") +
-                             expected + "', got '" + token + "'");
-  }
-}
-
-}  // namespace
-
-// Prediction walks a tree from node 0 along child links, and
-// PackedForest::add_tree relays it out breadth-first by the same links.
-// Both trust that the links form a tree: so an internal node's children
-// must lie above its own index and below the node count, and no node
-// may be a child twice. Then every walk visits each node at most once
-// and ends at a leaf.
-void GradientBoostedTrees::check_tree(const Tree& tree, std::size_t t,
-                                      std::size_t n_features) {
-  const auto fail = [&](std::size_t k, const std::string& what) {
-    throw std::runtime_error("GradientBoostedTrees::load: tree " +
-                             std::to_string(t) + " node " +
-                             std::to_string(k) + ": " + what);
-  };
-  const std::size_t n_nodes = tree.nodes.size();
-  if (n_nodes == 0) {
-    throw std::runtime_error("GradientBoostedTrees::load: tree " +
-                             std::to_string(t) + " has no nodes");
-  }
-  std::vector<char> is_child(n_nodes, 0);
-  for (std::size_t k = 0; k < n_nodes; ++k) {
-    const Node& n = tree.nodes[k];
-    if (n.feature < 0) continue;
-    if (static_cast<std::size_t>(n.feature) >= n_features) {
-      fail(k, "feature " + std::to_string(n.feature) + " out of range");
-    }
-    for (const int child : {n.left, n.right}) {
-      if (child <= static_cast<long>(k) ||
-          static_cast<std::size_t>(child) >= n_nodes) {
-        fail(k, "child " + std::to_string(child) + " not in (" +
-                    std::to_string(k) + ", " + std::to_string(n_nodes) +
-                    ")");
-      }
-      if (is_child[static_cast<std::size_t>(child)] != 0) {
-        fail(k, "child " + std::to_string(child) + " is already a child");
-      }
-      is_child[static_cast<std::size_t>(child)] = 1;
-    }
-  }
-}
-
 void GradientBoostedTrees::save(std::ostream& out) const {
   if (!fitted_) {
     throw std::logic_error("GradientBoostedTrees::save: not fitted");
   }
-  out.precision(17);
-  out << "iotax-gbt 1\n";
+  write_header(out, "iotax-gbt");
   out << "params " << params_.n_estimators << ' ' << params_.max_depth << ' '
       << params_.learning_rate << ' ' << params_.reg_lambda << ' '
       << params_.min_child_weight << ' ' << params_.min_split_gain << ' '
@@ -716,53 +660,68 @@ void GradientBoostedTrees::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("GradientBoostedTrees::save: stream");
 }
 
-GradientBoostedTrees GradientBoostedTrees::load(std::istream& in) {
-  expect_token(in, "iotax-gbt");
-  int version = 0;
-  in >> version;
-  if (version != 1) {
-    throw std::runtime_error("GradientBoostedTrees::load: bad version");
-  }
+GradientBoostedTrees GradientBoostedTrees::read(CheckpointReader& r) {
   GbtParams params;
-  expect_token(in, "params");
   int loss = 0;
-  in >> params.n_estimators >> params.max_depth >> params.learning_rate >>
-      params.reg_lambda >> params.min_child_weight >>
+  r.expect("params") >> params.n_estimators >> params.max_depth >>
+      params.learning_rate >> params.reg_lambda >> params.min_child_weight >>
       params.min_split_gain >> params.subsample >> params.colsample >>
       params.max_bins >> params.seed >> loss >> params.quantile_alpha;
   params.loss = loss != 0 ? GbtLoss::kQuantile : GbtLoss::kSquaredError;
-  GradientBoostedTrees model(params);
-  expect_token(in, "base_score");
-  in >> model.base_score_;
-  expect_token(in, "n_features");
-  in >> model.n_features_;
-  // Every count below comes from the file, so vectors grow as their
-  // values are read instead of being sized by the count up front: a
-  // lying count then costs what the file holds, not what it claims.
-  expect_token(in, "importance");
-  for (std::size_t i = 0; i < model.n_features_ && in; ++i) {
-    double v = 0.0;
-    if (in >> v) model.importance_.push_back(v);
-  }
-  expect_token(in, "trees");
-  std::size_t n_trees = 0;
-  in >> n_trees;
-  for (std::size_t t = 0; t < n_trees && in; ++t) {
-    expect_token(in, "tree");
-    std::size_t n_nodes = 0;
-    in >> n_nodes;
-    Tree tree;
-    for (std::size_t k = 0; k < n_nodes && in; ++k) {
-      Node n;
-      if (in >> n.feature >> n.threshold >> n.left >> n.right >> n.value) {
-        tree.nodes.push_back(n);
+  GradientBoostedTrees model =
+      r.checked([&] { return GradientBoostedTrees(params); });
+  r.expect("base_score") >> model.base_score_;
+  r.expect("n_features") >> model.n_features_;
+  r.expect("importance").values(model.n_features_, model.importance_);
+  // Prediction walks a tree from node 0 along child links, and
+  // PackedForest::add_tree relays it out breadth-first by the same
+  // links. Both trust that the links form a tree: so an internal node's
+  // children must lie above its own index and below the node count, and
+  // no node may be a child twice. Then every walk visits each node at
+  // most once and ends at a leaf.
+  const auto check_tree = [&](const Tree& tree, std::size_t t) {
+    const auto fail = [&](std::size_t k, const std::string& what) {
+      r.fail(util::Reason::kSizeMismatch,
+             "iotax-gbt tree " + std::to_string(t) + " node " +
+                 std::to_string(k) + ": " + what);
+    };
+    const std::size_t n_nodes = tree.nodes.size();
+    if (n_nodes == 0) fail(0, "missing: the tree has no nodes");
+    std::vector<char> is_child(n_nodes, 0);
+    for (std::size_t k = 0; k < n_nodes; ++k) {
+      const Node& n = tree.nodes[k];
+      if (n.feature < 0) continue;
+      if (static_cast<std::size_t>(n.feature) >= model.n_features_) {
+        fail(k, "feature " + std::to_string(n.feature) + " out of range");
+      }
+      for (const int child : {n.left, n.right}) {
+        if (child <= static_cast<long>(k) ||
+            static_cast<std::size_t>(child) >= n_nodes) {
+          fail(k, "child " + std::to_string(child) + " not in (" +
+                      std::to_string(k) + ", " + std::to_string(n_nodes) +
+                      ")");
+        }
+        if (is_child[static_cast<std::size_t>(child)] != 0) {
+          fail(k, "child " + std::to_string(child) + " is already a child");
+        }
+        is_child[static_cast<std::size_t>(child)] = 1;
       }
     }
-    if (!in) break;
-    check_tree(tree, t, model.n_features_);
+  };
+  std::size_t n_trees = 0;
+  r.expect("trees") >> n_trees;
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    std::size_t n_nodes = 0;
+    r.expect("tree") >> n_nodes;
+    Tree tree;
+    for (std::size_t k = 0; k < n_nodes; ++k) {
+      Node n;
+      r >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
+      tree.nodes.push_back(n);
+    }
+    check_tree(tree, t);
     model.trees_.push_back(std::move(tree));
   }
-  if (!in) throw std::runtime_error("GradientBoostedTrees::load: truncated");
   model.fitted_ = true;
   // Loaded trees carry thresholds but no fit-time split bins
   // (has_split_bins_ stays false): the packed layout supports value

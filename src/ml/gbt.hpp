@@ -133,10 +133,10 @@ class GradientBoostedTrees final : public Regressor {
   /// sum to 1; zero vector if the model is constant.
   std::vector<double> feature_importances() const;
 
-  /// Serialize the fitted model as versioned text; load() restores a
+  /// Serialize the fitted model as versioned text; read() restores a
   /// model whose predictions are bit-identical.
   void save(std::ostream& out) const override;
-  static GradientBoostedTrees load(std::istream& in);
+  static GradientBoostedTrees read(CheckpointReader& r);
 
  private:
   struct Node {
@@ -171,11 +171,6 @@ class GradientBoostedTrees final : public Regressor {
   void boost_round(const BinnedMatrix& binned, std::span<const double> y,
                    Rounds& rounds, kernels::PackedForest& forest);
 
-  /// load()'s structural check of tree `t`; throws std::runtime_error
-  /// naming the tree and node.
-  static void check_tree(const Tree& tree, std::size_t t,
-                         std::size_t n_features);
-
   void fit_impl(const data::MatrixView& x, std::span<const double> y,
                 const data::MatrixView& x_val, std::span<const double> y_val,
                 const BinnedMatrix* binned);
@@ -191,7 +186,7 @@ class GradientBoostedTrees final : public Regressor {
   double base_score_ = 0.0;
   std::vector<Tree> trees_;
   // Breadth-first SoA relayout of trees_ for batch prediction; rebuilt
-  // whenever trees_ changes (fit, load). Bit-identical to walking the
+  // whenever trees_ changes (fit, read). Bit-identical to walking the
   // Tree nodes — see kernels::PackedForest.
   kernels::PackedForest packed_;
   std::size_t n_features_ = 0;

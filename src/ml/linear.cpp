@@ -1,10 +1,10 @@
 #include "src/ml/linear.hpp"
 
 #include <cmath>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 
+#include "src/ml/checkpoint.hpp"
 #include "src/stats/descriptive.hpp"
 
 namespace iotax::ml {
@@ -105,66 +105,32 @@ std::string LinearRegressor::name() const {
 
 void LinearRegressor::save(std::ostream& out) const {
   if (!fitted_) throw std::logic_error("LinearRegressor::save: not fitted");
-  out.precision(17);
-  out << "iotax-linear 1\n";
+  write_header(out, "iotax-linear");
   out << "params " << l2_ << ' ' << (log_transform_ ? 1 : 0) << '\n';
   out << "intercept " << intercept_ << '\n';
-  out << "scaler " << scaler_.means().size() << '\n';
-  for (const double m : scaler_.means()) out << m << ' ';
-  out << '\n';
-  for (const double s : scaler_.stddevs()) out << s << ' ';
-  out << '\n';
+  write_scaler(out, scaler_);
   out << "coef " << coef_.size() << '\n';
   for (const double c : coef_) out << c << ' ';
   out << '\n';
   if (!out) throw std::runtime_error("LinearRegressor::save: stream failure");
 }
 
-LinearRegressor LinearRegressor::load(std::istream& in) {
-  const auto expect = [&](const char* token) {
-    std::string got;
-    in >> got;
-    if (got != token) {
-      throw std::runtime_error(std::string("LinearRegressor::load: expected '") +
-                               token + "', got '" + got + "'");
-    }
-  };
-  expect("iotax-linear");
-  int version = 0;
-  in >> version;
-  if (version != 1) throw std::runtime_error("LinearRegressor::load: version");
+LinearRegressor LinearRegressor::read(CheckpointReader& r) {
   double l2 = 0.0;
   int log_transform = 0;
-  expect("params");
-  in >> l2 >> log_transform;
-  LinearRegressor model(l2, log_transform != 0);
-  expect("intercept");
-  in >> model.intercept_;
-  // Both counts come from the file, so each vector grows as its values
-  // are read instead of being sized up front: a lying count then costs
-  // what the file holds, not what it claims.
-  const auto read_values = [&](std::size_t count, std::vector<double>& out) {
-    double v = 0.0;
-    for (std::size_t i = 0; i < count && in >> v; ++i) out.push_back(v);
-  };
-  expect("scaler");
-  std::size_t p = 0;
-  in >> p;
-  std::vector<double> means;
-  std::vector<double> stds;
-  read_values(p, means);
-  read_values(p, stds);
-  if (!in) throw std::runtime_error("LinearRegressor::load: truncated");
-  model.scaler_ =
-      data::StandardScaler::from_params(std::move(means), std::move(stds));
-  expect("coef");
+  r.expect("params") >> l2 >> log_transform;
+  LinearRegressor model =
+      r.checked([&] { return LinearRegressor(l2, log_transform != 0); });
+  r.expect("intercept") >> model.intercept_;
+  model.scaler_ = r.scaler();
   std::size_t n_coef = 0;
-  in >> n_coef;
-  if (n_coef != p) {
-    throw std::runtime_error("LinearRegressor::load: coef/scaler mismatch");
+  r.expect("coef") >> n_coef;
+  if (n_coef != model.scaler_.means().size()) {
+    r.fail(util::Reason::kSizeMismatch,
+           "iotax-linear has " + std::to_string(n_coef) + " coefficients for " +
+               std::to_string(model.scaler_.means().size()) + " features");
   }
-  read_values(n_coef, model.coef_);
-  if (!in) throw std::runtime_error("LinearRegressor::load: truncated");
+  r.values(n_coef, model.coef_);
   model.fitted_ = true;
   return model;
 }

@@ -25,7 +25,7 @@ class LinearRegressor final : public Regressor {
   double intercept() const { return intercept_; }
 
   void save(std::ostream& out) const override;
-  static LinearRegressor load(std::istream& in);
+  static LinearRegressor read(CheckpointReader& r);
 
  private:
   double l2_;

@@ -1,22 +1,12 @@
 #include "src/ml/model.hpp"
 
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 
-#include "src/ml/classifier.hpp"
-#include "src/ml/ensemble.hpp"
-#include "src/ml/gbt.hpp"
-#include "src/ml/linear.hpp"
-#include "src/ml/nn.hpp"
+#include "src/ml/checkpoint.hpp"
 #include "src/stats/descriptive.hpp"
 
 namespace iotax::ml {
-
-void Regressor::save(std::ostream& /*out*/) const {
-  throw std::logic_error("Regressor::save: '" + name() +
-                         "' does not support serialization");
-}
 
 void Regressor::fit_continue(const data::MatrixView& /*x*/,
                              std::span<const double> /*y*/,
@@ -24,57 +14,6 @@ void Regressor::fit_continue(const data::MatrixView& /*x*/,
   throw std::logic_error("Regressor::fit_continue: '" + name() +
                          "' does not support warm-start continuation "
                          "(fit_continue_info().supported is false)");
-}
-
-const std::vector<std::string>& known_model_magics() {
-  static const std::vector<std::string> kMagics = {
-      "iotax-classifier", "iotax-ensemble", "iotax-gbt", "iotax-linear",
-      "iotax-mean", "iotax-mlp"};
-  return kMagics;
-}
-
-std::unique_ptr<Regressor> Regressor::load(std::istream& in,
-                                           const std::string& source) {
-  const std::string where = source.empty() ? "" : source + ": ";
-  // Peek the magic token ("iotax-<kind>") without consuming it, then
-  // hand the stream to the family's own loader.
-  const auto start = in.tellg();
-  if (start == std::istream::pos_type(-1)) {
-    throw std::runtime_error("Regressor::load: " + where +
-                             "stream not seekable");
-  }
-  std::string magic;
-  in >> magic;
-  in.clear();
-  in.seekg(start);
-  if (magic == "iotax-gbt") {
-    return std::make_unique<GradientBoostedTrees>(
-        GradientBoostedTrees::load(in));
-  }
-  if (magic == "iotax-mlp") {
-    return std::make_unique<Mlp>(Mlp::load(in));
-  }
-  if (magic == "iotax-linear") {
-    return std::make_unique<LinearRegressor>(LinearRegressor::load(in));
-  }
-  if (magic == "iotax-mean") {
-    return std::make_unique<MeanRegressor>(MeanRegressor::load(in));
-  }
-  if (magic == "iotax-ensemble") {
-    return std::make_unique<DeepEnsemble>(DeepEnsemble::load(in));
-  }
-  if (magic == "iotax-classifier") {
-    return std::make_unique<BurstClassifier>(BurstClassifier::load(in));
-  }
-  std::string known;
-  for (const auto& m : known_model_magics()) {
-    if (!known.empty()) known += ", ";
-    known += m;
-  }
-  throw std::runtime_error(
-      "Regressor::load: " + where + "unrecognized model header '" +
-      (magic.empty() ? "<empty stream>" : magic) +
-      "' (known model magics: " + known + ")");
 }
 
 void MeanRegressor::fit(const data::MatrixView& x, std::span<const double> y) {
@@ -93,24 +32,14 @@ std::vector<double> MeanRegressor::predict(const data::MatrixView& x) const {
 
 void MeanRegressor::save(std::ostream& out) const {
   if (!fitted_) throw std::logic_error("MeanRegressor::save: not fitted");
-  out.precision(17);
-  out << "iotax-mean 1\n";
+  write_header(out, "iotax-mean");
   out << "mean " << mean_ << '\n';
   if (!out) throw std::runtime_error("MeanRegressor::save: stream failure");
 }
 
-MeanRegressor MeanRegressor::load(std::istream& in) {
-  std::string token;
-  int version = 0;
-  in >> token >> version;
-  if (token != "iotax-mean" || version != 1) {
-    throw std::runtime_error("MeanRegressor::load: bad header");
-  }
-  in >> token;
-  if (token != "mean") throw std::runtime_error("MeanRegressor::load: bad body");
+MeanRegressor MeanRegressor::read(CheckpointReader& r) {
   MeanRegressor model;
-  in >> model.mean_;
-  if (!in) throw std::runtime_error("MeanRegressor::load: truncated");
+  r.expect("mean") >> model.mean_;
   model.fitted_ = true;
   return model;
 }

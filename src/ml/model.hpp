@@ -16,6 +16,8 @@
 
 namespace iotax::ml {
 
+class CheckpointReader;
+
 /// Capability report for Regressor::fit_continue. The online loop asks
 /// for this instead of dynamic_cast-probing concrete families: a model
 /// either supports warm-start continuation (and names the unit one
@@ -67,24 +69,23 @@ class Regressor {
   /// path rejects mis-sized requests against this before batching.
   virtual std::size_t n_features() const { return 0; }
 
-  /// Serialize the fitted model as versioned text ("iotax-<kind> <ver>"
-  /// header). The default throws std::logic_error for model families
-  /// without persistence.
-  virtual void save(std::ostream& out) const;
+  /// Serialize the fitted model as a v1 checkpoint (src/ml/checkpoint.hpp);
+  /// throws std::logic_error when not fitted.
+  virtual void save(std::ostream& out) const = 0;
 
-  /// Restore any regressor saved through save(): peeks the magic token
-  /// and dispatches to the matching family's loader. The stream must be
-  /// seekable (file or string stream). `source` names the stream in
-  /// diagnostics (a file path, or "" for anonymous streams); an
-  /// unrecognized header reports the source, the offending token, and
-  /// the known model magics.
+  /// Restore any regressor saved through save(): reads the "<magic>
+  /// <version>" header, then the family's static read() reads the body.
+  /// The stream is only read forward (a pipe works). Every rejection is
+  /// an ml::CheckpointError naming `source` (a path, or "") and a
+  /// util::Reason; a bad header also names the token and the known
+  /// model magics.
   static std::unique_ptr<Regressor> load(std::istream& in,
                                          const std::string& source = "");
 };
 
-/// The magic tokens Regressor::load dispatches on, sorted ("iotax-gbt",
-/// "iotax-mlp", ...). Error messages and tooling list these so a bad
-/// checkpoint says what would have been accepted.
+/// The magic tokens Regressor::load dispatches on: "iotax-" plus each of
+/// regressor_names(), sorted. Error messages and tooling list these so a
+/// bad checkpoint says what would have been accepted.
 const std::vector<std::string>& known_model_magics();
 
 /// Baseline that predicts the training-set mean: the weakest legitimate
@@ -96,7 +97,7 @@ class MeanRegressor final : public Regressor {
   std::string name() const override { return "mean"; }
 
   void save(std::ostream& out) const override;
-  static MeanRegressor load(std::istream& in);
+  static MeanRegressor read(CheckpointReader& r);
 
  private:
   double mean_ = 0.0;

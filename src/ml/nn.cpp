@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "src/ml/checkpoint.hpp"
 #include "src/ml/kernels/gemm.hpp"
 #include "src/obs/trace.hpp"
 #include "src/stats/descriptive.hpp"
@@ -460,34 +460,9 @@ void Mlp::predict_dist_preprocessed(const data::Matrix& z,
 
 std::string Mlp::name() const { return params_.to_string(); }
 
-
-namespace {
-
-void expect_token(std::istream& in, const char* expected) {
-  std::string token;
-  in >> token;
-  if (token != expected) {
-    throw std::runtime_error(std::string("Mlp::load: expected '") + expected +
-                             "', got '" + token + "'");
-  }
-}
-
-// Replace `out` with up to `count` values read from `in`, stopping at
-// the first read that fails (the caller's stream check then reports the
-// truncation).
-template <typename T>
-void read_values(std::istream& in, std::size_t count, std::vector<T>& out) {
-  out.clear();
-  T v{};
-  for (std::size_t i = 0; i < count && in >> v; ++i) out.push_back(v);
-}
-
-}  // namespace
-
 void Mlp::save(std::ostream& out) const {
   if (!fitted_) throw std::logic_error("Mlp::save: not fitted");
-  out.precision(17);
-  out << "iotax-mlp 1\n";
+  write_header(out, "iotax-mlp");
   out << "hidden " << params_.hidden.size();
   for (const auto h : params_.hidden) out << ' ' << h;
   out << '\n';
@@ -496,11 +471,7 @@ void Mlp::save(std::ostream& out) const {
       << params_.batch_size << ' ' << (params_.nll_head ? 1 : 0) << ' '
       << params_.seed << '\n';
   out << "target " << y_mean_ << ' ' << y_scale_ << '\n';
-  out << "scaler " << scaler_.means().size() << '\n';
-  for (const auto m : scaler_.means()) out << m << ' ';
-  out << '\n';
-  for (const auto s : scaler_.stddevs()) out << s << ' ';
-  out << '\n';
+  write_scaler(out, scaler_);
   out << "layers " << layers_.size() << '\n';
   for (const auto& layer : layers_) {
     out << "layer " << layer.in << ' ' << layer.out << '\n';
@@ -512,85 +483,50 @@ void Mlp::save(std::ostream& out) const {
   if (!out) throw std::runtime_error("Mlp::save: stream failure");
 }
 
-Mlp Mlp::load(std::istream& in) {
-  expect_token(in, "iotax-mlp");
-  int version = 0;
-  in >> version;
-  if (version != 1) throw std::runtime_error("Mlp::load: bad version");
-
+Mlp Mlp::read(CheckpointReader& r) {
   MlpParams params;
-  // Every count and width below comes from the file, so vectors grow as
-  // their values are read instead of being sized up front: a lying
-  // count then costs what the file holds, not what it claims.
-  expect_token(in, "hidden");
   std::size_t n_hidden = 0;
-  in >> n_hidden;
-  read_values(in, n_hidden, params.hidden);
-  expect_token(in, "hyper");
+  r.expect("hidden") >> n_hidden;
+  r.values(n_hidden, params.hidden);
   int nll = 0;
-  in >> params.learning_rate >> params.weight_decay >> params.dropout >>
-      params.epochs >> params.batch_size >> nll >> params.seed;
+  r.expect("hyper") >> params.learning_rate >> params.weight_decay >>
+      params.dropout >> params.epochs >> params.batch_size >> nll >>
+      params.seed;
   params.nll_head = nll != 0;
 
-  Mlp model(params);
-  expect_token(in, "target");
-  in >> model.y_mean_ >> model.y_scale_;
-  expect_token(in, "scaler");
-  std::size_t n_features = 0;
-  in >> n_features;
-  std::vector<double> means;
-  std::vector<double> stds;
-  read_values(in, n_features, means);
-  read_values(in, n_features, stds);
-  if (!in) throw std::runtime_error("Mlp::load: truncated");
-  model.scaler_ = data::StandardScaler::from_params(std::move(means),
-                                                    std::move(stds));
-  expect_token(in, "layers");
+  Mlp model = r.checked([&] { return Mlp(params); });
+  r.expect("target") >> model.y_mean_ >> model.y_scale_;
+  model.scaler_ = r.scaler();
   std::size_t n_layers = 0;
-  in >> n_layers;
-  if (!in) throw std::runtime_error("Mlp::load: truncated");
+  r.expect("layers") >> n_layers;
+  const auto mismatch = [&](const std::string& what) {
+    r.fail(util::Reason::kSizeMismatch, "iotax-mlp " + what);
+  };
   if (n_layers != params.hidden.size() + 1) {
-    throw std::runtime_error(
-        "Mlp::load: " + std::to_string(n_layers) + " layers but hidden lists " +
-        std::to_string(params.hidden.size()) + " widths");
+    mismatch(std::to_string(n_layers) + " layers but hidden lists " +
+             std::to_string(params.hidden.size()) + " widths");
   }
-  // Every shape is checked before its weights are allocated: inference
+  // Every shape is checked before its weights are read: inference
   // walks the layers trusting that each one's input width is the
-  // previous one's output width and that the head matches nll_head.
+  // previous one's output width (the scaler's for layer 0) and that
+  // the head matches nll_head.
   model.layers_.resize(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l) {
     Layer& layer = model.layers_[l];
-    expect_token(in, "layer");
-    in >> layer.in >> layer.out;
-    if (!in) throw std::runtime_error("Mlp::load: truncated");
-    const std::string where = "Mlp::load: layer " + std::to_string(l);
-    if (l == 0 && layer.in != n_features) {
-      throw std::runtime_error(where + " takes " + std::to_string(layer.in) +
-                               " inputs but the scaler has " +
-                               std::to_string(n_features) + " features");
+    r.expect("layer") >> layer.in >> layer.out;
+    const bool head = l + 1 == n_layers;
+    const std::size_t in =
+        l == 0 ? model.scaler_.means().size() : model.layers_[l - 1].out;
+    const std::size_t out =
+        head ? (params.nll_head ? 2 : 1) : params.hidden[l];
+    if (layer.in != in || layer.out != out) {
+      mismatch("layer " + std::to_string(l) + (head ? " (the head)" : "") +
+               " is " + std::to_string(layer.in) + " -> " +
+               std::to_string(layer.out) + " but must be " +
+               std::to_string(in) + " -> " + std::to_string(out));
     }
-    if (l > 0 && layer.in != model.layers_[l - 1].out) {
-      throw std::runtime_error(where + " takes " + std::to_string(layer.in) +
-                               " inputs but layer " + std::to_string(l - 1) +
-                               " gives " +
-                               std::to_string(model.layers_[l - 1].out));
-    }
-    if (l + 1 < n_layers && layer.out != params.hidden[l]) {
-      throw std::runtime_error(where + " is " + std::to_string(layer.out) +
-                               " wide but hidden lists " +
-                               std::to_string(params.hidden[l]));
-    }
-    const std::size_t head_width = params.nll_head ? 2 : 1;
-    if (l + 1 == n_layers && layer.out != head_width) {
-      throw std::runtime_error(where + " (the head) is " +
-                               std::to_string(layer.out) + " wide but " +
-                               (params.nll_head ? "an NLL" : "an MSE") +
-                               " head is " + std::to_string(head_width));
-    }
-    read_values(in, layer.in * layer.out, layer.w);
-    read_values(in, layer.out, layer.b);
+    r.values(layer.in * layer.out, layer.w).values(layer.out, layer.b);
   }
-  if (!in) throw std::runtime_error("Mlp::load: truncated");
   model.fitted_ = true;
   return model;
 }

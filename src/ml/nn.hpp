@@ -126,9 +126,9 @@ class Mlp final : public Regressor {
   const data::StandardScaler& scaler() const { return scaler_; }
 
   /// Serialize the fitted network (weights + preprocessing) as versioned
-  /// text; load() restores bit-identical predictions.
+  /// text; read() restores bit-identical predictions.
   void save(std::ostream& out) const override;
-  static Mlp load(std::istream& in);
+  static Mlp read(CheckpointReader& r);
 
   const MlpParams& params() const { return params_; }
 

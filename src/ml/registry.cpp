@@ -1,8 +1,10 @@
 #include "src/ml/registry.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 
+#include "src/ml/checkpoint.hpp"
 #include "src/ml/classifier.hpp"
 #include "src/ml/ensemble.hpp"
 #include "src/ml/gbt.hpp"
@@ -161,6 +163,11 @@ std::unique_ptr<Regressor> make_mlp(const util::Json& params) {
   return std::make_unique<Mlp>(std::move(p));
 }
 
+std::unique_ptr<Regressor> make_mean(const util::Json& params) {
+  if (params.size() != 0) unknown_key("mean", params.items().front().first);
+  return std::make_unique<MeanRegressor>();
+}
+
 std::unique_ptr<Regressor> make_ensemble(const util::Json& params) {
   EnsembleParams p;
   for (const auto& [key, value] : params.items()) {
@@ -177,10 +184,43 @@ std::unique_ptr<Regressor> make_ensemble(const util::Json& params) {
   return std::make_unique<DeepEnsemble>(std::move(p));
 }
 
+template <typename Model>
+std::unique_ptr<Regressor> read_family(CheckpointReader& r) {
+  return std::make_unique<Model>(Model::read(r));
+}
+
+/// The model families, sorted by name: each builds from JSON params and
+/// reads the body of its "iotax-<name>" checkpoint.
+struct Family {
+  const char* name;
+  std::unique_ptr<Regressor> (*make)(const util::Json& params);
+  std::unique_ptr<Regressor> (*read)(CheckpointReader& r);
+};
+
+constexpr Family kFamilies[] = {
+    {"classifier", make_classifier, read_family<BurstClassifier>},
+    {"ensemble", make_ensemble, read_family<DeepEnsemble>},
+    {"gbt", make_gbt, read_family<GradientBoostedTrees>},
+    {"linear", make_linear, read_family<LinearRegressor>},
+    {"mean", make_mean, read_family<MeanRegressor>},
+    {"mlp", make_mlp, read_family<Mlp>},
+};
+
 }  // namespace
 
 std::vector<std::string> regressor_names() {
-  return {"classifier", "ensemble", "gbt", "linear", "mean", "mlp"};
+  std::vector<std::string> names;
+  for (const Family& family : kFamilies) names.emplace_back(family.name);
+  return names;
+}
+
+const std::vector<std::string>& known_model_magics() {
+  static const std::vector<std::string> kMagics = [] {
+    std::vector<std::string> magics = regressor_names();
+    for (std::string& magic : magics) magic.insert(0, "iotax-");
+    return magics;
+  }();
+  return kMagics;
 }
 
 std::unique_ptr<Regressor> make_regressor(const std::string& name,
@@ -195,19 +235,29 @@ std::unique_ptr<Regressor> make_regressor(const std::string& name,
   if (!params.is_object()) {
     throw std::invalid_argument("make_regressor: params must be an object");
   }
-  if (name == "mean") {
-    if (params.size() != 0) {
-      unknown_key("mean", params.items().front().first);
-    }
-    return std::make_unique<MeanRegressor>();
+  for (const Family& family : kFamilies) {
+    if (name == family.name) return family.make(params);
   }
-  if (name == "linear") return make_linear(params);
-  if (name == "gbt") return make_gbt(params);
-  if (name == "classifier") return make_classifier(params);
-  if (name == "mlp") return make_mlp(params);
-  if (name == "ensemble") return make_ensemble(params);
   throw std::invalid_argument("make_regressor: unknown model family '" + name +
                               "'");
+}
+
+std::unique_ptr<Regressor> Regressor::load(std::istream& in,
+                                           const std::string& source) {
+  CheckpointReader r(in, source);
+  const std::string& magic = r.token();
+  const auto& magics = known_model_magics();
+  const auto it = std::find(magics.begin(), magics.end(), magic);
+  if (it == magics.end()) {
+    std::string known;
+    for (const auto& m : magics) known += (known.empty() ? "" : ", ") + m;
+    r.fail(util::Reason::kBadMagic,
+           "unrecognized model header '" +
+               (magic.empty() ? "<empty stream>" : magic) +
+               "' (known model magics: " + known + ")");
+  }
+  r.version();
+  return kFamilies[it - magics.begin()].read(r);
 }
 
 std::unique_ptr<Regressor> load_regressor_file(const std::string& path) {
@@ -247,16 +297,20 @@ std::string format_params_hash(std::uint64_t hash) {
 
 std::size_t ModelRegistry::add(const std::string& path) {
   const std::uint64_t hash = hash_model_file(path);
+  // The hash identifies a rejected artifact by content even though it
+  // never became a model.
+  const auto with_slot = [&](const std::exception& err) {
+    return std::string(err.what()) + " (registry slot " +
+           std::to_string(slots_.size()) + ", generation 1, params hash " +
+           format_params_hash(hash) + ")";
+  };
   std::shared_ptr<const Regressor> model;
   try {
     model = load_regressor_file(path);
+  } catch (const CheckpointError& err) {
+    throw CheckpointError(err.reason(), with_slot(err));
   } catch (const std::exception& err) {
-    // The hash identifies the rejected artifact by content even though
-    // it never became a model.
-    throw std::runtime_error(
-        std::string(err.what()) + " (registry slot " +
-        std::to_string(slots_.size()) + ", generation 1, params hash " +
-        format_params_hash(hash) + ")");
+    throw std::runtime_error(with_slot(err));
   }
   auto entry = std::make_shared<const ModelEntry>(
       ModelEntry{std::move(model), path, 1, hash});

@@ -14,7 +14,9 @@
 
 namespace iotax::ml {
 
-/// Family names accepted by make_regressor, sorted.
+/// Family names accepted by make_regressor, sorted: the names in the one
+/// family table (registry.cpp) that known_model_magics(), make_regressor
+/// and Regressor::load also read.
 std::vector<std::string> regressor_names();
 
 /// Construct an unfitted regressor.
@@ -30,11 +32,10 @@ std::vector<std::string> regressor_names();
 std::unique_ptr<Regressor> make_regressor(const std::string& name,
                                           const std::string& params_json = "{}");
 
-/// Open `path` and restore the checkpoint through Regressor::load. All
-/// failures — missing file, unreadable stream, unrecognized magic —
-/// surface as std::runtime_error naming the path (and, for a bad
-/// header, the offending token plus the known model magics), so a CLI
-/// pointed at the wrong file says which file and why.
+/// Open `path` and restore the checkpoint through Regressor::load. Every
+/// failure is a std::runtime_error naming the path — a rejected
+/// checkpoint a CheckpointError that also carries its util::Reason — so
+/// a CLI pointed at the wrong file says which file and why.
 std::unique_ptr<Regressor> load_regressor_file(const std::string& path);
 
 /// FNV-1a 64-bit hash of a checkpoint file's bytes — the "params hash"
@@ -69,9 +70,10 @@ struct ModelEntry {
 class ModelRegistry {
  public:
   /// Load a checkpoint into a new slot at generation 1; returns the
-  /// slot index. Load failures rethrow with the slot, the would-be
-  /// generation, and the checkpoint's params hash appended — enough to
-  /// tell which artifact was rejected, not just which path.
+  /// slot index. Load failures rethrow (a CheckpointError keeping its
+  /// reason, anything else as std::runtime_error) with the slot, the
+  /// would-be generation, and the checkpoint's params hash appended —
+  /// enough to tell which artifact was rejected, not just which path.
   std::size_t add(const std::string& path);
 
   std::size_t size() const;

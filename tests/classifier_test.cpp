@@ -1,8 +1,9 @@
 // The burst classifier's contracts: classification metrics against
 // hand-computed values, the threshold-adapter/logistic label
 // equivalence (the decision layer is exactly monotone in the booster
-// score), byte-stable persistence through the shared checkpoint magic,
-// thread-count bit-identity, and a truthful "no continuation" claim.
+// score), loading through the shared checkpoint dispatch (the byte-stable
+// round trip is Checkpoint.RoundTripsEveryFamily's), thread-count
+// bit-identity, and a truthful "no continuation" claim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,39 +180,6 @@ TEST(BurstClassifier, ThresholdAdapterEquivalentToLogisticLabels) {
   // but both kinds must rank identically (same underlying scores).
   EXPECT_DOUBLE_EQ(stats::roc_auc(test.y, logistic.predict(test.x)),
                    stats::roc_auc(test.y, threshold.predict(test.x)));
-}
-
-TEST(BurstClassifier, SaveLoadRoundTripIsByteStable) {
-  const auto train = binary_data(7);
-  const auto test = binary_data(8);
-  ml::ClassifierParams p;
-  p.gbt = small_gbt();
-  ml::BurstClassifier clf(p);
-  clf.fit(train.x, train.y);
-
-  std::ostringstream first;
-  clf.save(first);
-  std::istringstream in(first.str());
-  const auto loaded = ml::BurstClassifier::load(in);
-
-  EXPECT_EQ(loaded.params().kind, p.kind);
-  EXPECT_DOUBLE_EQ(loaded.params().threshold, p.threshold);
-  EXPECT_DOUBLE_EQ(loaded.platt_a(), clf.platt_a());
-  EXPECT_DOUBLE_EQ(loaded.platt_b(), clf.platt_b());
-  EXPECT_EQ(loaded.n_features(), clf.n_features());
-
-  const auto a = clf.predict(test.x);
-  const auto b = loaded.predict(test.x);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  const auto la = clf.predict_labels(test.x);
-  const auto lb = loaded.predict_labels(test.x);
-  for (std::size_t i = 0; i < la.size(); ++i) EXPECT_EQ(la[i], lb[i]);
-
-  // Re-serialising the loaded model reproduces the checkpoint verbatim.
-  std::ostringstream second;
-  loaded.save(second);
-  EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(BurstClassifier, LoadsThroughTheSharedCheckpointDispatch) {

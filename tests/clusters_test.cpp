@@ -191,7 +191,9 @@ TEST(QuantileGbt, RejectsBadAlphaAndSerializes) {
   model.fit(x, y);
   std::stringstream buf;
   model.save(buf);
-  const auto loaded = ml::GradientBoostedTrees::load(buf);
+  const auto loaded_model = ml::Regressor::load(buf);
+  const auto& loaded =
+      dynamic_cast<const ml::GradientBoostedTrees&>(*loaded_model);
   EXPECT_EQ(loaded.params().loss, ml::GbtLoss::kQuantile);
   EXPECT_DOUBLE_EQ(loaded.params().quantile_alpha, 0.75);
   const auto a = model.predict(x);

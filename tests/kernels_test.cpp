@@ -841,7 +841,9 @@ TEST(KernelsDeterminism, GbtSaveLoadPredictBitIdentical) {
   const auto expected = model.predict(x);
   std::stringstream buf;
   model.save(buf);
-  const auto loaded = ml::GradientBoostedTrees::load(buf);
+  const auto loaded_model = ml::Regressor::load(buf);
+  const auto& loaded =
+      dynamic_cast<const ml::GradientBoostedTrees&>(*loaded_model);
   for (const char* policy : {"scalar", "avx2"}) {
     ScopedKernels tier(policy);
     const auto got = loaded.predict(x);

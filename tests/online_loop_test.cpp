@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/data/matrix.hpp"
+#include "src/ml/checkpoint.hpp"
 #include "src/ml/ensemble.hpp"
 #include "src/ml/gbt.hpp"
 #include "src/ml/linear.hpp"
@@ -309,8 +310,11 @@ TEST(ModelRegistry, LoadFailureNamesSlotGenerationAndHash) {
   try {
     registry.add(path);
     FAIL() << "bad checkpoint must be rejected";
-  } catch (const std::runtime_error& e) {
+  } catch (const ml::CheckpointError& e) {
+    // The slot suffix keeps the loader's error type and reason.
+    EXPECT_EQ(e.reason(), util::Reason::kBadMagic);
     const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
     EXPECT_NE(what.find("registry slot 0"), std::string::npos) << what;
     EXPECT_NE(what.find("generation 1"), std::string::npos) << what;
     EXPECT_NE(what.find(ml::format_params_hash(ml::hash_model_file(path))),

@@ -1,14 +1,23 @@
-// Model persistence: saved models must restore bit-identical predictions.
+// Model persistence: every family's checkpoint reloads through
+// Regressor::load to bit-identical outputs and the same bytes, and every
+// rejected checkpoint names its source and a util::Reason.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <tuple>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
+#include "src/ml/checkpoint.hpp"
+#include "src/ml/classifier.hpp"
 #include "src/ml/ensemble.hpp"
 #include "src/ml/gbt.hpp"
 #include "src/ml/linear.hpp"
@@ -18,6 +27,8 @@
 
 namespace iotax {
 namespace {
+
+using util::Reason;
 
 struct Xy {
   data::Matrix x{0, 0};
@@ -37,108 +48,19 @@ Xy make_data(std::size_t n, std::uint64_t seed) {
   return d;
 }
 
-TEST(GbtSerialize, RoundTripPredictionsIdentical) {
-  const auto train = make_data(800, 1);
-  const auto probe = make_data(200, 2);
-  ml::GbtParams p;
-  p.n_estimators = 40;
-  p.max_depth = 5;
-  p.subsample = 0.8;
-  ml::GradientBoostedTrees model(p);
-  model.fit(train.x, train.y);
-
-  std::stringstream buf;
-  model.save(buf);
-  const auto loaded = ml::GradientBoostedTrees::load(buf);
-  EXPECT_EQ(loaded.n_trees(), model.n_trees());
-  EXPECT_EQ(loaded.params().n_estimators, p.n_estimators);
-  const auto a = model.predict(probe.x);
-  const auto b = loaded.predict(probe.x);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
-  EXPECT_EQ(loaded.feature_importances(), model.feature_importances());
+// `text` with its first `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  text.replace(text.find(from), from.size(), to);
+  return text;
 }
 
-TEST(GbtSerialize, SaveUnfittedThrows) {
-  ml::GradientBoostedTrees model;
-  std::stringstream buf;
-  EXPECT_THROW(model.save(buf), std::logic_error);
-}
+// The crafted checkpoints below are in save's canonical form: every
+// value prints unchanged at precision 17, so a load re-saves them
+// verbatim.
 
-TEST(GbtSerialize, LoadRejectsGarbage) {
-  std::stringstream buf("not a model at all");
-  EXPECT_THROW(ml::GradientBoostedTrees::load(buf), std::runtime_error);
-}
-
-TEST(GbtSerialize, LoadRejectsWrongVersion) {
-  std::stringstream buf("iotax-gbt 9\n");
-  EXPECT_THROW(ml::GradientBoostedTrees::load(buf), std::runtime_error);
-}
-
-TEST(GbtSerialize, LoadDetectsOutOfRangeNodes) {
-  const auto train = make_data(200, 3);
-  ml::GradientBoostedTrees model({.n_estimators = 3, .max_depth = 3});
-  model.fit(train.x, train.y);
-  std::stringstream buf;
-  model.save(buf);
-  auto text = buf.str();
-  // Corrupt a feature index to something huge.
-  const auto pos = text.find("\n0 ");
-  if (pos != std::string::npos) {
-    text.replace(pos, 3, "\n99 ");
-    std::stringstream corrupted(text);
-    EXPECT_THROW(ml::GradientBoostedTrees::load(corrupted),
-                 std::runtime_error);
-  }
-}
-
-TEST(MlpSerialize, RoundTripPredictionsIdentical) {
-  const auto train = make_data(600, 4);
-  const auto probe = make_data(100, 5);
-  ml::MlpParams p;
-  p.hidden = {24, 16};
-  p.epochs = 10;
-  ml::Mlp model(p);
-  model.fit(train.x, train.y);
-
-  std::stringstream buf;
-  model.save(buf);
-  const auto loaded = ml::Mlp::load(buf);
-  const auto a = model.predict(probe.x);
-  const auto b = loaded.predict(probe.x);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
-  EXPECT_EQ(loaded.params().hidden, p.hidden);
-}
-
-TEST(MlpSerialize, NllHeadSurvivesRoundTrip) {
-  const auto train = make_data(600, 6);
-  const auto probe = make_data(50, 7);
-  ml::MlpParams p;
-  p.hidden = {16};
-  p.epochs = 10;
-  p.nll_head = true;
-  ml::Mlp model(p);
-  model.fit(train.x, train.y);
-  std::stringstream buf;
-  model.save(buf);
-  const auto loaded = ml::Mlp::load(buf);
-  const auto a = model.predict_dist(probe.x);
-  const auto b = loaded.predict_dist(probe.x);
-  for (std::size_t i = 0; i < a.mean.size(); ++i) {
-    ASSERT_DOUBLE_EQ(a.mean[i], b.mean[i]);
-    ASSERT_DOUBLE_EQ(a.variance[i], b.variance[i]);
-  }
-}
-
-TEST(MlpSerialize, LoadRejectsGarbage) {
-  std::stringstream buf("iotax-mlp 2\n");
-  EXPECT_THROW(ml::Mlp::load(buf), std::runtime_error);
-  std::stringstream buf2("nonsense");
-  EXPECT_THROW(ml::Mlp::load(buf2), std::runtime_error);
-}
-
-// A checkpoint in Mlp::save's format with the given shapes: scaler
-// width `features` (means 0, stddevs 1), layers (in, out) and every
-// weight 0.5.
+// An Mlp checkpoint with the given shapes: scaler width `features`
+// (means `mean`, stddevs 1), layers (in, out) and every weight 0.5.
 std::string mlp_checkpoint(const std::vector<std::size_t>& hidden, bool nll,
                            std::size_t features,
                            const std::vector<std::pair<std::size_t,
@@ -147,7 +69,7 @@ std::string mlp_checkpoint(const std::vector<std::size_t>& hidden, bool nll,
   std::ostringstream out;
   out << "iotax-mlp 1\nhidden " << hidden.size();
   for (const auto h : hidden) out << ' ' << h;
-  out << "\nhyper 0.001 1e-05 0 30 64 " << (nll ? 1 : 0) << " 1\n";
+  out << "\nhyper 0.5 0.25 0 30 64 " << (nll ? 1 : 0) << " 1\n";
   out << "target 0 1\nscaler " << features << '\n';
   for (std::size_t i = 0; i < features; ++i) out << mean << ' ';
   out << '\n';
@@ -163,27 +85,13 @@ std::string mlp_checkpoint(const std::vector<std::size_t>& hidden, bool nll,
   return out.str();
 }
 
-// Load must throw a runtime_error whose message contains `names`.
-template <typename Model>
-void expect_load_rejects(const std::string& text, const std::string& names) {
-  std::istringstream in(text);
-  try {
-    (void)Model::load(in);
-    ADD_FAILURE() << "accepted a checkpoint that should name '" << names
-                  << "'";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
-        << e.what();
-  }
-}
-
-// A one-tree checkpoint in GradientBoostedTrees::save's format over
-// two features; each node line is "feature threshold left right value".
+// A one-tree GradientBoostedTrees checkpoint over two features; each
+// node line is "feature threshold left right value".
 std::string gbt_checkpoint(const std::vector<std::string>& nodes,
                            const std::string& n_trees = "1",
                            const std::string& n_features = "2") {
   std::ostringstream out;
-  out << "iotax-gbt 1\nparams 1 3 0.1 1 1 0 1 1 64 17 0 0.5\n"
+  out << "iotax-gbt 1\nparams 1 3 0.5 1 1 0 1 1 64 17 0 0.5\n"
       << "base_score 0.25\nn_features " << n_features
       << "\nimportance 0.5 0.5\ntrees " << n_trees << "\ntree "
       << nodes.size() << '\n';
@@ -191,94 +99,229 @@ std::string gbt_checkpoint(const std::vector<std::string>& nodes,
   return out.str();
 }
 
+const std::vector<std::string> kStump = {"0 0.5 1 2 0", "-1 0 -1 -1 0.25",
+                                         "-1 0 -1 -1 0.5"};
+
+// A two-feature ridge checkpoint.
+const std::string kLinear =
+    "iotax-linear 1\nparams 0.5 1\nintercept 0.25\nscaler 2\n0.5 0.25 \n"
+    "1 2 \ncoef 2\n0.25 -0.5 \n";
+
+std::string ensemble_checkpoint(const std::string& member0,
+                                const std::string& member1) {
+  return "iotax-ensemble 1\nepochs 3\nseed 31\nmembers 2\n" + member0 +
+         member1;
+}
+
+// One hand-written v1 checkpoint per family.
+std::map<std::string, std::string> golden_checkpoints() {
+  const std::string nll_mlp = mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 2}});
+  return {
+      {"classifier",
+       "iotax-classifier 1\nkind logistic\nthreshold 0.5\nplatt 2 -0.5\n" +
+           gbt_checkpoint(kStump)},
+      {"ensemble", ensemble_checkpoint(nll_mlp, nll_mlp)},
+      {"gbt", gbt_checkpoint(kStump)},
+      {"linear", kLinear},
+      {"mean", "iotax-mean 1\nmean 0.5\n"},
+      {"mlp", nll_mlp},
+  };
+}
+
+// Regressor::load(text, "probe.model") must throw a CheckpointError
+// with `reason` whose message names the source and contains `names`.
+void expect_load_rejects(const std::string& text, Reason reason,
+                         const std::string& names) {
+  std::istringstream in(text);
+  try {
+    (void)ml::Regressor::load(in, "probe.model");
+    ADD_FAILURE() << "accepted a checkpoint that should name '" << names
+                  << "'";
+  } catch (const ml::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(e.reason(), reason) << what;
+    EXPECT_NE(what.find("probe.model"), std::string::npos) << what;
+    EXPECT_NE(what.find(names), std::string::npos) << what;
+  }
+}
+
+// A stream buffer that can only be read forward, like a pipe:
+// seekoff/seekpos keep std::streambuf's defaults, which fail.
+class ForwardOnlyBuf : public std::streambuf {
+ public:
+  explicit ForwardOnlyBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ private:
+  std::string text_;
+};
+
+std::unique_ptr<ml::Regressor> load_forward_only(const std::string& text) {
+  ForwardOnlyBuf buf(text);
+  std::istream in(&buf);
+  return ml::Regressor::load(in);
+}
+
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+// Params small enough to fit in milliseconds; an absent key keeps the
+// family's default.
+std::string tiny_params(const std::string& family) {
+  static const std::map<std::string, std::string> kParams = {
+      {"classifier", R"({"gbt": {"n_estimators": 5, "max_depth": 3}})"},
+      {"ensemble", R"({"size": 2, "epochs": 2})"},
+      {"gbt", R"({"n_estimators": 5, "max_depth": 3})"},
+      {"mlp", R"({"hidden": [8], "epochs": 2})"},
+  };
+  const auto it = kParams.find(family);
+  return it != kParams.end() ? it->second : "{}";
+}
+
+// make_regressor(family, params) fitted on `train`. The classifier
+// family only accepts 0/1 targets, so it gets y binarized at the
+// median.
+std::unique_ptr<ml::Regressor> fit_tiny(const std::string& family,
+                                        const std::string& params,
+                                        const Xy& train) {
+  auto model = ml::make_regressor(family, params);
+  std::vector<double> y = train.y;
+  if (family == "classifier") {
+    std::vector<double> sorted = y;
+    std::sort(sorted.begin(), sorted.end());
+    const double median = sorted[sorted.size() / 2];
+    for (double& v : y) v = v > median ? 1.0 : 0.0;
+  }
+  model->fit(train.x, y);
+  return model;
+}
+
+TEST(GbtSerialize, SaveUnfittedThrows) {
+  ml::GradientBoostedTrees model;
+  std::stringstream buf;
+  EXPECT_THROW(model.save(buf), std::logic_error);
+}
+
+TEST(GbtSerialize, LoadRejectsGarbage) {
+  expect_load_rejects("not a model at all", Reason::kBadMagic, "'not'");
+}
+
+TEST(GbtSerialize, LoadRejectsWrongVersion) {
+  expect_load_rejects("iotax-gbt 9\n", Reason::kBadVersion, "iotax-gbt");
+}
+
+TEST(GbtSerialize, LoadDetectsOutOfRangeNodes) {
+  const auto train = make_data(200, 3);
+  ml::GradientBoostedTrees model({.n_estimators = 3, .max_depth = 3});
+  model.fit(train.x, train.y);
+  std::stringstream buf;
+  model.save(buf);
+  auto text = buf.str();
+  // Corrupt a feature index to something huge.
+  const auto pos = text.find("\n0 ");
+  if (pos != std::string::npos) {
+    text.replace(pos, 3, "\n99 ");
+    expect_load_rejects(text, Reason::kSizeMismatch,
+                        "feature 99 out of range");
+  }
+}
+
 TEST(GbtSerialize, CraftedTreeOfTheRightShapeLoads) {
   std::istringstream in(gbt_checkpoint(
       {"0 0.5 1 2 0", "1 1.5 3 4 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2",
        "-1 0 -1 -1 3"}));
-  const auto model = ml::GradientBoostedTrees::load(in);
+  const auto model = ml::Regressor::load(in);
   data::Matrix x(1, 2);
   x(0, 1) = 2.0;  // left of the root, then right: node 4
-  EXPECT_EQ(model.predict(x), std::vector<double>{3.25});
+  EXPECT_EQ(model->predict(x), std::vector<double>{3.25});
 }
 
 TEST(GbtSerialize, LoadRejectsNegativeChild) {
   // Packing this tree wrote to packed_of[-5].
-  expect_load_rejects<ml::GradientBoostedTrees>(
+  expect_load_rejects(
       gbt_checkpoint({"0 0.5 -5 2 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2"}),
-      "tree 0 node 0: child -5");
+      Reason::kSizeMismatch, "tree 0 node 0: child -5");
 }
 
 TEST(GbtSerialize, LoadRejectsChildPointingAtTheRoot) {
   // A cycle: the breadth-first relayout never ended.
-  expect_load_rejects<ml::GradientBoostedTrees>(
+  expect_load_rejects(
       gbt_checkpoint({"0 0.5 1 2 0", "1 0.5 0 2 0", "-1 0 -1 -1 2"}),
-      "tree 0 node 1: child 0");
+      Reason::kSizeMismatch, "tree 0 node 1: child 0");
 }
 
 TEST(GbtSerialize, LoadRejectsSharedChild) {
   // Node 3 under both 1 and 2: each sharing level doubled the walk.
-  expect_load_rejects<ml::GradientBoostedTrees>(
+  expect_load_rejects(
       gbt_checkpoint({"0 0.5 1 2 0", "1 0.5 3 4 0", "1 0.5 3 4 0",
                       "-1 0 -1 -1 1", "-1 0 -1 -1 2"}),
-      "tree 0 node 2: child 3 is already a child");
+      Reason::kSizeMismatch, "tree 0 node 2: child 3 is already a child");
 }
 
+// A lying count never sizes a vector: the reader reads on until the
+// stream ends (truncated) or it meets the next keyword where a number
+// should be (bad-number).
 TEST(GbtSerialize, LoadRejectsHugeTreeCount) {
   // The tree list was resized to this count before any tree was read.
-  std::istringstream in(gbt_checkpoint(
-      {"0 0.5 1 2 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2"}, "4000000000"));
-  EXPECT_THROW(ml::GradientBoostedTrees::load(in), std::runtime_error);
+  expect_load_rejects(gbt_checkpoint(kStump, "4000000000"),
+                      Reason::kTruncated, "iotax-gbt");
 }
 
 TEST(GbtSerialize, LoadRejectsHugeFeatureCount) {
   // The importance vector was resized to this count up front.
-  std::istringstream in(gbt_checkpoint(
-      {"0 0.5 1 2 0", "-1 0 -1 -1 1", "-1 0 -1 -1 2"}, "1", "4000000000"));
-  EXPECT_THROW(ml::GradientBoostedTrees::load(in), std::runtime_error);
+  expect_load_rejects(gbt_checkpoint(kStump, "1", "4000000000"),
+                      Reason::kBadNumber, "'importance'");
+}
+
+TEST(MlpSerialize, LoadRejectsGarbage) {
+  expect_load_rejects("iotax-mlp 2\n", Reason::kBadVersion, "iotax-mlp");
+  expect_load_rejects("nonsense", Reason::kBadMagic, "'nonsense'");
 }
 
 TEST(MlpSerialize, LoadRejectsHugeHiddenList) {
   // The hidden list, a layer's weights and the scaler were each sized
   // by a count from the file before their values were read.
   const std::string good = mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 1}});
-  for (const auto& [from, to] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"hidden 1 2", "hidden 4000000000 2"},
-           {"hidden 1 2", "hidden 1 4000000000"},
-           {"layer 2 2", "layer 2 4000000000"},
-           {"scaler 2", "scaler 4000000000"}}) {
-    std::string text = good;
-    text.replace(text.find(from), from.size(), to);
-    std::istringstream in(text);
-    EXPECT_THROW(ml::Mlp::load(in), std::runtime_error) << to;
+  for (const auto& [from, to, reason] :
+       std::vector<std::tuple<std::string, std::string, Reason>>{
+           {"hidden 1 2", "hidden 4000000000 2", Reason::kBadNumber},
+           {"hidden 1 2", "hidden 1 4000000000", Reason::kSizeMismatch},
+           {"layer 2 2", "layer 2 4000000000", Reason::kSizeMismatch},
+           {"scaler 2", "scaler 4000000000", Reason::kBadNumber}}) {
+    SCOPED_TRACE(to);
+    expect_load_rejects(replaced(good, from, to), reason, "iotax-mlp");
   }
 }
 
 TEST(MlpSerialize, CraftedCheckpointOfTheRightShapeLoads) {
   std::istringstream in(mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 1}}));
-  const auto model = ml::Mlp::load(in);
+  const auto model = ml::Regressor::load(in);
   data::Matrix x(1, 2);
-  EXPECT_EQ(model.predict(x).size(), 1U);
+  EXPECT_EQ(model->predict(x).size(), 1U);
 }
 
 TEST(MlpSerialize, LoadRejectsLayerWiderThanThePreviousOutput) {
   // 2->2 then 5->1: predict would read 5 inputs from a 2-wide buffer.
-  expect_load_rejects<ml::Mlp>(
-      mlp_checkpoint({2}, false, 2, {{2, 2}, {5, 1}}), "layer 1");
+  expect_load_rejects(mlp_checkpoint({2}, false, 2, {{2, 2}, {5, 1}}),
+                      Reason::kSizeMismatch, "layer 1");
 }
 
 TEST(MlpSerialize, LoadRejectsHeadThatDisagreesWithNllHead) {
-  expect_load_rejects<ml::Mlp>(
-      mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 1}}), "layer 1 (the head)");
-  expect_load_rejects<ml::Mlp>(
-      mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 2}}), "layer 1 (the head)");
+  expect_load_rejects(mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 1}}),
+                      Reason::kSizeMismatch, "layer 1 (the head)");
+  expect_load_rejects(mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 2}}),
+                      Reason::kSizeMismatch, "layer 1 (the head)");
 }
 
 TEST(MlpSerialize, LoadRejectsHiddenListThatDisagreesWithLayers) {
-  expect_load_rejects<ml::Mlp>(
-      mlp_checkpoint({3}, false, 2, {{2, 2}, {2, 1}}), "layer 0");
-  expect_load_rejects<ml::Mlp>(
-      mlp_checkpoint({2, 2}, false, 2, {{2, 2}, {2, 1}}), "2 layers");
+  expect_load_rejects(mlp_checkpoint({3}, false, 2, {{2, 2}, {2, 1}}),
+                      Reason::kSizeMismatch, "layer 0");
+  expect_load_rejects(mlp_checkpoint({2, 2}, false, 2, {{2, 2}, {2, 1}}),
+                      Reason::kSizeMismatch, "2 layers");
 }
 
 TEST(MlpSerialize, SaveUnfittedThrows) {
@@ -287,86 +330,23 @@ TEST(MlpSerialize, SaveUnfittedThrows) {
   EXPECT_THROW(model.save(buf), std::logic_error);
 }
 
-TEST(LinearSerialize, RoundTripPredictionsIdentical) {
-  const auto train = make_data(400, 8);
-  const auto probe = make_data(80, 9);
-  ml::LinearRegressor model(0.5, /*log_transform=*/true);
-  model.fit(train.x, train.y);
-  std::stringstream buf;
-  model.save(buf);
-  const auto loaded = ml::LinearRegressor::load(buf);
-  EXPECT_EQ(loaded.coefficients(), model.coefficients());
-  EXPECT_DOUBLE_EQ(loaded.intercept(), model.intercept());
-  const auto a = model.predict(probe.x);
-  const auto b = loaded.predict(probe.x);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
-}
-
-// A two-feature ridge checkpoint with `from` replaced by `to`.
-std::string linear_checkpoint(const std::string& from, const std::string& to) {
-  std::string text =
-      "iotax-linear 1\nparams 0.5 1\nintercept 0.25\nscaler 2\n0.1 0.2 \n"
-      "1 2 \ncoef 2\n0.3 0.4 \n";
-  if (!from.empty()) text.replace(text.find(from), from.size(), to);
-  return text;
-}
-
 TEST(LinearSerialize, LoadRejectsHugeScalerCount) {
   // The scaler's means and stddevs were sized by this count before any
   // value was read.
-  std::istringstream good(linear_checkpoint("", ""));
-  EXPECT_EQ(ml::LinearRegressor::load(good).coefficients().size(), 2U);
-  std::istringstream in(linear_checkpoint("scaler 2", "scaler 4000000000"));
-  EXPECT_THROW(ml::LinearRegressor::load(in), std::runtime_error);
+  std::istringstream good(kLinear);
+  EXPECT_EQ(ml::Regressor::load(good)->n_features(), 2U);
+  expect_load_rejects(replaced(kLinear, "scaler 2", "scaler 4000000000"),
+                      Reason::kBadNumber, "'scaler'");
 }
 
 TEST(LinearSerialize, LoadRejectsHugeCoefCount) {
   // The coefficient count must equal the scaler's, so it can only lie
   // together with it; neither may size a vector before its values are
   // read.
-  std::string text = linear_checkpoint("coef 2", "coef 4000000000");
-  text.replace(text.find("scaler 2"), 8, "scaler 4000000000");
-  std::istringstream in(text);
-  EXPECT_THROW(ml::LinearRegressor::load(in), std::runtime_error);
-}
-
-TEST(MeanSerialize, RoundTripPredictionsIdentical) {
-  const auto train = make_data(100, 10);
-  ml::MeanRegressor model;
-  model.fit(train.x, train.y);
-  std::stringstream buf;
-  model.save(buf);
-  const auto loaded = ml::MeanRegressor::load(buf);
-  const auto a = model.predict(train.x);
-  const auto b = loaded.predict(train.x);
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
-}
-
-TEST(EnsembleSerialize, RoundTripUncertaintyIdentical) {
-  const auto train = make_data(300, 11);
-  const auto probe = make_data(60, 12);
-  ml::EnsembleParams params;
-  params.size = 3;
-  params.epochs = 3;
-  ml::DeepEnsemble model(params);
-  model.fit(train.x, train.y);
-  std::stringstream buf;
-  model.save(buf);
-  const auto loaded = ml::DeepEnsemble::load(buf);
-  EXPECT_EQ(loaded.size(), model.size());
-  const auto a = model.predict_uncertainty(probe.x);
-  const auto b = loaded.predict_uncertainty(probe.x);
-  for (std::size_t i = 0; i < a.mean.size(); ++i) {
-    ASSERT_DOUBLE_EQ(a.mean[i], b.mean[i]);
-    ASSERT_DOUBLE_EQ(a.aleatory[i], b.aleatory[i]);
-    ASSERT_DOUBLE_EQ(a.epistemic[i], b.epistemic[i]);
-  }
-}
-
-std::string ensemble_checkpoint(const std::string& member0,
-                                const std::string& member1) {
-  return "iotax-ensemble 1\nepochs 3\nseed 31\nmembers 2\n" + member0 +
-         member1;
+  expect_load_rejects(
+      replaced(replaced(kLinear, "coef 2", "coef 4000000000"), "scaler 2",
+               "scaler 4000000000"),
+      Reason::kBadNumber, "'scaler'");
 }
 
 TEST(EnsembleSerialize, LoadRejectsMembersWithDifferentInputWidths) {
@@ -374,51 +354,139 @@ TEST(EnsembleSerialize, LoadRejectsMembersWithDifferentInputWidths) {
   const auto text = ensemble_checkpoint(
       mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 2}}),
       mlp_checkpoint({2}, true, 5, {{5, 2}, {2, 2}}));
-  expect_load_rejects<ml::DeepEnsemble>(text, "member 1");
+  expect_load_rejects(text, Reason::kSizeMismatch, "member 1");
 }
 
 TEST(EnsembleSerialize, LoadRejectsMembersWithDifferentScalers) {
   const auto text = ensemble_checkpoint(
       mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 2}}),
       mlp_checkpoint({2}, true, 2, {{2, 2}, {2, 2}}, /*mean=*/0.25));
-  expect_load_rejects<ml::DeepEnsemble>(text, "member 1");
+  expect_load_rejects(text, Reason::kSizeMismatch, "member 1");
 }
 
-// Regressor::load must dispatch on the magic token alone: a deployment
-// that only knows "a saved model file" reloads any family.
-TEST(UnifiedLoad, DispatchesOnMagicToken) {
-  const auto train = make_data(300, 13);
-  const auto probe = make_data(40, 14);
+TEST(EnsembleSerialize, LoadRejectsMembersWithoutAnNllHead) {
+  // An ensemble of MSE heads loaded, then its first predict threw.
+  const auto mse = mlp_checkpoint({2}, false, 2, {{2, 2}, {2, 1}});
+  expect_load_rejects(ensemble_checkpoint(mse, mse), Reason::kSizeMismatch,
+                      "member 0");
+}
 
-  const auto round_trip = [&](const ml::Regressor& model) {
-    std::stringstream buf;
-    model.save(buf);
-    const auto loaded = ml::Regressor::load(buf);
-    EXPECT_EQ(loaded->name(), model.name());
-    const auto a = model.predict(probe.x);
-    const auto b = loaded->predict(probe.x);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
+// Families x properties: every family make_regressor builds, plus an
+// NLL-head mlp, reloads through Regressor::load from a forward-only
+// stream as the same type and name, re-saves the same bytes and gives
+// bit-identical outputs on every surface it has. Unfitted, it refuses
+// to save; a version-2 header of its magic is rejected.
+TEST(Checkpoint, RoundTripsEveryFamily) {
+  const auto train = make_data(200, 15);
+  const auto probe = make_data(40, 16);
+  std::vector<std::pair<std::string, std::string>> cases;
+  for (const auto& family : ml::regressor_names()) {
+    cases.emplace_back(family, tiny_params(family));
+  }
+  cases.emplace_back("mlp",
+                     R"({"hidden": [8], "epochs": 2, "nll_head": true})");
+  const auto& magics = ml::known_model_magics();
+  for (const auto& [family, params] : cases) {
+    SCOPED_TRACE(family + " " + params);
+    const auto model = fit_tiny(family, params, train);
+    std::ostringstream saved;
+    model->save(saved);
+    const std::string magic = "iotax-" + family;
+    EXPECT_EQ(saved.str().rfind(magic + " 1\n", 0), 0U);
+    EXPECT_NE(std::find(magics.begin(), magics.end(), magic), magics.end());
+
+    const auto loaded = load_forward_only(saved.str());
+    std::ostringstream resaved;
+    loaded->save(resaved);
+    EXPECT_EQ(resaved.str(), saved.str());
+    const ml::Regressor& a = *model;
+    const ml::Regressor& b = *loaded;
+    EXPECT_TRUE(typeid(a) == typeid(b));
+    EXPECT_EQ(b.name(), a.name());
+    EXPECT_EQ(b.n_features(), a.n_features());
+    expect_same_bits(b.predict(probe.x), a.predict(probe.x));
+    if (const auto* mlp = dynamic_cast<const ml::Mlp*>(&a);
+        mlp != nullptr && mlp->params().nll_head) {
+      const auto da = mlp->predict_dist(probe.x);
+      const auto db = dynamic_cast<const ml::Mlp&>(b).predict_dist(probe.x);
+      expect_same_bits(db.mean, da.mean);
+      expect_same_bits(db.variance, da.variance);
+    }
+    if (const auto* ens = dynamic_cast<const ml::DeepEnsemble*>(&a)) {
+      const auto ua = ens->predict_uncertainty(probe.x);
+      const auto ub =
+          dynamic_cast<const ml::DeepEnsemble&>(b).predict_uncertainty(
+              probe.x);
+      expect_same_bits(ub.mean, ua.mean);
+      expect_same_bits(ub.aleatory, ua.aleatory);
+      expect_same_bits(ub.epistemic, ua.epistemic);
+    }
+    if (const auto* clf = dynamic_cast<const ml::BurstClassifier*>(&a)) {
+      expect_same_bits(
+          dynamic_cast<const ml::BurstClassifier&>(b).predict_labels(probe.x),
+          clf->predict_labels(probe.x));
+    }
+    if (const auto* gbt = dynamic_cast<const ml::GradientBoostedTrees*>(&a)) {
+      expect_same_bits(
+          dynamic_cast<const ml::GradientBoostedTrees&>(b)
+              .feature_importances(),
+          gbt->feature_importances());
+    }
+
+    std::ostringstream unfitted;
+    EXPECT_THROW(ml::make_regressor(family, params)->save(unfitted),
+                 std::logic_error);
+    expect_load_rejects(magic + " 2\n", Reason::kBadVersion, magic);
+  }
+}
+
+// The v1 format pinned by hand, one checkpoint per family: each loads
+// and re-saves to the same bytes.
+TEST(Checkpoint, GoldenV1CheckpointsResaveVerbatim) {
+  const auto goldens = golden_checkpoints();
+  EXPECT_EQ(goldens.size(), ml::regressor_names().size());
+  for (const auto& family : ml::regressor_names()) {
+    SCOPED_TRACE(family);
+    ASSERT_EQ(goldens.count(family), 1U);
+    const std::string& text = goldens.at(family);
+    std::istringstream in(text);
+    const auto model = ml::Regressor::load(in, family);
+    std::ostringstream out;
+    model->save(out);
+    EXPECT_EQ(out.str(), text);
+  }
+}
+
+// One row per reason, plus the range checks that params and the scaler
+// apply to values that parse.
+TEST(Checkpoint, RejectionsNameSourceAndReason) {
+  const auto goldens = golden_checkpoints();
+  const std::string& gbt = goldens.at("gbt");
+  const std::vector<std::tuple<std::string, Reason, std::string>> cases = {
+      {"iotax-frobnicator 1\n", Reason::kBadMagic, "iotax-frobnicator"},
+      {"", Reason::kBadMagic, "<empty stream>"},
+      {replaced(gbt, "iotax-gbt 1", "iotax-gbt 2"), Reason::kBadVersion,
+       "iotax-gbt"},
+      {gbt_checkpoint(kStump, "2"), Reason::kTruncated, "'tree'"},
+      {replaced(gbt, "base_score", "base_scor"), Reason::kMalformedLine,
+       "expected 'base_score', got 'base_scor'"},
+      {replaced(gbt, "base_score 0.25", "base_score x"), Reason::kBadNumber,
+       "'base_score'"},
+      {replaced(gbt, "params 1 ", "params 0 "), Reason::kBadNumber,
+       "0 trees"},
+      {replaced(goldens.at("classifier"), "threshold 0.5", "threshold 2"),
+       Reason::kBadNumber, "threshold"},
+      {replaced(kLinear, "\n1 2 \n", "\n1 0 \n"), Reason::kBadNumber,
+       "stddev"},
+      {replaced(goldens.at("mlp"), " 0 30 ", " 5 30 "), Reason::kBadNumber,
+       "dropout"},
+      {replaced(goldens.at("ensemble"), "members 2", "members 1"),
+       Reason::kSizeMismatch, "at least 2"},
   };
-
-  ml::MeanRegressor mean;
-  mean.fit(train.x, train.y);
-  round_trip(mean);
-
-  ml::LinearRegressor linear;
-  linear.fit(train.x, train.y);
-  round_trip(linear);
-
-  ml::GradientBoostedTrees gbt({.n_estimators = 5, .max_depth = 3});
-  gbt.fit(train.x, train.y);
-  round_trip(gbt);
-
-  ml::MlpParams mp;
-  mp.hidden = {8};
-  mp.epochs = 3;
-  ml::Mlp mlp(mp);
-  mlp.fit(train.x, train.y);
-  round_trip(mlp);
+  for (const auto& [text, reason, names] : cases) {
+    SCOPED_TRACE(text.substr(0, text.find('\n')) + " / " + names);
+    expect_load_rejects(text, reason, names);
+  }
 }
 
 TEST(UnifiedLoad, RejectsUnknownHeaderAndUnseekableGarbage) {
@@ -472,31 +540,10 @@ TEST(UnifiedLoad, LoadRegressorFileReportsMissingPath) {
 
 TEST(Registry, BuildsEveryAdvertisedFamily) {
   const auto train = make_data(200, 15);
-  // Shrink the expensive families so the test stays fast; an absent key
-  // keeps the family's default.
-  const std::map<std::string, std::string> params = {
-      {"classifier", R"({"gbt": {"n_estimators": 5, "max_depth": 3}})"},
-      {"ensemble", R"({"size": 2, "epochs": 2})"},
-      {"gbt", R"({"n_estimators": 5, "max_depth": 3})"},
-      {"mlp", R"({"hidden": [8], "epochs": 2})"},
-  };
-  // The classifier family only accepts 0/1 targets; binarize at the
-  // median so the sweep exercises it like any other family.
-  std::vector<double> sorted = train.y;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted[sorted.size() / 2];
-  std::vector<double> binary(train.y.size());
-  for (std::size_t i = 0; i < train.y.size(); ++i) {
-    binary[i] = train.y[i] > median ? 1.0 : 0.0;
-  }
   for (const auto& family : ml::regressor_names()) {
-    const auto it = params.find(family);
-    const auto model = ml::make_regressor(
-        family, it != params.end() ? it->second : "{}");
+    const auto model = fit_tiny(family, tiny_params(family), train);
     ASSERT_NE(model, nullptr) << family;
-    const auto& y = family == "classifier" ? binary : train.y;
-    model->fit(train.x, y);
-    EXPECT_EQ(model->predict(train.x).size(), y.size()) << family;
+    EXPECT_EQ(model->predict(train.x).size(), train.y.size()) << family;
   }
 }
 

@@ -88,12 +88,30 @@ expect_fail("predict garbage model magics" "known model magics" predict
 expect_fail("predict missing model" "cannot open model file" predict
             --dataset "${WORK_DIR}/missing.csv"
             --model-file "${WORK_DIR}/no_such.model")
+# A checkpoint whose body ends early (it promises two trees and holds
+# one) must name the file and the reason too, not only the loader.
+file(WRITE "${WORK_DIR}/truncated.gbt"
+     "iotax-gbt 1\nparams 1 3 0.5 1 1 0 1 1 64 17 0 0.5\n"
+     "base_score 0.25\nn_features 2\nimportance 0.5 0.5\ntrees 2\n"
+     "tree 3\n0 0.5 1 2 0\n-1 0 -1 -1 0.25\n-1 0 -1 -1 0.5\n")
+expect_fail("predict truncated model path" "${WORK_DIR}/truncated.gbt"
+            predict --dataset "${WORK_DIR}/missing.csv"
+            --model-file "${WORK_DIR}/truncated.gbt")
+expect_fail("predict truncated model reason" "truncated" predict
+            --dataset "${WORK_DIR}/missing.csv"
+            --model-file "${WORK_DIR}/truncated.gbt")
 
 # Serve/query flag contracts.
 expect_fail("serve without models" "--models" serve
             --socket "${WORK_DIR}/s.sock")
 expect_fail("serve garbage model" "known model magics" serve
             --models "${WORK_DIR}/garbage.model"
+            --socket "${WORK_DIR}/s.sock")
+expect_fail("serve truncated model path" "${WORK_DIR}/truncated.gbt" serve
+            --models "${WORK_DIR}/truncated.gbt"
+            --socket "${WORK_DIR}/s.sock")
+expect_fail("serve truncated model reason" "truncated" serve
+            --models "${WORK_DIR}/truncated.gbt"
             --socket "${WORK_DIR}/s.sock")
 # A loadable checkpoint gets serve past the registry and onto the
 # listener contract.
