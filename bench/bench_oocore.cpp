@@ -4,10 +4,10 @@
 // matrix) and once through the out-of-core path (sharded ingest
 // streamed into a column store, mmap-backed training with spilled bin
 // codes) — then the two GBT models and their predictions are checked
-// bit-identical and BENCH_oocore.json records wall time plus peak
-// materialized and mapped bytes for each path. Row count honours
-// IOTAX_SCALE (100K rows at scale 1); thread count honours
-// IOTAX_THREADS.
+// bit-identical and BENCH_oocore.json (bench/bench_report.hpp) records
+// wall time plus peak materialized and mapped bytes for each path. Row
+// count honours IOTAX_SCALE (100K rows at scale 1); thread count
+// honours IOTAX_THREADS.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "bench/bench_report.hpp"
 #include "src/data/footprint.hpp"
 #include "src/data/ooc.hpp"
 #include "src/data/store.hpp"
@@ -185,28 +186,34 @@ int main() {
   std::printf("materialized reduction %.2fx\n", reduction);
   std::printf("models bit-identical  %s\n", identical ? "PASS" : "FAIL");
 
-  FILE* out = std::fopen("BENCH_oocore.json", "w");
-  if (out != nullptr) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"rows\": %zu,\n"
-        "  \"threads\": %d,\n"
-        "  \"shards\": %zu,\n"
-        "  \"inram\": {\"ingest_ms\": %.1f, \"train_ms\": %.1f, "
-        "\"peak_materialized_bytes\": %zu, \"peak_mapped_bytes\": %zu},\n"
-        "  \"ooc\": {\"pack_ms\": %.1f, \"train_ms\": %.1f, "
-        "\"peak_materialized_bytes\": %zu, \"peak_mapped_bytes\": %zu},\n"
-        "  \"materialized_reduction_factor\": %.2f,\n"
-        "  \"bit_identical\": %s\n"
-        "}\n",
-        store_rows, threads, kShards, inram.ingest_ms, inram.train_ms,
-        inram.peak_materialized, inram.peak_mapped, ooc.ingest_ms,
-        ooc.train_ms, ooc.peak_materialized, ooc.peak_mapped, reduction,
-        identical ? "true" : "false");
-    std::fclose(out);
-    std::printf("wrote BENCH_oocore.json\n");
-  }
+  bench::Report out{"oocore", {}};
+  out.add({.name = "rows", .value = store_rows, .unit = "rows",
+           .gate = "hard"});
+  out.add({.name = "threads", .value = threads, .unit = "threads"});
+  out.add({.name = "shards", .value = kShards, .unit = "shards"});
+  out.add({.name = "inram.ingest_ms", .value = inram.ingest_ms, .unit = "ms"});
+  out.add({.name = "inram.train_ms", .value = inram.train_ms, .unit = "ms"});
+  out.add({.name = "inram.peak_materialized_bytes",
+           .value = inram.peak_materialized, .unit = "bytes"});
+  out.add({.name = "inram.peak_mapped_bytes", .value = inram.peak_mapped,
+           .unit = "bytes"});
+  out.add({.name = "ooc.pack_ms", .value = ooc.ingest_ms, .unit = "ms"});
+  out.add({.name = "ooc.train_ms", .value = ooc.train_ms, .unit = "ms"});
+  // Generous: catches algorithmic regressions, not runner wobble.
+  out.add({.name = "ooc.pack_train_ms", .value = ooc.ingest_ms + ooc.train_ms,
+           .unit = "ms", .gate = "envelope", .limit = 1.5});
+  // Training heap stays bounded by the chunk budget (zero at the
+  // baseline), so a new materializing copy in the streaming path fails.
+  out.add({.name = "ooc.peak_materialized_bytes",
+           .value = ooc.peak_materialized, .unit = "bytes",
+           .gate = "envelope", .limit = 1.1});
+  out.add({.name = "ooc.peak_mapped_bytes", .value = ooc.peak_mapped,
+           .unit = "bytes"});
+  out.add({.name = "materialized_reduction_factor", .value = reduction,
+           .unit = "x"});
+  out.add({.name = "bit_identical", .value = identical, .unit = "bool",
+           .gate = "hard", .limit = true});
+  out.write();
   std::filesystem::remove_all(dir);
   return identical ? 0 : 1;
 }

@@ -9,8 +9,9 @@
 // scan on a wide-bin level and on tree-shaped traffic, packed forest
 // traversal, dense GEMM, and MLP training's weight gradient, input
 // gradient and Adam step) at IOTAX_THREADS 1 and 4, verifies the tiers
-// agree bit for bit, and writes BENCH_kernels.json for
-// tools/check_bench.cmake (KIND=kernels).
+// agree bit for bit, and writes BENCH_kernels.json
+// (bench/bench_report.hpp) with single-thread speedup floors for hist,
+// traversal and gemm, skipped when the AVX2 tier did not run.
 #include <benchmark/benchmark.h>
 
 #include <time.h>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "bench/bench_report.hpp"
 #include "src/ml/binning.hpp"
 #include "src/ml/kernels/dispatch.hpp"
 #include "src/ml/kernels/forest.hpp"
@@ -647,6 +649,10 @@ struct AbResult {
 struct KernelAb {
   const char* name;
   AbResult result;
+  // Single-thread AVX2 speedup floor; 0: none. Far below the measured
+  // speedups: it catches the vector path rotting back to scalar, not a
+  // noisy runner.
+  double floor = 0.0;
 };
 
 // Time one kernel under both tiers and both thread counts; identity is
@@ -736,10 +742,10 @@ int run_kernels_ab() {
       [&](std::vector<double>* out) { run_adam(train_w, out); },
       doubles_identical);
 
-  const KernelAb kernels[] = {{"hist", hist},
+  const KernelAb kernels[] = {{"hist", hist, 1.05},
                               {"hist_tree", tree_hist},
-                              {"traversal", trav},
-                              {"gemm", gemm},
+                              {"traversal", trav, 1.2},
+                              {"gemm", gemm, 1.2},
                               {"grad_weights", grad_weights},
                               {"grad_input", grad_input},
                               {"adam", adam}};
@@ -757,34 +763,33 @@ int run_kernels_ab() {
     }
   }
 
-  FILE* out = std::fopen("BENCH_kernels.json", "w");
-  if (out != nullptr) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"rows\": %zu,\n"
-                 "  \"dispatch\": \"%s\",\n"
-                 "  \"avx2_active\": %s,\n"
-                 "  \"identical\": %s",
-                 kRows, kn::describe().c_str(), avx2_active ? "true" : "false",
-                 identical ? "true" : "false");
-    for (const auto& k : kernels) {
-      std::fprintf(
-          out,
-          ",\n"
-          "  \"%s\": {\n"
-          "    \"t1\": {\"scalar_ms\": %.2f, \"avx2_ms\": %.2f, "
-          "\"speedup\": %.3f},\n"
-          "    \"t4\": {\"scalar_ms\": %.2f, \"avx2_ms\": %.2f, "
-          "\"speedup\": %.3f}\n"
-          "  }",
-          k.name, k.result.scalar_ms[0], k.result.avx2_ms[0],
-          k.result.scalar_ms[0] / k.result.avx2_ms[0], k.result.scalar_ms[1],
-          k.result.avx2_ms[1], k.result.scalar_ms[1] / k.result.avx2_ms[1]);
+  bench::Report out{"kernels", {}};
+  out.add({.name = "rows", .value = kRows, .unit = "rows", .gate = "hard"});
+  out.add({.name = "dispatch", .value = kn::describe(), .unit = "text"});
+  out.add({.name = "avx2_active", .value = avx2_active, .unit = "bool"});
+  out.add({.name = "identical", .value = identical, .unit = "bool",
+           .gate = "hard", .limit = true});
+  for (const auto& k : kernels) {
+    for (int ti = 0; ti < 2; ++ti) {
+      const std::string at = std::string(k.name) + (ti == 0 ? ".t1." : ".t4.");
+      const AbResult& r = k.result;
+      out.add({.name = at + "scalar_ms", .value = r.scalar_ms[ti],
+               .unit = "ms"});
+      out.add({.name = at + "avx2_ms", .value = r.avx2_ms[ti], .unit = "ms"});
+      bench::Record speedup{.name = at + "speedup",
+                            .value = r.scalar_ms[ti] / r.avx2_ms[ti],
+                            .unit = "x"};
+      if (ti == 0 && k.floor > 0.0) {
+        speedup.gate = "floor";
+        speedup.limit = k.floor;
+        if (!avx2_active) {
+          speedup.skipped = "AVX2 tier inactive: a scalar/scalar A/B";
+        }
+      }
+      out.add(std::move(speedup));
     }
-    std::fprintf(out, "\n}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_kernels.json\n");
   }
+  out.write();
   std::printf("tiers bit-identical   %s\n", identical ? "PASS" : "FAIL");
   return identical ? 0 : 1;
 }

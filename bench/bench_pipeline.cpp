@@ -4,15 +4,16 @@
 // per split side and per litmus step, as the pipeline worked before
 // MatrixView/DatasetView) and once through the view path — then checks
 // the two reports are bit-identical and writes BENCH_pipeline.json
-// with wall time, hyperparameter-search time, and peak materialized
-// bytes for each path. Dataset size honours IOTAX_SCALE; thread count
-// honours IOTAX_THREADS.
+// (bench/bench_report.hpp) with wall time, hyperparameter-search time,
+// and peak materialized bytes for each path. Dataset size honours
+// IOTAX_SCALE; thread count honours IOTAX_THREADS.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "bench/bench_report.hpp"
 #include "src/data/footprint.hpp"
 #include "src/data/split.hpp"
 #include "src/ml/metrics.hpp"
@@ -65,8 +66,16 @@ taxonomy::TaxonomyReport run_copy_path(const data::Dataset& ds,
     report.tuned_error =
         ml::median_abs_log_error(y_test, tuned.predict(x_test));
   }
-  report.system_bound = taxonomy::litmus_system_bound(
-      ds, split, config.app_features, report.tuned_params);
+  {
+    // Step 3.1's app-only side is the tuned model scored above.
+    auto timed_sets = config.app_features;
+    timed_sets.push_back(taxonomy::FeatureSet::kStartTimeOnly);
+    report.system_bound = taxonomy::litmus_system_bound(
+        report.tuned_error,
+        taxonomy::feature_matrix(ds, timed_sets, split.train),
+        taxonomy::feature_matrix(ds, timed_sets, split.test), y_train, y_test,
+        report.tuned_params);
+  }
   if (ds.features.has_column("LMT_OSS_CPU_MEAN")) {
     auto enriched_sets = config.app_features;
     enriched_sets.push_back(taxonomy::FeatureSet::kLmt);
@@ -199,26 +208,30 @@ int main() {
   std::printf("peak reduction        %.2fx\n", reduction);
   std::printf("reports bit-identical %s\n", identical ? "PASS" : "FAIL");
 
-  FILE* out = std::fopen("BENCH_pipeline.json", "w");
-  if (out != nullptr) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"jobs\": %zu,\n"
-        "  \"threads\": %d,\n"
-        "  \"baseline_error\": %.17g,\n"
-        "  \"copy\": {\"wall_ms\": %.1f, \"search_ms\": %.1f, "
-        "\"peak_materialized_bytes\": %zu},\n"
-        "  \"view\": {\"wall_ms\": %.1f, \"search_ms\": %.1f, "
-        "\"peak_materialized_bytes\": %zu},\n"
-        "  \"peak_reduction_factor\": %.2f,\n"
-        "  \"reports_bit_identical\": %s\n"
-        "}\n",
-        ds.size(), threads, view_report.baseline_error, copy_wall_s * 1e3,
-        copy_search_s * 1e3, copy_peak, view_wall_s * 1e3, view_search_s * 1e3,
-        view_peak, reduction, identical ? "true" : "false");
-    std::fclose(out);
-    std::printf("wrote BENCH_pipeline.json\n");
-  }
+  bench::Report out{"pipeline", {}};
+  out.add({.name = "jobs", .value = ds.size(), .unit = "jobs",
+           .gate = "hard"});
+  out.add({.name = "threads", .value = threads, .unit = "threads"});
+  out.add({.name = "baseline_error", .value = view_report.baseline_error,
+           .unit = "log10"});
+  out.add({.name = "copy.wall_ms", .value = copy_wall_s * 1e3, .unit = "ms"});
+  out.add({.name = "copy.search_ms", .value = copy_search_s * 1e3,
+           .unit = "ms"});
+  out.add({.name = "copy.peak_materialized_bytes", .value = copy_peak,
+           .unit = "bytes"});
+  // Wall time on shared CI runners is noisy, so its envelope is
+  // generous: it catches the pipeline going quadratic, not a wobble.
+  out.add({.name = "view.wall_ms", .value = view_wall_s * 1e3, .unit = "ms",
+           .gate = "envelope", .limit = 1.5});
+  out.add({.name = "view.search_ms", .value = view_search_s * 1e3,
+           .unit = "ms"});
+  // Peak footprint is deterministic at a fixed IOTAX_SCALE; the 10% only
+  // absorbs allocator rounding, a new materializing copy jumps past it.
+  out.add({.name = "view.peak_materialized_bytes", .value = view_peak,
+           .unit = "bytes", .gate = "envelope", .limit = 1.1});
+  out.add({.name = "peak_reduction_factor", .value = reduction, .unit = "x"});
+  out.add({.name = "reports_bit_identical", .value = identical,
+           .unit = "bool", .gate = "hard", .limit = true});
+  out.write();
   return identical ? 0 : 1;
 }

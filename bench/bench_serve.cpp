@@ -6,14 +6,13 @@
 // in front of a real 1 group x 2 replicas supervised fleet (shards
 // exec'd from the built iotax binary) while a chaos plan kill -9s the
 // serving replica mid-run. The routed answers must be bit-identical
-// with zero failed requests, and the routed p99 is reported next to
-// the direct p99 so check_bench.cmake can hold the failover envelope.
-// Writes BENCH_serve.json; the CI bench job uploads it next to
-// BENCH_pipeline.json.
+// with zero failed requests, and the routed p50 and p99 are gated as
+// envelopes of the direct ones. Latency quantiles are nearest rank
+// (perfbench/stats.hpp). Writes BENCH_serve.json
+// (bench/bench_report.hpp).
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +23,8 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "bench/bench_report.hpp"
+#include "perfbench/stats.hpp"
 #include "src/data/matrix.hpp"
 #include "src/faults/chaos.hpp"
 #include "src/ml/gbt.hpp"
@@ -44,13 +45,6 @@ struct RunStats {
   double requests_per_sec = 0.0;
   std::size_t requests = 0;
 };
-
-double percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
 
 /// One client: pipeline `n_requests` rows through its own connection,
 /// recording client-observed latency per request.
@@ -110,11 +104,10 @@ RunStats run_at(const char* threads, const std::string& model_path,
 
   std::vector<double> all;
   for (const auto& v : per_client) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
   RunStats stats;
   stats.requests = all.size();
-  stats.p50_ms = percentile(all, 0.50);
-  stats.p99_ms = percentile(all, 0.99);
+  stats.p50_ms = perfbench::nearest_rank(all, 0.50);
+  stats.p99_ms = perfbench::nearest_rank(all, 0.99);
   stats.requests_per_sec =
       wall_s > 0.0 ? static_cast<double>(all.size()) / wall_s : 0.0;
   const auto served = server.stats();
@@ -177,11 +170,10 @@ RunStats drive_recording(const std::string& socket_path, const data::Matrix& x,
     ++done;
   }
   const double wall_s = timer.seconds();
-  std::sort(latencies.begin(), latencies.end());
   RunStats stats;
   stats.requests = latencies.size();
-  stats.p50_ms = percentile(latencies, 0.50);
-  stats.p99_ms = percentile(latencies, 0.99);
+  stats.p50_ms = perfbench::nearest_rank(latencies, 0.50);
+  stats.p99_ms = perfbench::nearest_rank(latencies, 0.99);
   stats.requests_per_sec =
       wall_s > 0.0 ? static_cast<double>(latencies.size()) / wall_s : 0.0;
   return stats;
@@ -372,48 +364,53 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fleet.restarts));
   }
 
-  FILE* out = std::fopen("BENCH_serve.json", "w");
-  if (out != nullptr) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"jobs\": %zu,\n"
-        "  \"clients\": %zu,\n"
-        "  \"pipeline_window\": %zu,\n"
-        "  \"requests_per_client\": %zu,\n"
-        "  \"threads_1\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"requests_per_sec\": %.1f},\n"
-        "  \"threads_4\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"requests_per_sec\": %.1f}%s",
-        ds.size(), kClients, kPipelineWindow, requests_per_client, t1.p50_ms,
-        t1.p99_ms, t1.requests_per_sec, t4.p50_ms, t4.p99_ms,
-        t4.requests_per_sec, with_fleet ? ",\n" : "\n");
-    if (with_fleet) {
-      std::fprintf(
-          out,
-          "  \"fleet\": {\n"
-          "    \"groups\": %zu,\n"
-          "    \"replicas\": %zu,\n"
-          "    \"requests\": %zu,\n"
-          "    \"kill_at\": %zu,\n"
-          "    \"bit_identical\": %s,\n"
-          "    \"failed_requests\": %zu,\n"
-          "    \"restarts\": %llu,\n"
-          "    \"direct\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-          "\"requests_per_sec\": %.1f},\n"
-          "    \"routed\": {\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-          "\"requests_per_sec\": %.1f}\n"
-          "  }\n",
-          fleet.n_groups, fleet.n_replicas, fleet.requests, fleet.kill_at,
-          fleet.bit_identical ? "true" : "false", fleet.failed_requests,
-          static_cast<unsigned long long>(fleet.restarts),
-          fleet.direct.p50_ms, fleet.direct.p99_ms,
-          fleet.direct.requests_per_sec, fleet.routed.p50_ms,
-          fleet.routed.p99_ms, fleet.routed.requests_per_sec);
-    }
-    std::fprintf(out, "}\n");
-    std::fclose(out);
-    std::printf("wrote BENCH_serve.json\n");
+  bench::Report out{"serve", {}};
+  out.add({.name = "jobs", .value = ds.size(), .unit = "jobs"});
+  out.add({.name = "clients", .value = kClients, .unit = "clients"});
+  out.add({.name = "pipeline_window", .value = kPipelineWindow,
+           .unit = "requests"});
+  out.add({.name = "requests_per_client", .value = requests_per_client,
+           .unit = "requests"});
+  const auto add_run = [&](const std::string& at, const RunStats& run) {
+    out.add({.name = at + ".p50_ms", .value = run.p50_ms, .unit = "ms"});
+    out.add({.name = at + ".p99_ms", .value = run.p99_ms, .unit = "ms"});
+    out.add({.name = at + ".requests_per_sec", .value = run.requests_per_sec,
+             .unit = "req/s"});
+  };
+  add_run("threads_1", t1);
+  add_run("threads_4", t4);
+  if (with_fleet) {
+    out.add({.name = "fleet.groups", .value = fleet.n_groups,
+             .unit = "groups"});
+    out.add({.name = "fleet.replicas", .value = fleet.n_replicas,
+             .unit = "replicas"});
+    out.add({.name = "fleet.requests", .value = fleet.requests,
+             .unit = "requests", .gate = "hard"});
+    out.add({.name = "fleet.kill_at", .value = fleet.kill_at,
+             .unit = "request"});
+    out.add({.name = "fleet.bit_identical", .value = fleet.bit_identical,
+             .unit = "bool", .gate = "hard", .limit = true});
+    // A failed request leaked past failover during the shard kill.
+    out.add({.name = "fleet.failed_requests", .value = fleet.failed_requests,
+             .unit = "requests", .gate = "hard", .limit = 0});
+    // No restart: the chaos kill never happened and the A/B is vacuous.
+    out.add({.name = "fleet.restarts", .value = fleet.restarts,
+             .unit = "restarts", .gate = "floor", .limit = 1});
+    add_run("fleet.direct", fleet.direct);
+    // Both legs run here, so runner speed cancels. A router that
+    // forwards one request per session at a time puts routed p50 near
+    // 16x direct (the client's window); pipelined forwarding keeps it a
+    // small constant above. The p99 slack absorbs the kill's failover
+    // blip.
+    out.add({.name = "fleet.routed.p50_ms", .value = fleet.routed.p50_ms,
+             .unit = "ms", .gate = "envelope", .limit = 3,
+             .of = "fleet.direct.p50_ms"});
+    out.add({.name = "fleet.routed.p99_ms", .value = fleet.routed.p99_ms,
+             .unit = "ms", .gate = "envelope", .limit = 5, .slack = 100,
+             .of = "fleet.direct.p99_ms"});
+    out.add({.name = "fleet.routed.requests_per_sec",
+             .value = fleet.routed.requests_per_sec, .unit = "req/s"});
   }
+  out.write();
   return 0;
 }

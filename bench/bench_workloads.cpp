@@ -1,20 +1,20 @@
 // Workload harness: the burst-prediction classifier and the
 // cross-cluster transfer litmus at bench scale, with the correctness
-// bits check_bench.cmake gates on. Burst: train on the front of the
+// bits its bench report gates on. Burst: train on the front of the
 // tiny preset's telemetry timeline, score the tail, and require the
 // checkpoint to round-trip bit-exactly (save -> load -> predict) and
 // the threshold adapter to reproduce the logistic labels through the
 // monotone score-space identity. Transfer: theta -> cori over a shared
 // catalog; the litmus must attribute the gap to the application class
 // and the OoD estimate must agree with the sim oracle. Writes
-// BENCH_workloads.json; the CI bench job gates it with KIND=workloads.
+// BENCH_workloads.json (bench/bench_report.hpp).
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "bench/bench_report.hpp"
 #include "src/ml/classifier.hpp"
 #include "src/sim/burst.hpp"
 #include "src/stats/classification.hpp"
@@ -165,32 +165,40 @@ int main() {
   const double wall_ms = burst.sim_ms + burst.train_ms + burst.predict_ms +
                          transfer.sim_ms + transfer.litmus_ms;
 
-  std::ofstream out("BENCH_workloads.json");
-  out.precision(17);
-  out << "{\n"
-      << "  \"rows\": " << (burst.windows + transfer.rows) << ",\n"
-      << "  \"bit_identical\": "
-      << (bit_identical ? "true" : "false") << ",\n"
-      << "  \"wall_ms\": " << wall_ms << ",\n"
-      << "  \"burst\": {\n"
-      << "    \"windows\": " << burst.windows << ",\n"
-      << "    \"bursts\": " << burst.bursts << ",\n"
-      << "    \"train_ms\": " << burst.train_ms << ",\n"
-      << "    \"predict_ms\": " << burst.predict_ms << ",\n"
-      << "    \"accuracy\": " << burst.accuracy << ",\n"
-      << "    \"f1\": " << burst.f1 << ",\n"
-      << "    \"auc\": " << burst.auc << "\n"
-      << "  },\n"
-      << "  \"transfer\": {\n"
-      << "    \"rows\": " << transfer.rows << ",\n"
-      << "    \"litmus_ms\": " << transfer.litmus_ms << ",\n"
-      << "    \"gap\": " << rep.gap << ",\n"
-      << "    \"application_share\": " << rep.oracle.application << ",\n"
-      << "    \"ood_auc\": " << rep.ood_auc << ",\n"
-      << "    \"attribution_ok\": "
-      << (transfer.attribution_ok ? "true" : "false") << "\n"
-      << "  }\n"
-      << "}\n";
-  std::printf("wrote BENCH_workloads.json (wall %.1f ms)\n", wall_ms);
+  bench::Report out{"workloads", {}};
+  out.add({.name = "rows", .value = burst.windows + transfer.rows,
+           .unit = "rows", .gate = "hard"});
+  // The classifier checkpoint round-trips bit-exactly and the threshold
+  // adapter reproduces the logistic labels.
+  out.add({.name = "bit_identical", .value = bit_identical, .unit = "bool",
+           .gate = "hard", .limit = true});
+  out.add({.name = "wall_ms", .value = wall_ms, .unit = "ms",
+           .gate = "envelope", .limit = 1.5});
+  out.add({.name = "burst.windows", .value = burst.windows,
+           .unit = "windows"});
+  out.add({.name = "burst.bursts", .value = burst.bursts, .unit = "bursts"});
+  out.add({.name = "burst.train_ms", .value = burst.train_ms, .unit = "ms"});
+  out.add({.name = "burst.predict_ms", .value = burst.predict_ms,
+           .unit = "ms"});
+  out.add({.name = "burst.accuracy", .value = burst.accuracy,
+           .unit = "ratio"});
+  out.add({.name = "burst.f1", .value = burst.f1, .unit = "ratio"});
+  // The measured AUC sits near 0.99: the floor catches the classifier
+  // going blind, not noise.
+  out.add({.name = "burst.auc", .value = burst.auc, .unit = "ratio",
+           .gate = "floor", .limit = 0.9});
+  out.add({.name = "transfer.rows", .value = transfer.rows, .unit = "rows"});
+  out.add({.name = "transfer.litmus_ms", .value = transfer.litmus_ms,
+           .unit = "ms"});
+  out.add({.name = "transfer.gap", .value = rep.gap, .unit = "log10"});
+  out.add({.name = "transfer.application_share",
+           .value = rep.oracle.application, .unit = "ratio"});
+  out.add({.name = "transfer.ood_auc", .value = rep.ood_auc,
+           .unit = "ratio"});
+  out.add({.name = "transfer.attribution_ok",
+           .value = transfer.attribution_ok, .unit = "bool", .gate = "hard",
+           .limit = true});
+  out.write();
+  std::printf("wall %.1f ms\n", wall_ms);
   return bit_identical && transfer.attribution_ok ? 0 : 1;
 }

@@ -70,18 +70,9 @@ util::QuarantineReport Dataset::validate_all() const {
 }
 
 void Dataset::validate() const {
-  if (features.n_rows() != meta.size() || meta.size() != target.size()) {
-    throw std::logic_error("Dataset: features/meta/target size mismatch");
-  }
-  for (std::size_t i = 0; i < meta.size(); ++i) {
-    if (meta[i].end_time < meta[i].start_time) {
-      throw std::logic_error("Dataset: job ends before it starts");
-    }
-    const double recomposed = meta[i].log_throughput();
-    if (std::fabs(recomposed - target[i]) > 1e-9) {
-      throw std::logic_error(
-          "Dataset: target does not match ground-truth decomposition");
-    }
+  const auto report = validate_all();
+  if (!report.entries().empty()) {
+    throw std::logic_error("Dataset: " + report.entries().front().detail);
   }
 }
 

@@ -53,16 +53,15 @@ struct Dataset {
   /// Row indices whose start_time is in [t0, t1).
   std::vector<std::size_t> rows_in_window(double t0, double t1) const;
 
-  /// Internal consistency checks; throws std::logic_error on violation.
+  /// Internal consistency checks: throws std::logic_error carrying the
+  /// first violation validate_all() reports.
   void validate() const;
 
   /// Collect EVERY internal-consistency violation into a structured
   /// report instead of failing at the first, using the same reason
   /// codes the ingest quarantine speaks: size-mismatch, time-inverted,
   /// non-finite-value (features, target, or timestamps), truth-mismatch.
-  /// NaN-aware where validate()'s comparisons are not (a NaN target
-  /// passes `fabs(x) > eps` but is reported here). An empty report
-  /// means validate() would also have passed, NaNs aside.
+  /// An empty report means validate() passes.
   util::QuarantineReport validate_all() const;
 };
 

@@ -26,29 +26,6 @@ AppBoundResult litmus_application_bound(const data::DatasetView& ds) {
   return res;
 }
 
-SystemBoundResult litmus_system_bound(const data::DatasetView& ds,
-                                      const data::Split& split,
-                                      const std::vector<FeatureSet>& app_sets,
-                                      const ml::GbtParams& params) {
-  if (split.train.empty() || split.test.empty()) {
-    throw std::invalid_argument("litmus_system_bound: empty split side");
-  }
-  auto timed_sets = app_sets;
-  timed_sets.push_back(FeatureSet::kStartTimeOnly);
-  const auto x_train_app = feature_matrix(ds, app_sets, split.train);
-  const auto x_test_app = feature_matrix(ds, app_sets, split.test);
-  const auto x_train_timed = feature_matrix(ds, timed_sets, split.train);
-  const auto x_test_timed = feature_matrix(ds, timed_sets, split.test);
-  const auto y_train = targets(ds, split.train);
-  const auto y_test = targets(ds, split.test);
-  ml::GradientBoostedTrees model(params);
-  model.fit(x_train_app, y_train);
-  const double err_app_only =
-      ml::median_abs_log_error(y_test, model.predict(x_test_app));
-  return litmus_system_bound(err_app_only, x_train_timed, x_test_timed,
-                             y_train, y_test, params);
-}
-
 SystemBoundResult litmus_system_bound(double err_app_only,
                                       const data::MatrixView& x_train_timed,
                                       const data::MatrixView& x_test_timed,

@@ -44,20 +44,12 @@ struct SystemBoundResult {
   double reduction_frac = 0.0; // relative error drop from the time feature
 };
 
-/// Train GBT models with and without the start-time feature and report
-/// test errors. `app_sets` chooses the application features (typically
-/// POSIX or POSIX+MPI-IO).
-SystemBoundResult litmus_system_bound(const data::DatasetView& ds,
-                                      const data::Split& split,
-                                      const std::vector<FeatureSet>& app_sets,
-                                      const ml::GbtParams& params);
-
-/// View-based variant used by the pipeline, which has already fit and
-/// scored the tuned app-feature model (Step 2.2) and passes its test
-/// error in as `err_app_only` instead of fitting the same model again.
-/// The caller supplies app+start-time slices of one shared matrix; the
-/// start-time column must be the LAST column of the timed views (its
-/// bin budget is widened to day-level resolution).
+/// Train the start-time golden model and report its test error next to
+/// `err_app_only`, the test error of the caller's model on application
+/// features alone (the pipeline passes the tuned model Step 2.2 already
+/// scored). The timed matrices hold the application features plus the
+/// start time, which must be their LAST column (its bin budget is
+/// widened to day-level resolution).
 SystemBoundResult litmus_system_bound(double err_app_only,
                                       const data::MatrixView& x_train_timed,
                                       const data::MatrixView& x_test_timed,

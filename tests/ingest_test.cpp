@@ -240,14 +240,24 @@ TEST(ValidateAll, CollectsEveryViolationInsteadOfTheFirst) {
   EXPECT_THROW(ds.validate(), std::logic_error);
 }
 
-TEST(ValidateAll, CatchesNaNTargetThatValidateMisses) {
-  auto ds = sim::build_dataset(three_records(), nullptr, "t");
-  ds.target[1] = kNan;
-  // validate()'s |recomposed - target| > eps comparison is false for NaN,
-  // so the legacy check passes; validate_all is NaN-aware.
-  EXPECT_NO_THROW(ds.validate());
-  const auto report = ds.validate_all();
-  EXPECT_EQ(report.count(util::Reason::kNonFiniteValue), 1u);
+TEST(ValidateAll, ValidateThrowsOnEveryNonFiniteValue) {
+  // validate() throws whatever validate_all() reports, a NaN target and
+  // non-finite features or timestamps included.
+  const auto clean = sim::build_dataset(three_records(), nullptr, "t");
+  const auto expect_rejected = [](const data::Dataset& ds) {
+    EXPECT_EQ(ds.validate_all().count(util::Reason::kNonFiniteValue), 1u);
+    EXPECT_THROW(ds.validate(), std::logic_error);
+  };
+  auto nan_target = clean;
+  nan_target.target[1] = kNan;
+  expect_rejected(nan_target);
+  auto inf_feature = clean;
+  inf_feature.features.mutable_col(0)[2] =
+      std::numeric_limits<double>::infinity();
+  expect_rejected(inf_feature);
+  auto nan_time = clean;
+  nan_time.meta[0].start_time = kNan;
+  expect_rejected(nan_time);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/ml/metrics.hpp"
 #include "src/sim/presets.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/stats/descriptive.hpp"
@@ -348,8 +349,19 @@ TEST(LitmusSystem, TimeFeatureReducesErrorDuringWeather) {
   ml::GbtParams params;
   params.n_estimators = 64;
   params.max_depth = 8;
+  const auto& ds = res.dataset;
+  const std::vector<taxonomy::FeatureSet> app = {taxonomy::FeatureSet::kPosix};
+  const std::vector<taxonomy::FeatureSet> timed = {
+      taxonomy::FeatureSet::kPosix, taxonomy::FeatureSet::kStartTimeOnly};
+  const auto y_train = taxonomy::targets(ds, split.train);
+  const auto y_test = taxonomy::targets(ds, split.test);
+  ml::GradientBoostedTrees app_model(params);
+  app_model.fit(taxonomy::feature_matrix(ds, app, split.train), y_train);
+  const double err_app_only = ml::median_abs_log_error(
+      y_test, app_model.predict(taxonomy::feature_matrix(ds, app, split.test)));
   const auto bound = taxonomy::litmus_system_bound(
-      res.dataset, split, {taxonomy::FeatureSet::kPosix}, params);
+      err_app_only, taxonomy::feature_matrix(ds, timed, split.train),
+      taxonomy::feature_matrix(ds, timed, split.test), y_train, y_test, params);
   EXPECT_LT(bound.err_with_time, bound.err_app_only);
   EXPECT_GT(bound.reduction_frac, 0.05);
 }
