@@ -1,9 +1,12 @@
 #include "src/data/table_io.hpp"
 
 #include <cmath>
+#include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/util/csv.hpp"
+#include "src/util/quarantine.hpp"
 #include "src/util/str.hpp"
 
 namespace iotax::data {
@@ -33,19 +36,11 @@ util::Csv table_to_csv(const Table& table) {
   return csv;
 }
 
-Table csv_to_table(const util::Csv& csv) {
-  Table table(csv.header);
-  std::vector<double> row(csv.header.size());
-  for (const auto& fields : csv.rows) {
-    if (fields.size() != csv.header.size()) {
-      throw std::runtime_error("csv_to_table: ragged row");
-    }
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      row[i] = util::parse_double(fields[i]);
-    }
-    table.add_row(row);
-  }
-  return table;
+/// "<path>:<line>: <reason>: <what>", the shape of a CheckpointError.
+std::string csv_error(const std::string& path, std::size_t line,
+                      util::Reason reason, const std::string& what) {
+  return path + ":" + std::to_string(line) + ": " +
+         util::reason_name(reason) + ": " + what;
 }
 
 }  // namespace
@@ -55,7 +50,37 @@ void write_table_csv(const std::string& path, const Table& table) {
 }
 
 Table read_table_csv(const std::string& path) {
-  return csv_to_table(util::read_csv_file(path));
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("read_table_csv: cannot open " + path);
+  util::CsvTokenizer tokens(in);
+  std::span<const std::string_view> fields;
+  if (!tokens.next(&fields)) return Table();
+  Table table(std::vector<std::string>(fields.begin(), fields.end()));
+  // Each field parses straight into its column: no table of strings.
+  std::vector<std::vector<double>> cols(table.n_cols());
+  while (tokens.next(&fields)) {
+    if (fields.size() != cols.size()) {
+      throw std::runtime_error(csv_error(
+          path, tokens.line_no(), util::Reason::kRaggedRow,
+          "row has " + std::to_string(fields.size()) + " fields, header has " +
+              std::to_string(cols.size())));
+    }
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      try {
+        cols[i].push_back(util::parse_double(fields[i]));
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(csv_error(path, tokens.line_no(),
+                                              util::Reason::kBadNumber,
+                                              e.what()));
+      }
+    }
+  }
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    // Callers keep loaded tables for a whole run: drop the growth slack.
+    cols[c].shrink_to_fit();
+    table.mutable_col(c) = std::move(cols[c]);
+  }
+  return table;
 }
 
 std::span<const char* const> dataset_meta_columns() { return kMetaCols; }
@@ -127,19 +152,21 @@ void write_dataset_csv(const std::string& path, const Dataset& ds) {
 
 Dataset read_dataset_csv(const std::string& path,
                          const std::string& system_name) {
-  const Table combined = read_table_csv(path);
+  Table combined = read_table_csv(path);
   Dataset ds;
   ds.system_name = system_name;
-  std::vector<std::string> feature_names;
-  for (const auto& name : combined.names()) {
-    if (!util::starts_with(name, "__meta_")) feature_names.push_back(name);
-  }
-  ds.features = combined.select(feature_names);
   const std::size_t n = combined.n_rows();
   std::vector<std::span<const double>> meta_spans;
   meta_spans.reserve(std::size(kMetaCols));
   for (const char* name : kMetaCols) meta_spans.push_back(combined.col(name));
   decode_dataset_meta(meta_spans, n, &ds.meta, &ds.target);
+  // The feature columns move out of the combined table, uncopied.
+  for (std::size_t c = 0; c < combined.n_cols(); ++c) {
+    const auto& name = combined.names()[c];
+    if (!util::starts_with(name, "__meta_")) {
+      ds.features.add_column(name, std::move(combined.mutable_col(c)));
+    }
+  }
   return ds;
 }
 

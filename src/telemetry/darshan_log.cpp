@@ -2,11 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/telemetry/counters.hpp"
+#include "src/util/line_reader.hpp"
 #include "src/util/str.hpp"
 
 namespace iotax::telemetry {
@@ -22,10 +23,20 @@ std::string fmt_g(double v) {
   return buf;
 }
 
-// Index maps for counter names, built once.
-const std::unordered_map<std::string, std::size_t>& posix_index() {
+// Index maps for counter names, built once. The transparent hash lets a
+// counter line look its name up as a view, without building a string.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+using NameIndex =
+    std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>;
+
+const NameIndex& posix_index() {
   static const auto* map = [] {
-    auto* m = new std::unordered_map<std::string, std::size_t>();
+    auto* m = new NameIndex();
     const auto& names = posix_feature_names();
     for (std::size_t i = 0; i < names.size(); ++i) (*m)[names[i]] = i;
     return m;
@@ -33,14 +44,28 @@ const std::unordered_map<std::string, std::size_t>& posix_index() {
   return *map;
 }
 
-const std::unordered_map<std::string, std::size_t>& mpiio_index() {
+const NameIndex& mpiio_index() {
   static const auto* map = [] {
-    auto* m = new std::unordered_map<std::string, std::size_t>();
+    auto* m = new NameIndex();
     const auto& names = mpiio_feature_names();
     for (std::size_t i = 0; i < names.size(); ++i) (*m)[names[i]] = i;
     return m;
   }();
   return *map;
+}
+
+/// Cut a counter line at its tabs into `fields`; false unless it has
+/// exactly four fields.
+bool split_counter_line(std::string_view line, std::string_view* fields) {
+  std::size_t start = 0;
+  for (int f = 0; f < 3; ++f) {
+    const auto tab = line.find('\t', start);
+    if (tab == std::string_view::npos) return false;
+    fields[f] = line.substr(start, tab - start);
+    start = tab + 1;
+  }
+  fields[3] = line.substr(start);
+  return fields[3].find('\t') == std::string_view::npos;
 }
 
 struct HeaderField {
@@ -96,7 +121,8 @@ enum class OnError { kStopFirst, kLenient };
 
 ParseOutcome parse_core(std::istream& in, OnError on_error) {
   ParseOutcome out;
-  std::string line;
+  util::LineReader lines(in);
+  std::string_view line;
   std::size_t line_no = 0;
   std::size_t record_index = 0;  // index of the record being parsed
 
@@ -132,9 +158,8 @@ ParseOutcome parse_core(std::istream& in, OnError on_error) {
     }
   };
 
-  while (!stop && std::getline(in, line)) {
+  while (!stop && lines.next(&line)) {
     ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
     const auto trimmed = util::trim(line);
     if (trimmed.empty()) continue;
 
@@ -155,7 +180,7 @@ ParseOutcome parse_core(std::istream& in, OnError on_error) {
       } else if (header_fields_seen < kRequiredHeaderFields) {
         record_error(util::Reason::kIncompleteHeader, "incomplete header");
       }
-      if (in_record && !record_bad) out.records.push_back(rec);
+      if (in_record && !record_bad) out.records.push_back(std::move(rec));
       ++record_index;
       reset();
       continue;
@@ -204,20 +229,20 @@ ParseOutcome parse_core(std::istream& in, OnError on_error) {
         continue;
       }
       // Counter line: MODULE \t rank \t NAME \t value
-      const auto fields = util::split(std::string(trimmed), '\t');
-      if (fields.size() != 4) {
+      std::string_view fields[4];
+      if (!split_counter_line(trimmed, fields)) {
         record_error(util::Reason::kMalformedLine,
                      "counter line must have 4 tab-separated fields");
         continue;
       }
-      const auto& module = fields[0];
-      const auto& name = fields[2];
+      const auto module = fields[0];
+      const auto name = fields[2];
       const double value = util::parse_double(fields[3]);
       if (module == "POSIX") {
         const auto it = posix_index().find(name);
         if (it == posix_index().end()) {
           record_error(util::Reason::kUnknownCounter,
-                       "unknown POSIX counter '" + name + "'");
+                       "unknown POSIX counter '" + std::string(name) + "'");
           continue;
         }
         rec.posix[it->second] = value;
@@ -225,13 +250,13 @@ ParseOutcome parse_core(std::istream& in, OnError on_error) {
         const auto it = mpiio_index().find(name);
         if (it == mpiio_index().end()) {
           record_error(util::Reason::kUnknownCounter,
-                       "unknown MPIIO counter '" + name + "'");
+                       "unknown MPIIO counter '" + std::string(name) + "'");
           continue;
         }
         rec.mpiio[it->second] = value;
       } else {
         record_error(util::Reason::kUnknownModule,
-                     "unknown module '" + module + "'");
+                     "unknown module '" + std::string(module) + "'");
       }
     } catch (const std::invalid_argument& e) {
       record_error(util::Reason::kBadNumber, e.what());

@@ -1,7 +1,6 @@
 #include "src/util/csv.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace iotax::util {
@@ -57,18 +56,41 @@ std::string csv_escape(const std::string& field) {
   return out;
 }
 
+bool CsvTokenizer::next(std::span<const std::string_view>* fields) {
+  std::string_view line;
+  do {
+    if (!lines_.next(&line)) return false;
+  } while (line.empty());
+  fields_.clear();
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (c == ',') {
+      fields_.push_back(line.substr(start, i - start));
+      start = i + 1;
+    } else if (c == '"' || c == '\r') {
+      quoted_ = parse_csv_line(std::string(line));
+      fields_.assign(quoted_.begin(), quoted_.end());
+      *fields = fields_;
+      return true;
+    }
+  }
+  fields_.push_back(line.substr(start));
+  *fields = fields_;
+  return true;
+}
+
 Csv read_csv(std::istream& in, bool has_header) {
   Csv csv;
-  std::string line;
+  CsvTokenizer tokens(in);
+  std::span<const std::string_view> fields;
   bool first = true;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    auto fields = parse_csv_line(line);
+  while (tokens.next(&fields)) {
+    std::vector<std::string> row(fields.begin(), fields.end());
     if (first && has_header) {
-      csv.header = std::move(fields);
+      csv.header = std::move(row);
     } else {
-      csv.rows.push_back(std::move(fields));
+      csv.rows.push_back(std::move(row));
     }
     first = false;
   }

@@ -43,7 +43,10 @@ double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // In uint64: hi - lo overflows int64 for a range wider than INT64_MAX,
+  // while the unsigned difference is exact; the result converts once.
+  const auto ulo = static_cast<std::uint64_t>(lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(hi) - ulo + 1;
   if (range == 0) return static_cast<std::int64_t>(next());  // full range
   // Lemire-style rejection to avoid modulo bias.
   std::uint64_t x = next();
@@ -57,7 +60,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
       l = static_cast<std::uint64_t>(m);
     }
   }
-  return lo + static_cast<std::int64_t>(m >> 64);
+  return static_cast<std::int64_t>(ulo + static_cast<std::uint64_t>(m >> 64));
 }
 
 double Rng::normal() {

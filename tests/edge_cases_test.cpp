@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "src/data/split.hpp"
 #include "src/ml/gbt.hpp"
@@ -157,6 +159,34 @@ TEST(EdgeCases, RngExtremeRanges) {
     (void)rng.uniform_int(std::numeric_limits<std::int64_t>::min(),
                           std::numeric_limits<std::int64_t>::max());
   }
+  // Fixed-seed draws recorded from the int64 formulation (Release build),
+  // before the range arithmetic moved to uint64: no draw may move.
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t k2to39 = std::int64_t{1} << 39;
+  const auto draws = [](std::int64_t lo, std::int64_t hi) {
+    util::Rng r(2024);
+    std::vector<std::int64_t> out;
+    for (int i = 0; i < 6; ++i) out.push_back(r.uniform_int(lo, hi));
+    return out;
+  };
+  EXPECT_EQ(draws(-3, 7), (std::vector<std::int64_t>{-3, 5, -3, -2, 5, -1}));
+  EXPECT_EQ(draws(-k2to39, k2to39 - 1),
+            (std::vector<std::int64_t>{-488410883565, 310176378506,
+                                       -470530569451, -374146357589,
+                                       300881785441, -280516065732}));
+  EXPECT_EQ(draws(kMin, kMax),
+            (std::vector<std::int64_t>{
+                1029197146548041518, -4019475936553856923,
+                1329179038587965441, 2946237779985736811,
+                -4175413332038776153, 4517093410612401397}));
+  // Wider than INT64_MAX but not full: both the width and the offset
+  // back from lo leave the int64 range.
+  EXPECT_EQ(draws(kMin + 1, kMax),
+            (std::vector<std::int64_t>{
+                -8194174890306734290, 5203896100300918885,
+                -7894192998266810367, -6277134256869038997,
+                5047958704815999655, -4706278626242374411}));
 }
 
 TEST(EdgeCases, WeightedQuantileSingleNonZeroWeight) {

@@ -58,6 +58,15 @@ expect_fail("missing inject input" "" inject
             --in "${WORK_DIR}/does_not_exist.log"
             --out "${WORK_DIR}/out.log")
 
+# A malformed dataset CSV names the file, the line and the reason.
+file(WRITE "${WORK_DIR}/ragged.csv" "a,b\n1,2\n3,4,5\n")
+expect_fail("ragged dataset row" "${WORK_DIR}/ragged.csv:3: ragged-row"
+            taxonomy --dataset "${WORK_DIR}/ragged.csv")
+file(WRITE "${WORK_DIR}/nonnumeric.csv" "a,b\n1,2\n\n3,oops\n")
+expect_fail("non-numeric dataset field"
+            "${WORK_DIR}/nonnumeric.csv:4: bad-number" taxonomy
+            --dataset "${WORK_DIR}/nonnumeric.csv")
+
 # Malformed fault plans.
 expect_fail("conflicting plan flags" "mutually exclusive" inject
             --in "${WORK_DIR}/x.log" --out "${WORK_DIR}/y.log"
