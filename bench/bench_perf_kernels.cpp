@@ -98,8 +98,9 @@ void BM_ParseArchive(benchmark::State& state) {
   const std::string text = out.str();
   for (auto _ : state) {
     std::istringstream in(text);
-    const auto parsed = telemetry::parse_archive(in);
-    benchmark::DoNotOptimize(parsed.size());
+    const auto parsed =
+        telemetry::parse_archive_outcome(in, telemetry::ParseMode::kStrict);
+    benchmark::DoNotOptimize(parsed.records.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(res.records.size()));

@@ -34,14 +34,14 @@ int main(int argc, char** argv) {
                   1024.0);
 
   // The "analysis site": parse logs leniently, report corrupt records.
-  telemetry::ParseStats stats;
-  const auto records =
-      telemetry::parse_archive_file(archive, /*strict=*/false, &stats);
+  const auto parsed = telemetry::parse_archive_file_outcome(
+      archive, telemetry::ParseMode::kLenient);
+  const auto stats = parsed.stats();
   std::printf("parsed %zu records (%zu skipped as corrupt)\n", stats.parsed,
               stats.skipped);
 
   // Rebuild the model dataset from parsed logs only (no ground truth).
-  const auto ds = sim::build_dataset(records, nullptr, "from-logs");
+  const auto ds = sim::build_dataset(parsed.records, nullptr, "from-logs");
   std::printf("rebuilt dataset: %zu jobs x %zu features\n", ds.size(),
               ds.features.n_cols());
 

@@ -48,9 +48,4 @@ void enable_for_store() {
   if (!s.env_forced) s.enabled = true;
 }
 
-std::size_t chunk_budget_bytes() {
-  const Settings& s = settings();
-  return s.chunk_rows * sizeof(double) + s.spill_threshold_bytes;
-}
-
 }  // namespace iotax::data::ooc

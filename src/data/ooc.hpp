@@ -40,9 +40,4 @@ Settings& settings();
 /// Called by the CLI when a --store dataset source is selected.
 void enable_for_store();
 
-/// The per-pass materialized budget implied by the current settings:
-/// chunk_rows doubles plus the spill threshold. Reported in bench JSON
-/// so the peak-bytes gate has a denominator.
-std::size_t chunk_budget_bytes();
-
 }  // namespace iotax::data::ooc

@@ -9,9 +9,8 @@ double signed_log1p_value(double v) {
   return std::copysign(std::log10(1.0 + std::fabs(v)), v);
 }
 
-// The fused *_log1p variants apply signed_log1p_value exactly where the
-// copy path would have read the already-mapped matrix, so both paths see
-// the same values in the same order — bit-identical results.
+// The fused *_log1p variants apply signed_log1p_value to each element as
+// they read it, in the same order as the plain fit/transform.
 
 void StandardScaler::fit(const MatrixView& x) {
   if (x.rows() == 0) throw std::invalid_argument("StandardScaler: empty input");
@@ -104,16 +103,6 @@ StandardScaler StandardScaler::from_params(std::vector<double> means,
   scaler.means_ = std::move(means);
   scaler.stddevs_ = std::move(stddevs);
   return scaler;
-}
-
-Matrix signed_log1p(const MatrixView& x) {
-  Matrix out(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      out(r, c) = signed_log1p_value(x(r, c));
-    }
-  }
-  return out;
 }
 
 }  // namespace iotax::data

@@ -4,10 +4,9 @@
 //
 // All entry points take MatrixView (a Matrix converts implicitly), so
 // preprocessing runs straight off a row/column subset without an
-// intermediate copy. The *_log1p variants fuse signed_log1p with the
-// scaler so `scaler.fit_transform(signed_log1p(x))` — two full
-// materializations — collapses into one output matrix with bit-identical
-// values (same per-element arithmetic, same iteration order).
+// intermediate copy. The *_log1p variants apply signed_log1p_value to
+// each element as they read it, so the log matrix is never
+// materialized.
 #pragma once
 
 #include <vector>
@@ -27,11 +26,10 @@ class StandardScaler {
 
   Matrix fit_transform(const MatrixView& x);
 
-  /// fit() on signed_log1p(x) without materializing the log matrix.
+  /// fit() on signed_log1p_value of every element of x.
   void fit_log1p(const MatrixView& x);
 
-  /// transform() of signed_log1p(x) without the intermediate matrix;
-  /// bit-identical to transform(signed_log1p(x)).
+  /// transform() of signed_log1p_value of every element of x.
   Matrix transform_log1p(const MatrixView& x) const;
 
   Matrix fit_transform_log1p(const MatrixView& x);
@@ -52,9 +50,5 @@ class StandardScaler {
 /// Signed log1p of one value: sign(x) * log10(1 + |x|). Compresses byte
 /// counts spanning 10 orders of magnitude while keeping zero at zero.
 double signed_log1p_value(double v);
-
-/// Element-wise signed log1p (materializes; prefer the scaler's fused
-/// *_log1p methods on hot paths).
-Matrix signed_log1p(const MatrixView& x);
 
 }  // namespace iotax::data

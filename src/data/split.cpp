@@ -1,7 +1,7 @@
 #include "src/data/split.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -27,36 +27,19 @@ Split random_split(std::size_t n, double train_frac, double val_frac,
   return s;
 }
 
-Split time_split(const Dataset& ds, double train_end, double val_end) {
-  if (val_end < train_end) {
-    throw std::invalid_argument("time_split: val_end before train_end");
-  }
+Split split_by_start_time(const Dataset& ds, std::size_t n_train) {
+  std::vector<std::size_t> order(ds.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return ds.meta[a].start_time < ds.meta[b].start_time;
+                   });
+  const auto cut = order.begin() +
+                   static_cast<long>(std::min(n_train, order.size()));
   Split s;
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    const double t = ds.meta[i].start_time;
-    if (t < train_end) {
-      s.train.push_back(i);
-    } else if (t < val_end) {
-      s.val.push_back(i);
-    } else {
-      s.test.push_back(i);
-    }
-  }
+  s.train.assign(order.begin(), cut);
+  s.test.assign(cut, order.end());
   return s;
-}
-
-Split time_split_fractions(const Dataset& ds, double train_frac,
-                           double val_frac) {
-  if (ds.size() == 0) return {};
-  double t_min = std::numeric_limits<double>::infinity();
-  double t_max = -std::numeric_limits<double>::infinity();
-  for (const auto& m : ds.meta) {
-    t_min = std::min(t_min, m.start_time);
-    t_max = std::max(t_max, m.start_time);
-  }
-  const double extent = t_max - t_min;
-  return time_split(ds, t_min + extent * train_frac,
-                    t_min + extent * (train_frac + val_frac));
 }
 
 Split grouped_random_split(const Dataset& ds, double train_frac,

@@ -13,14 +13,10 @@ namespace iotax::data {
 Split random_split(std::size_t n, double train_frac, double val_frac,
                    util::Rng& rng);
 
-/// Time-ordered split: jobs starting before `train_end` go to train,
-/// between `train_end` and `val_end` to val, the rest to test.
-Split time_split(const Dataset& ds, double train_end, double val_end);
-
-/// Time split by fractions of the dataset's time extent, e.g. (0.6, 0.2)
-/// trains on the first 60% of wall time and validates on the next 20%.
-Split time_split_fractions(const Dataset& ds, double train_frac,
-                           double val_frac);
+/// Time-ordered split: rows sorted stably by start time, the first
+/// `n_train` (clamped to the row count) to train and the rest to test;
+/// val stays empty.
+Split split_by_start_time(const Dataset& ds, std::size_t n_train);
 
 /// Duplicate-set-aware random split: whole duplicate sets are assigned to
 /// one side so that identical jobs never straddle the train/test boundary

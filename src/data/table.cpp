@@ -46,10 +46,6 @@ std::vector<double>& Table::mutable_col(std::size_t i) {
   return c.owned;
 }
 
-std::vector<double>& Table::mutable_col(const std::string& name) {
-  return mutable_col(index_of(name));
-}
-
 double Table::at(std::size_t row, std::size_t col) const {
   const auto values = cols_.at(col).values();
   if (row >= values.size()) throw std::out_of_range("Table::at: row");
@@ -130,19 +126,6 @@ Table Table::take(std::span<const std::size_t> rows) const {
       if (r >= src.size()) throw std::out_of_range("Table::take: row");
       dst.push_back(src[r]);
     }
-  }
-  return out;
-}
-
-Table Table::hcat(const Table& other) const {
-  if (n_rows() != other.n_rows() && n_cols() != 0 && other.n_cols() != 0) {
-    throw std::invalid_argument("Table::hcat: row count mismatch");
-  }
-  Table out = *this;
-  for (std::size_t c = 0; c < other.n_cols(); ++c) {
-    const auto src = other.cols_[c].values();
-    out.add_column(other.names_[c],
-                   std::vector<double>(src.begin(), src.end()));
   }
   return out;
 }

@@ -8,7 +8,7 @@
 // External columns follow the view lifetime rule: the referenced memory
 // must outlive the table *and every copy of it* (copies keep referencing
 // the same bytes). Mutating entry points (mutable_col, add_row) reject
-// tables with external columns; select/take/hcat/vcat materialize owned
+// tables with external columns; select/take/vcat materialize owned
 // output as before.
 #pragma once
 
@@ -37,7 +37,6 @@ class Table {
   std::span<const double> col(std::size_t i) const;
   std::span<const double> col(const std::string& name) const;
   std::vector<double>& mutable_col(std::size_t i);
-  std::vector<double>& mutable_col(const std::string& name);
 
   double at(std::size_t row, std::size_t col) const;
 
@@ -67,10 +66,6 @@ class Table {
 
   /// New table with only the given rows, in the given order.
   Table take(std::span<const std::size_t> rows) const;
-
-  /// Horizontally concatenate; other must have the same row count and no
-  /// overlapping column names.
-  Table hcat(const Table& other) const;
 
   /// Vertically concatenate; other must have identical column names.
   Table vcat(const Table& other) const;

@@ -81,19 +81,6 @@ MatrixView::MatrixView(const Table& base, std::span<const std::size_t> rows,
   }
 }
 
-MatrixView MatrixView::with_cols(const Matrix& base,
-                                 std::span<const std::size_t> cols) {
-  MatrixView v(base);
-  check_cols(cols, base.cols());
-  v.cols_ = cols;
-  v.all_cols_ = false;
-  if (contiguous_ascending(cols)) {
-    v.col_contiguous_ = true;
-    v.col_offset_ = cols.front();
-  }
-  return v;
-}
-
 MatrixView MatrixView::take_rows(std::span<const std::size_t> rows,
                                  std::vector<std::size_t>* storage) const {
   storage->resize(rows.size());

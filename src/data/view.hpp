@@ -52,10 +52,6 @@ class MatrixView {
   MatrixView(const Matrix& base, std::span<const std::size_t> rows,
              std::span<const std::size_t> cols);
 
-  /// Column-subset view over all rows.
-  static MatrixView with_cols(const Matrix& base,
-                              std::span<const std::size_t> cols);
-
   /// View over a column-major Table (row and column indices are Table
   /// rows/columns; either span may be empty for "all"). Rows are never
   /// spans for this base — hot loops gather through the scratch buffer.

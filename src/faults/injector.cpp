@@ -359,10 +359,13 @@ InjectionResult inject_archive_bytes(
 InjectionReport inject_archive(const std::string& in_path,
                                const std::string& out_path, bool binary,
                                const FaultPlan& plan) {
-  std::vector<telemetry::JobLogRecord> records =
-      binary ? telemetry::read_binary_archive_file(in_path, /*strict=*/true)
-             : telemetry::parse_archive_file(in_path, /*strict=*/true);
-  auto result = inject_archive_bytes(records, plan, binary);
+  const auto parsed =
+      binary ? telemetry::read_binary_archive_file_outcome(
+                   in_path, telemetry::ParseMode::kStrict)
+             : telemetry::parse_archive_file_outcome(
+                   in_path, telemetry::ParseMode::kStrict);
+  if (!parsed.ok) throw std::runtime_error("inject: " + parsed.error);
+  auto result = inject_archive_bytes(parsed.records, plan, binary);
   std::ofstream out(out_path, std::ios::binary);
   if (!out) throw std::runtime_error("inject: cannot open " + out_path);
   out.write(result.bytes.data(),

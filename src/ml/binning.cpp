@@ -31,28 +31,6 @@ BinnedMatrix::BinnedMatrix(const data::MatrixView& x,
   build(x, per_feature_bins);
 }
 
-void BinnedMatrix::rebind_pointers(const BinnedMatrix& other) {
-  if (spill_ != nullptr) {
-    codes_ptr_ = other.codes_ptr_;
-    fcodes_ptr_ = other.fcodes_ptr_;
-  } else {
-    codes_ptr_ = codes_.data();
-    fcodes_ptr_ = fcodes_.data();
-  }
-}
-
-BinnedMatrix::BinnedMatrix(const BinnedMatrix& other)
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      max_bins_used_(other.max_bins_used_),
-      codes_(other.codes_),
-      fcodes_(other.fcodes_),
-      spill_(other.spill_),
-      uppers_(other.uppers_) {
-  rebind_pointers(other);
-  data::footprint::add(code_bytes());
-}
-
 BinnedMatrix::BinnedMatrix(BinnedMatrix&& other) noexcept
     : rows_(std::exchange(other.rows_, 0)),
       cols_(std::exchange(other.cols_, 0)),
@@ -68,40 +46,6 @@ BinnedMatrix::BinnedMatrix(BinnedMatrix&& other) noexcept
   other.codes_.clear();
   other.fcodes_.clear();
   other.uppers_.clear();
-}
-
-BinnedMatrix& BinnedMatrix::operator=(const BinnedMatrix& other) {
-  if (this == &other) return *this;
-  data::footprint::sub(code_bytes());
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  max_bins_used_ = other.max_bins_used_;
-  codes_ = other.codes_;
-  fcodes_ = other.fcodes_;
-  spill_ = other.spill_;
-  uppers_ = other.uppers_;
-  rebind_pointers(other);
-  data::footprint::add(code_bytes());
-  return *this;
-}
-
-BinnedMatrix& BinnedMatrix::operator=(BinnedMatrix&& other) noexcept {
-  if (this == &other) return *this;
-  data::footprint::sub(code_bytes());
-  rows_ = std::exchange(other.rows_, 0);
-  cols_ = std::exchange(other.cols_, 0);
-  max_bins_used_ = std::exchange(other.max_bins_used_, 1);
-  codes_ = std::move(other.codes_);
-  fcodes_ = std::move(other.fcodes_);
-  spill_ = std::move(other.spill_);
-  uppers_ = std::move(other.uppers_);
-  codes_ptr_ = std::exchange(other.codes_ptr_, nullptr);
-  fcodes_ptr_ = std::exchange(other.fcodes_ptr_, nullptr);
-  other.codes_.clear();
-  other.fcodes_.clear();
-  other.uppers_.clear();
-  data::footprint::add(code_bytes());
-  return *this;
 }
 
 BinnedMatrix::~BinnedMatrix() { data::footprint::sub(code_bytes()); }
@@ -281,20 +225,6 @@ std::uint16_t BinnedMatrix::encode(std::size_t feature, double value) const {
   return static_cast<std::uint16_t>(std::distance(uppers.begin(), it));
 }
 
-std::vector<std::uint16_t> BinnedMatrix::encode_all(
-    const data::MatrixView& x) const {
-  if (x.cols() != cols_) {
-    throw std::invalid_argument("BinnedMatrix::encode_all: column mismatch");
-  }
-  std::vector<std::uint16_t> codes(x.rows() * cols_);
-  for (std::size_t f = 0; f < cols_; ++f) {
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      codes[r * cols_ + f] = encode(f, x(r, f));
-    }
-  }
-  return codes;
-}
-
 EncodedCodes BinnedMatrix::encode_all_ooc(const data::MatrixView& x) const {
   if (x.cols() != cols_) {
     throw std::invalid_argument("BinnedMatrix::encode_all_ooc: column mismatch");
@@ -327,32 +257,15 @@ EncodedCodes BinnedMatrix::encode_all_ooc(const data::MatrixView& x) const {
   return out;
 }
 
-void EncodedCodes::release() {
-  if (!heap_.empty()) {
-    data::footprint::sub(heap_.size() * sizeof(std::uint16_t));
-  }
-  heap_.clear();
-  spill_.reset();
-  view_ = {};
+EncodedCodes::~EncodedCodes() {
+  data::footprint::sub(heap_.size() * sizeof(std::uint16_t));
 }
-
-EncodedCodes::~EncodedCodes() { release(); }
 
 EncodedCodes::EncodedCodes(EncodedCodes&& other) noexcept
     : heap_(std::move(other.heap_)),
       spill_(std::move(other.spill_)),
       view_(std::exchange(other.view_, {})) {
   other.heap_.clear();  // moved-from vector no longer owns the bytes
-}
-
-EncodedCodes& EncodedCodes::operator=(EncodedCodes&& other) noexcept {
-  if (this == &other) return *this;
-  release();
-  heap_ = std::move(other.heap_);
-  spill_ = std::move(other.spill_);
-  view_ = std::exchange(other.view_, {});
-  other.heap_.clear();
-  return *this;
 }
 
 }  // namespace iotax::ml

@@ -46,10 +46,13 @@ class BinnedMatrix {
   BinnedMatrix(const data::MatrixView& x,
                const std::vector<std::size_t>& per_feature_bins);
 
-  BinnedMatrix(const BinnedMatrix& other);
+  // Move-construct only: the implicit copy and assignment members would
+  // copy the code pointers without pointing them at this object's
+  // buffers.
   BinnedMatrix(BinnedMatrix&& other) noexcept;
-  BinnedMatrix& operator=(const BinnedMatrix& other);
-  BinnedMatrix& operator=(BinnedMatrix&& other) noexcept;
+  BinnedMatrix(const BinnedMatrix&) = delete;
+  BinnedMatrix& operator=(const BinnedMatrix&) = delete;
+  BinnedMatrix& operator=(BinnedMatrix&&) = delete;
   ~BinnedMatrix();
 
   std::size_t rows() const { return rows_; }
@@ -94,12 +97,9 @@ class BinnedMatrix {
 
   /// Encode a whole matrix against this binning (row-major codes, one
   /// column sweep per feature). Callers predicting many models against
-  /// the same input — hyperparameter search, early-stopping validation —
-  /// encode once and route every tree by codes instead of re-reading the
-  /// raw view per model.
-  std::vector<std::uint16_t> encode_all(const data::MatrixView& x) const;
-
-  /// encode_all with the code-plane spill policy: in out-of-core mode a
+  /// the same input (hyperparameter search) encode once and route every
+  /// tree by codes instead of re-reading the raw view per model. The
+  /// buffer follows the code-plane spill policy: in out-of-core mode a
   /// buffer past the spill threshold lands in an unlinked mmap scratch
   /// file (mapped bytes) instead of the heap (materialized bytes). Same
   /// bytes either way; only the backing storage differs.
@@ -110,10 +110,6 @@ class BinnedMatrix {
              const std::vector<std::size_t>& per_feature_bins);
   void build_edges_chunked(const data::MatrixView& x,
                            const std::vector<std::size_t>& per_feature_bins);
-  /// Point codes_ptr_/fcodes_ptr_ at the heap vectors (after any copy or
-  /// move that may have changed their addresses).
-  void rebind_pointers(const BinnedMatrix& other);
-
   std::size_t code_bytes() const {
     return (codes_.size() + fcodes_.size()) * sizeof(std::uint16_t);
   }
@@ -124,9 +120,8 @@ class BinnedMatrix {
   std::vector<std::uint16_t> codes_;         // row-major (heap mode)
   std::vector<std::uint16_t> fcodes_;        // feature-major mirror
   /// Spill mapping holding both planes in out-of-core mode: row-major
-  /// codes at offset 0, the feature-major mirror after it. Shared across
-  /// copies — the planes are immutable once built.
-  std::shared_ptr<data::MappedFile> spill_;
+  /// codes at offset 0, the feature-major mirror after it.
+  std::unique_ptr<data::MappedFile> spill_;
   const std::uint16_t* codes_ptr_ = nullptr;
   const std::uint16_t* fcodes_ptr_ = nullptr;
   std::vector<std::vector<double>> uppers_;  // per feature, ascending
@@ -139,8 +134,9 @@ class BinnedMatrix {
 class EncodedCodes {
  public:
   EncodedCodes() = default;
+  // `return out;` in encode_all_ooc needs the move constructor even
+  // where NRVO elides every call.
   EncodedCodes(EncodedCodes&& other) noexcept;
-  EncodedCodes& operator=(EncodedCodes&& other) noexcept;
   EncodedCodes(const EncodedCodes&) = delete;
   EncodedCodes& operator=(const EncodedCodes&) = delete;
   ~EncodedCodes();
@@ -152,7 +148,6 @@ class EncodedCodes {
 
  private:
   friend class BinnedMatrix;
-  void release();
 
   std::vector<std::uint16_t> heap_;
   std::unique_ptr<data::MappedFile> spill_;

@@ -183,14 +183,6 @@ std::vector<double> BurstClassifier::predict_labels(
   return scores;
 }
 
-std::vector<double> BurstClassifier::decision_scores(
-    const data::MatrixView& x) const {
-  if (!fitted_) {
-    throw std::logic_error("BurstClassifier::decision_scores: not fitted");
-  }
-  return gbt_.predict(x);
-}
-
 std::string BurstClassifier::name() const {
   return std::string("classifier[") +
          (params_.kind == ClassifierKind::kLogistic ? "logistic"

@@ -58,9 +58,6 @@ class BurstClassifier final : public Regressor {
   /// Hard 0/1 labels per row under the configured kind and threshold.
   std::vector<double> predict_labels(const data::MatrixView& x) const;
 
-  /// Raw (uncalibrated) booster scores.
-  std::vector<double> decision_scores(const data::MatrixView& x) const;
-
   /// Continuation is deliberately unsupported: appending boosting rounds
   /// would silently stale the Platt layer fitted to the old scores, so
   /// the family reports {supported = false} and fit_continue throws via

@@ -1,8 +1,6 @@
 #include "src/ml/gbt.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <ostream>
@@ -53,29 +51,6 @@ void GbtParams::validate() const {
 GradientBoostedTrees::GradientBoostedTrees(GbtParams params)
     : params_(params) {
   params_.validate();
-}
-
-double GradientBoostedTrees::Tree::predict(std::span<const double> row) const {
-  int idx = 0;
-  while (nodes[static_cast<std::size_t>(idx)].feature >= 0) {
-    const auto& n = nodes[static_cast<std::size_t>(idx)];
-    idx = row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                  : n.right;
-  }
-  return nodes[static_cast<std::size_t>(idx)].value;
-}
-
-double GradientBoostedTrees::Tree::predict_codes(
-    std::span<const std::uint16_t> codes) const {
-  int idx = 0;
-  while (nodes[static_cast<std::size_t>(idx)].feature >= 0) {
-    const auto& n = nodes[static_cast<std::size_t>(idx)];
-    idx = static_cast<int>(codes[static_cast<std::size_t>(n.feature)]) <=
-                  n.split_bin
-              ? n.left
-              : n.right;
-  }
-  return nodes[static_cast<std::size_t>(idx)].value;
 }
 
 // Working memory of build_tree, kept for a whole fit so no tree or node
@@ -294,7 +269,7 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
 
 void GradientBoostedTrees::fit(const data::MatrixView& x,
                                std::span<const double> y) {
-  fit_impl(x, y, data::MatrixView(), {}, nullptr);
+  fit_impl(x, y, nullptr);
 }
 
 void GradientBoostedTrees::fit_binned(const data::MatrixView& x,
@@ -304,25 +279,12 @@ void GradientBoostedTrees::fit_binned(const data::MatrixView& x,
     throw std::invalid_argument(
         "GradientBoostedTrees::fit_binned: binned view shape mismatch");
   }
-  fit_impl(x, y, data::MatrixView(), {}, &binned);
-}
-
-void GradientBoostedTrees::fit_eval(const data::MatrixView& x,
-                                    std::span<const double> y,
-                                    const data::MatrixView& x_val,
-                                    std::span<const double> y_val) {
-  fit_impl(x, y, x_val, y_val, nullptr);
+  fit_impl(x, y, &binned);
 }
 
 void GradientBoostedTrees::fit_impl(const data::MatrixView& x,
                                     std::span<const double> y,
-                                    const data::MatrixView& x_val,
-                                    std::span<const double> y_val,
                                     const BinnedMatrix* prebinned) {
-  if (x_val.rows() != y_val.size()) {
-    throw std::invalid_argument(
-        "GradientBoostedTrees::fit_eval: validation size mismatch");
-  }
   if (x.rows() != y.size()) {
     throw std::invalid_argument("GradientBoostedTrees::fit: size mismatch");
   }
@@ -349,56 +311,16 @@ void GradientBoostedTrees::fit_impl(const data::MatrixView& x,
   }
   const BinnedMatrix& binned = prebinned != nullptr ? *prebinned : *own_binned;
 
-  // Early-stopping bookkeeping. Validation rows are encoded into the
-  // training bins once up front, so the per-tree evaluation walks codes
-  // instead of gathering raw rows (one strided read per value total,
-  // rather than per tree).
-  const bool use_eval =
-      params_.early_stopping_rounds > 0 && x_val.rows() > 0;
-  std::vector<double> val_preds(x_val.rows(), base_score_);
-  EncodedCodes val_codes;
-  if (use_eval) {
-    val_codes = binned.encode_all_ooc(x_val);
-  }
-  double best_val_rmse = std::numeric_limits<double>::infinity();
-  std::size_t best_round = 0;
-  std::size_t rounds_since_best = 0;
-
+  // packed_ stays in lockstep with trees_; trees built here carry
+  // fit-time split bins.
   Rounds rounds(params_, x.rows(), n_features_,
                 std::vector<double>(x.rows(), base_score_));
   for (std::size_t t = 0; t < params_.n_estimators; ++t) {
-    // packed_ stays in lockstep with trees_ (re-synced only if early
-    // stopping trims the tail); trees built here carry fit-time split
-    // bins.
     boost_round(binned, y, rounds, packed_);
-    if (use_eval) {
-      // Batch-update the validation predictions, then accumulate the
-      // squared error in row order — the same values and the same FP
-      // sum sequence as the seed's fused loop, just two passes.
-      packed_.predict_codes_tree(packed_.n_trees() - 1, val_codes.data(),
-                                 n_features_, x_val.rows(), val_preds.data());
-      double sq = 0.0;
-      for (std::size_t i = 0; i < x_val.rows(); ++i) {
-        const double d = val_preds[i] - y_val[i];
-        sq += d * d;
-      }
-      const double rmse = std::sqrt(sq / static_cast<double>(x_val.rows()));
-      if (rmse < best_val_rmse - 1e-12) {
-        best_val_rmse = rmse;
-        best_round = t + 1;
-        rounds_since_best = 0;
-      } else if (++rounds_since_best >= params_.early_stopping_rounds) {
-        break;
-      }
-    }
-  }
-  if (use_eval && best_round < trees_.size()) {
-    trees_.resize(best_round);  // keep the best-validation prefix
   }
   obs::span_arg("trees", static_cast<double>(trees_.size()));
   fitted_ = true;
   has_split_bins_ = true;
-  if (packed_.n_trees() != trees_.size()) rebuild_packed();
 }
 
 void GradientBoostedTrees::fit_continue(const data::MatrixView& x,
@@ -511,9 +433,10 @@ void GradientBoostedTrees::boost_round(const BinnedMatrix& binned,
   const std::size_t t_idx = forest.n_trees() - 1;
   // Update running predictions on all rows (per-index slots, so the
   // result is identical at any thread count). Routing by bin codes
-  // gives the same leaf as routing the raw row by thresholds — see
-  // Tree::predict_codes — without re-reading the (possibly strided,
-  // table-backed) view once per tree.
+  // (code <= split_bin goes left, the comparison build_tree partitions
+  // with) gives the same leaf as routing the raw row by thresholds,
+  // because code(r,f) <= b iff x(r,f) <= threshold(f,b) — without
+  // re-reading the (possibly strided, table-backed) view once per tree.
   util::parallel_for_chunks(
       n_rows,
       [&](std::size_t lo, std::size_t hi) {
@@ -568,7 +491,7 @@ std::vector<double> GradientBoostedTrees::predict_prefix(
         // Materialize the chunk as a dense block (the view may be
         // strided or row-mapped) and descend the trees on it at once.
         // The leaf per row — and the add order across trees — is
-        // exactly the seed's per-row Tree::predict loop.
+        // exactly a per-row walk of each tree in turn.
         std::vector<double> scratch;  // untouched when rows are spans
         std::vector<double> block((hi - lo) * n_features_);
         for (std::size_t i = lo; i < hi; ++i) {
@@ -584,25 +507,21 @@ std::vector<double> GradientBoostedTrees::predict_prefix(
   return out;
 }
 
-std::vector<double> GradientBoostedTrees::predict_codes(
-    std::span<const std::uint16_t> codes) const {
-  return predict_codes_prefix(codes, trees_.size());
-}
-
 std::vector<double> GradientBoostedTrees::predict_codes_prefix(
     std::span<const std::uint16_t> codes, std::size_t n_trees) const {
   if (!fitted_) {
-    throw std::logic_error("GradientBoostedTrees::predict_codes: not fitted");
+    throw std::logic_error(
+        "GradientBoostedTrees::predict_codes_prefix: not fitted");
   }
   if (!has_split_bins_) {
     throw std::logic_error(
-        "GradientBoostedTrees::predict_codes: model has no fit-time split "
-        "bins (loaded from disk?) — use predict()");
+        "GradientBoostedTrees::predict_codes_prefix: model has no fit-time "
+        "split bins (loaded from disk?) — use predict()");
   }
   if (n_features_ == 0 || codes.size() % n_features_ != 0) {
     throw std::invalid_argument(
-        "GradientBoostedTrees::predict_codes: code count not a multiple of "
-        "the feature count");
+        "GradientBoostedTrees::predict_codes_prefix: code count not a "
+        "multiple of the feature count");
   }
   IOTAX_TRACE_SPAN("gbt.predict");
   const std::size_t n = codes.size() / n_features_;
@@ -725,7 +644,7 @@ GradientBoostedTrees GradientBoostedTrees::read(CheckpointReader& r) {
   model.fitted_ = true;
   // Loaded trees carry thresholds but no fit-time split bins
   // (has_split_bins_ stays false): the packed layout supports value
-  // traversal only, and predict_codes keeps throwing.
+  // traversal only, and predict_codes_prefix keeps throwing.
   model.rebuild_packed();
   return model;
 }

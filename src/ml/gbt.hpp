@@ -42,12 +42,10 @@ struct GbtParams {
   /// max_bins for all). Needed to give a start-time feature day-level
   /// resolution without paying that cost on every counter.
   std::vector<std::size_t> per_feature_bins;
-  /// Stop adding trees when the fit_eval validation RMSE has not improved
-  /// for this many rounds (0 disables; plain fit() ignores it).
-  std::size_t early_stopping_rounds = 0;
   std::uint64_t seed = 17;
 
   void validate() const;
+  bool operator==(const GbtParams&) const = default;
 };
 
 class GradientBoostedTrees final : public Regressor {
@@ -63,13 +61,6 @@ class GradientBoostedTrees final : public Regressor {
   void fit_binned(const data::MatrixView& x, std::span<const double> y,
                   const BinnedMatrix& binned);
 
-  /// Fit with a validation set for early stopping: boosting stops once
-  /// validation RMSE has not improved for early_stopping_rounds rounds,
-  /// and the ensemble is truncated to the best round. With
-  /// early_stopping_rounds == 0 this trains exactly like fit().
-  void fit_eval(const data::MatrixView& x, std::span<const double> y,
-                const data::MatrixView& x_val, std::span<const double> y_val);
-
   /// Warm-start continuation: append `extra_rounds` more boosting rounds
   /// on top of the fitted forest. Continuation is stateless — the call
   /// re-bins `x` under the model's bin budgets, replays the running
@@ -82,11 +73,8 @@ class GradientBoostedTrees final : public Regressor {
   /// carry the seed). On new data the base score and earlier trees stay
   /// frozen and only the new rounds chase the new residuals. After a
   /// continuation the forest mixes trees built against different
-  /// binnings, so fit-time code traversal (predict_codes) is dropped;
-  /// predict() routes by raw thresholds and is unaffected. fit_eval's
-  /// early stopping is a fit-time-only concern: continuation never
-  /// trims, and continuing a trimmed model re-draws from the kept
-  /// rounds.
+  /// binnings, so fit-time code traversal (predict_codes_prefix) is dropped;
+  /// predict() routes by raw thresholds and is unaffected.
   void fit_continue(const data::MatrixView& x, std::span<const double> y,
                     std::size_t extra_rounds) override;
   FitContinueInfo fit_continue_info() const override {
@@ -104,22 +92,15 @@ class GradientBoostedTrees final : public Regressor {
   std::vector<double> predict_prefix(const data::MatrixView& x,
                                      std::size_t n_trees) const;
 
-  /// predict() for rows pre-encoded against the fit-time binning
-  /// (BinnedMatrix::encode_all on the matrix this model was fitted
+  /// predict_prefix() for rows pre-encoded against the fit-time binning
+  /// (BinnedMatrix::encode_all_ooc on the matrix this model was fitted
   /// with, or any input encoded by that same BinnedMatrix). Routing by
   /// code reaches the same leaf as routing the raw row by thresholds,
-  /// so the result is bit-identical to predict(); searches encode a
-  /// validation set once and score every candidate against it. Only
+  /// so the result is bit-identical to predict_prefix(); searches
+  /// encode a validation set once, fit the largest candidate of an
+  /// n_estimators ladder once and score the rest as prefixes. Only
   /// valid on models fitted in this process — loaded models carry
   /// thresholds but not fit-time bin indices, and throw here.
-  std::vector<double> predict_codes(std::span<const std::uint16_t> codes) const;
-
-  /// predict_codes() using only the first `n_trees` boosting rounds
-  /// (clamped to the fitted count). Because round t depends only on
-  /// rounds before it, this is bit-identical to predict_codes() on a
-  /// model fitted with n_estimators == n_trees and the same seed —
-  /// hyperparameter searches fit the largest candidate of an
-  /// n_estimators ladder once and score the rest as prefixes.
   std::vector<double> predict_codes_prefix(
       std::span<const std::uint16_t> codes, std::size_t n_trees) const;
 
@@ -151,12 +132,6 @@ class GradientBoostedTrees final : public Regressor {
   };
   struct Tree {
     std::vector<Node> nodes;
-    double predict(std::span<const double> row) const;
-    /// Route by fit-time bin codes: code <= split_bin goes left, exactly
-    /// the comparison build_tree partitions with. Because
-    /// code(r,f) <= b iff x(r,f) <= threshold(f,b), this returns the
-    /// same value predict() would on the raw row, without gathering it.
-    double predict_codes(std::span<const std::uint16_t> codes) const;
   };
 
   struct BuildScratch;
@@ -172,7 +147,6 @@ class GradientBoostedTrees final : public Regressor {
                    Rounds& rounds, kernels::PackedForest& forest);
 
   void fit_impl(const data::MatrixView& x, std::span<const double> y,
-                const data::MatrixView& x_val, std::span<const double> y_val,
                 const BinnedMatrix* binned);
 
   /// Relayout one tree into a PackedForest (the SoA batch-prediction
@@ -193,7 +167,7 @@ class GradientBoostedTrees final : public Regressor {
   std::vector<double> importance_;
   bool fitted_ = false;
   // True when trees_ carry valid fit-time split bins (fitted in this
-  // process, not deserialized) and predict_codes may be used.
+  // process, not deserialized) and predict_codes_prefix may be used.
   bool has_split_bins_ = false;
 };
 

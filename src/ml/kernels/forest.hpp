@@ -21,9 +21,10 @@
 //     raw values) with gathered loads; the scalar tier walks the same
 //     arrays row-by-row.
 //
-// Per row the leaf reached is exactly the one Tree::predict /
-// predict_codes reaches, and values accumulate in tree order, so both
-// tiers are bit-identical to the seed loops.
+// Per row the leaf reached is exactly the one a walk from the root
+// reaches (raw values go left when x <= threshold, codes when
+// code <= split_bin), and values accumulate in tree order, so both
+// tiers are bit-identical to a per-row walk of each tree in turn.
 #pragma once
 
 #include <cstddef>

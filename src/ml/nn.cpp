@@ -68,7 +68,6 @@ Mlp::Mlp(MlpParams params) : params_(std::move(params)) { params_.validate(); }
 
 Mlp::~Mlp() = default;
 Mlp::Mlp(Mlp&&) noexcept = default;
-Mlp& Mlp::operator=(Mlp&&) noexcept = default;
 
 namespace {
 constexpr double kLogVarMin = -8.0;
@@ -419,16 +418,10 @@ std::vector<double> Mlp::predict(const data::MatrixView& x) const {
 }
 
 DistPrediction Mlp::predict_dist(const data::MatrixView& x) const {
-  DistPrediction pred;
-  predict_dist_into(x, &pred);
-  return pred;
-}
-
-void Mlp::predict_dist_into(const data::MatrixView& x,
-                            DistPrediction* out) const {
   if (!fitted_) throw std::logic_error("Mlp::predict_dist: not fitted");
-  const data::Matrix z = scaler_.transform_log1p(x);
-  predict_dist_preprocessed(z, out);
+  DistPrediction pred;
+  predict_dist_preprocessed(scaler_.transform_log1p(x), &pred);
+  return pred;
 }
 
 void Mlp::predict_dist_preprocessed(const data::Matrix& z,

@@ -66,11 +66,10 @@ class Mlp final : public Regressor {
  public:
   explicit Mlp(MlpParams params = {});
   // Out-of-line for the unique_ptr<MlpTrainState> member (incomplete
-  // here); declaring the destructor suppresses the implicit moves, so
-  // they are re-declared and defaulted in nn.cpp.
+  // here); declaring the destructor suppresses the implicit move, so it
+  // is re-declared and defaulted in nn.cpp.
   ~Mlp() override;
   Mlp(Mlp&&) noexcept;
-  Mlp& operator=(Mlp&&) noexcept;
 
   void fit(const data::MatrixView& x, std::span<const double> y) override;
 
@@ -111,11 +110,7 @@ class Mlp final : public Regressor {
   /// Mean and aleatory variance; requires an NLL head.
   DistPrediction predict_dist(const data::MatrixView& x) const;
 
-  /// predict_dist writing into an existing buffer, so callers looping
-  /// over many inputs (or ensemble members) can reuse one allocation.
-  void predict_dist_into(const data::MatrixView& x, DistPrediction* out) const;
-
-  /// predict_dist_into on an already-preprocessed matrix (the output of
+  /// predict_dist on an already-preprocessed matrix (the output of
   /// scaler().transform_log1p). DeepEnsemble transforms its input once
   /// and shares it across members — which all hold the same fit-time
   /// scaler — instead of materializing one identical copy per member.

@@ -89,8 +89,6 @@ GbtParams parse_gbt_params(const util::Json& params,
       p.max_bins = as_size(value);
     } else if (key == "per_feature_bins") {
       p.per_feature_bins = as_size_array(value);
-    } else if (key == "early_stopping_rounds") {
-      p.early_stopping_rounds = as_size(value);
     } else if (key == "seed") {
       p.seed = static_cast<std::uint64_t>(value.as_int());
     } else {

@@ -32,18 +32,9 @@ using EncodedVal = EncodedCodes;
 
 // True when the two candidates run the identical fit except for how
 // many boosting rounds it keeps.
-bool same_except_trees(const GbtParams& a, const GbtParams& b) {
-  return a.max_depth == b.max_depth && a.loss == b.loss &&
-         a.quantile_alpha == b.quantile_alpha &&
-         a.learning_rate == b.learning_rate &&
-         a.reg_lambda == b.reg_lambda &&
-         a.min_child_weight == b.min_child_weight &&
-         a.min_split_gain == b.min_split_gain &&
-         a.subsample == b.subsample && a.colsample == b.colsample &&
-         a.max_bins == b.max_bins &&
-         a.per_feature_bins == b.per_feature_bins &&
-         a.early_stopping_rounds == b.early_stopping_rounds &&
-         a.seed == b.seed;
+bool same_except_trees(const GbtParams& a, GbtParams b) {
+  b.n_estimators = a.n_estimators;
+  return a == b;
 }
 
 // The best group model so far, offered by the search threads as their

@@ -316,15 +316,6 @@ bool Supervisor::signal_shard(std::size_t group, std::size_t replica,
   return false;
 }
 
-std::size_t Supervisor::live_shards() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    if (shard.state == ShardState::kUp) ++n;
-  }
-  return n;
-}
-
 SupervisorStats Supervisor::stats() const {
   SupervisorStats s;
   s.spawns = n_spawns_.load(std::memory_order_relaxed);

@@ -132,8 +132,6 @@ class Supervisor {
   /// Returns false when the shard has no live process right now.
   bool signal_shard(std::size_t group, std::size_t replica, int sig);
 
-  /// Shards currently believed up (spawned, not known-dead).
-  std::size_t live_shards() const;
   SupervisorStats stats() const;
   const SupervisorConfig& config() const { return config_; }
 

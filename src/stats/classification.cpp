@@ -56,25 +56,6 @@ double f1_score(const ConfusionCounts& c) {
   return (p + r) == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
 }
 
-double accuracy(std::span<const double> y_true,
-                std::span<const double> y_pred) {
-  return accuracy(confusion_counts(y_true, y_pred));
-}
-
-double precision(std::span<const double> y_true,
-                 std::span<const double> y_pred) {
-  return precision(confusion_counts(y_true, y_pred));
-}
-
-double recall(std::span<const double> y_true, std::span<const double> y_pred) {
-  return recall(confusion_counts(y_true, y_pred));
-}
-
-double f1_score(std::span<const double> y_true,
-                std::span<const double> y_pred) {
-  return f1_score(confusion_counts(y_true, y_pred));
-}
-
 double roc_auc(std::span<const double> y_true, std::span<const double> scores) {
   if (y_true.empty() || y_true.size() != scores.size()) {
     throw std::invalid_argument("roc_auc: size mismatch or empty");

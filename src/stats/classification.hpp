@@ -39,13 +39,6 @@ double recall(const ConfusionCounts& c);
 /// Harmonic mean of precision and recall; 0 when both are 0.
 double f1_score(const ConfusionCounts& c);
 
-/// Span convenience overloads of the four ratio metrics.
-double accuracy(std::span<const double> y_true, std::span<const double> y_pred);
-double precision(std::span<const double> y_true,
-                 std::span<const double> y_pred);
-double recall(std::span<const double> y_true, std::span<const double> y_pred);
-double f1_score(std::span<const double> y_true, std::span<const double> y_pred);
-
 /// Area under the ROC curve from real-valued scores (higher score =
 /// more positive), computed as the Mann-Whitney rank statistic with
 /// average ranks for tied scores — deterministic regardless of input

@@ -137,25 +137,6 @@ double weighted_quantile(std::span<const double> xs,
   return last_positive;
 }
 
-double excess_kurtosis(std::span<const double> xs) {
-  const auto n = static_cast<double>(xs.size());
-  if (xs.size() < 4) throw std::invalid_argument("excess_kurtosis: need n >= 4");
-  const double m = mean(xs);
-  double m2 = 0.0;
-  double m4 = 0.0;
-  for (double x : xs) {
-    const double d = x - m;
-    m2 += d * d;
-    m4 += d * d * d * d;
-  }
-  m2 /= n;
-  m4 /= n;
-  if (m2 <= 0.0) return 0.0;
-  // Sample excess kurtosis with bias correction (G2).
-  const double g2 = m4 / (m2 * m2) - 3.0;
-  return ((n - 1.0) / ((n - 2.0) * (n - 3.0))) * ((n + 1.0) * g2 + 6.0);
-}
-
 double correlation(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size()) {
     throw std::invalid_argument("correlation: size mismatch");

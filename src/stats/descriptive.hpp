@@ -43,9 +43,6 @@ double weighted_mean(std::span<const double> xs,
 double weighted_quantile(std::span<const double> xs,
                          std::span<const double> weights, double q);
 
-/// Excess kurtosis (Fisher), sample estimator. Requires n >= 4.
-double excess_kurtosis(std::span<const double> xs);
-
 /// Pearson correlation; requires equal sizes >= 2.
 double correlation(std::span<const double> xs, std::span<const double> ys);
 

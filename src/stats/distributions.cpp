@@ -127,29 +127,6 @@ double Normal::quantile(double p) const {
   return mean_ + stddev_ * z;
 }
 
-// ------------------------------------------------------------- LogNormal
-
-LogNormal::LogNormal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
-  if (sigma <= 0.0) throw std::invalid_argument("LogNormal: sigma must be > 0");
-}
-
-double LogNormal::pdf(double x) const {
-  if (x <= 0.0) return 0.0;
-  const double z = (std::log(x) - mu_) / sigma_;
-  return std::exp(-0.5 * z * z) / (x * sigma_ * std::sqrt(2.0 * M_PI));
-}
-
-double LogNormal::cdf(double x) const {
-  if (x <= 0.0) return 0.0;
-  return Normal(mu_, sigma_).cdf(std::log(x));
-}
-
-double LogNormal::quantile(double p) const {
-  return std::exp(Normal(mu_, sigma_).quantile(p));
-}
-
-double LogNormal::mean() const { return std::exp(mu_ + 0.5 * sigma_ * sigma_); }
-
 // -------------------------------------------------------------- StudentT
 
 StudentT::StudentT(double df, double loc, double scale)

@@ -31,25 +31,6 @@ class Normal {
   double stddev_;
 };
 
-class LogNormal {
- public:
-  /// Parameters are the mean/stddev of the underlying normal (log-space).
-  LogNormal(double mu, double sigma);
-
-  double pdf(double x) const;
-  double cdf(double x) const;
-  double quantile(double p) const;
-
-  double mu() const { return mu_; }
-  double sigma() const { return sigma_; }
-  /// E[X] = exp(mu + sigma^2/2).
-  double mean() const;
-
- private:
-  double mu_;
-  double sigma_;
-};
-
 /// Location-scale Student-t. Standard t has loc=0, scale=1.
 class StudentT {
  public:

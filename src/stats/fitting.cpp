@@ -127,10 +127,6 @@ double ks_statistic(const Dist& d, std::span<const double> xs) {
 }
 
 template double ks_statistic<Normal>(const Normal&, std::span<const double>);
-template double ks_statistic<StudentT>(const StudentT&,
-                                       std::span<const double>);
-template double ks_statistic<LogNormal>(const LogNormal&,
-                                        std::span<const double>);
 
 double two_sample_ks(std::span<const double> a, std::span<const double> b) {
   if (a.empty() || b.empty()) {

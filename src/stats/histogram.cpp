@@ -4,62 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/util/str.hpp"
-
 namespace iotax::stats {
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<long long>(
-      std::floor(t * static_cast<double>(counts_.size())));
-  bin = std::clamp(bin, 0LL, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-void Histogram::add_all(std::span<const double> xs) {
-  for (double x : xs) add(x);
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
-double Histogram::bin_center(std::size_t bin) const {
-  return 0.5 * (bin_lo(bin) + bin_hi(bin));
-}
-
-double Histogram::density(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return static_cast<double>(counts_.at(bin)) /
-         (static_cast<double>(total_) * width);
-}
-
-std::string Histogram::to_string(std::size_t bar_width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto len = counts_[b] * bar_width / peak;
-    out += util::format_double(bin_center(b), 4);
-    out += '\t';
-    out += std::to_string(counts_[b]);
-    out += '\t';
-    out.append(len, '#');
-    out += '\n';
-  }
-  return out;
-}
 
 std::vector<double> log_bin_edges(double lo, double hi, std::size_t bins) {
   if (lo <= 0.0 || hi <= lo) {

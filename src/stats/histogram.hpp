@@ -1,41 +1,12 @@
-// Fixed-width and log-spaced histograms; used to print the paper's
-// distribution figures (Figs. 3, 4, 6) as text series.
+// Log-spaced bin edges and edge-based counting; used to print the
+// paper's distribution figures (Figs. 3, 4, 6) as text series.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace iotax::stats {
-
-class Histogram {
- public:
-  /// Linear bins over [lo, hi); values outside are clamped into the edge
-  /// bins so no sample is silently dropped.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  void add_all(std::span<const double> xs);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-  double bin_center(std::size_t bin) const;
-  /// Normalised density (integrates to ~1 over [lo, hi)).
-  double density(std::size_t bin) const;
-
-  /// Render as rows "center<TAB>count<TAB>bar" for terminal output.
-  std::string to_string(std::size_t bar_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Log10-spaced bin edges from lo to hi (lo, hi > 0), `bins` bins.
 std::vector<double> log_bin_edges(double lo, double hi, std::size_t bins);

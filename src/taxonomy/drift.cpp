@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/data/view.hpp"
 #include "src/stats/descriptive.hpp"
 #include "src/stats/fitting.hpp"
 #include "src/util/str.hpp"
@@ -120,24 +121,6 @@ std::vector<FeatureDrift> feature_drift(
             });
   if (drifts.size() > top_k) drifts.resize(top_k);
   return drifts;
-}
-
-std::vector<FeatureDrift> feature_drift(const data::DatasetView& ds,
-                                        std::span<const std::size_t>
-                                            reference_rows,
-                                        std::span<const std::size_t>
-                                            recent_rows,
-                                        std::size_t top_k) {
-  // Map view-local rows to base rows once, then reuse the Table path.
-  std::vector<std::size_t> ref_base(reference_rows.size());
-  std::vector<std::size_t> rec_base(recent_rows.size());
-  for (std::size_t i = 0; i < reference_rows.size(); ++i) {
-    ref_base[i] = ds.base_row(reference_rows[i]);
-  }
-  for (std::size_t i = 0; i < recent_rows.size(); ++i) {
-    rec_base[i] = ds.base_row(recent_rows[i]);
-  }
-  return feature_drift(ds.features(), ref_base, rec_base, top_k);
 }
 
 }  // namespace iotax::taxonomy

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/data/table.hpp"
-#include "src/data/view.hpp"
 
 namespace iotax::taxonomy {
 
@@ -72,11 +71,6 @@ struct FeatureDrift {
 /// even available.
 std::vector<FeatureDrift> feature_drift(
     const data::Table& features, std::span<const std::size_t> reference_rows,
-    std::span<const std::size_t> recent_rows, std::size_t top_k = 10);
-
-/// DatasetView overload: row sets are view-local indices.
-std::vector<FeatureDrift> feature_drift(
-    const data::DatasetView& ds, std::span<const std::size_t> reference_rows,
     std::span<const std::size_t> recent_rows, std::size_t top_k = 10);
 
 }  // namespace iotax::taxonomy

@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "src/data/scaler.hpp"
+#include "src/data/split.hpp"
 #include "src/ml/metrics.hpp"
 #include "src/stats/classification.hpp"
 
@@ -71,24 +72,16 @@ TransferReport run_transfer_litmus(const data::Dataset& train_ds,
 
   // Deployment-shaped split of A: train on the front of the timeline,
   // hold out the tail for the in-cluster reference error.
-  std::vector<std::size_t> order(train_ds.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return train_ds.meta[a].start_time <
-                            train_ds.meta[b].start_time;
-                   });
   const auto n_holdout = std::max<std::size_t>(
       1, static_cast<std::size_t>(params.holdout_frac *
-                                  static_cast<double>(order.size())));
-  const std::size_t n_train = order.size() - n_holdout;
+                                  static_cast<double>(train_ds.size())));
+  const std::size_t n_train = train_ds.size() - n_holdout;
   if (n_train < 10) {
     throw std::invalid_argument("run_transfer_litmus: training split empty");
   }
-  const std::vector<std::size_t> train_rows(order.begin(),
-                                            order.begin() + n_train);
-  const std::vector<std::size_t> holdout_rows(order.begin() + n_train,
-                                              order.end());
+  const auto split = data::split_by_start_time(train_ds, n_train);
+  const std::vector<std::size_t>& train_rows = split.train;
+  const std::vector<std::size_t>& holdout_rows = split.test;
   report.n_train = train_rows.size();
   report.n_holdout = holdout_rows.size();
   report.n_test = test_ds.size();

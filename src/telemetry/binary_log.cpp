@@ -176,13 +176,11 @@ void write_binary_archive_file(const std::string& path,
   write_binary_archive(out, records);
 }
 
-namespace {
-
-/// Shared reader core: every defect lands in the outcome with a reason
-/// code, never a throw. `stop_on_first` decides whether parsing
-/// continues past a recoverable defect; the legacy throwing entry
-/// points re-raise outcome.error on top of this core.
-ParseOutcome read_binary_core(std::istream& in, bool stop_on_first) {
+// Every defect lands in the outcome with a reason code, never a throw.
+// Strict mode stops at the first defect; lenient mode continues past
+// every recoverable one.
+ParseOutcome read_binary_archive_outcome(std::istream& in, ParseMode mode) {
+  const bool stop_on_first = mode == ParseMode::kStrict;
   ParseOutcome out;
   const auto container_error = [&](util::Reason reason,
                                    const std::string& what,
@@ -196,7 +194,6 @@ ParseOutcome read_binary_core(std::istream& in, bool stop_on_first) {
   char magic[sizeof(kBinaryMagic)] = {};
   in.read(magic, sizeof(magic));
   if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    // Legacy strict and lenient both refuse a foreign container.
     container_error(util::Reason::kBadMagic, "bad magic", 0);
     return out;
   }
@@ -290,53 +287,6 @@ ParseOutcome read_binary_core(std::istream& in, bool stop_on_first) {
                                                      : "binary log: " + detail;
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<JobLogRecord> read_binary_archive(std::istream& in, bool strict,
-                                              ParseStats* stats) {
-  // Legacy throwing entry point, now a thin wrapper over the
-  // non-throwing core: strict mode re-raises the outcome's first defect
-  // ("binary log: ..." — prefix already normalised by the core).
-  if (strict) {
-    auto outcome = read_binary_core(in, /*stop_on_first=*/true);
-    if (!outcome.ok) throw std::runtime_error(outcome.error);
-    if (stats != nullptr) *stats = outcome.stats();
-    return std::move(outcome.records);
-  }
-  auto outcome = read_binary_core(in, /*stop_on_first=*/false);
-  if (!outcome.ok && outcome.quarantine.count(util::Reason::kBadMagic) != 0) {
-    // Legacy lenient mode still refused a foreign container.
-    throw std::runtime_error("binary log: bad magic");
-  }
-  if (!outcome.ok &&
-      outcome.quarantine.count(util::Reason::kBadVersion) != 0) {
-    throw std::runtime_error("binary log: unsupported version");
-  }
-  if (!outcome.ok) {
-    throw std::runtime_error(outcome.error);
-  }
-  if (stats != nullptr) {
-    // Legacy counting: a mid-stream truncation was one skip, not one per
-    // promised-but-lost record. Stored entries are one per defect site.
-    *stats = {outcome.records.size(), outcome.quarantine.entries().size()};
-  }
-  return std::move(outcome.records);
-}
-
-std::vector<JobLogRecord> read_binary_archive_file(const std::string& path,
-                                                   bool strict,
-                                                   ParseStats* stats) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("read_binary_archive_file: cannot open " + path);
-  }
-  return read_binary_archive(in, strict, stats);
-}
-
-ParseOutcome read_binary_archive_outcome(std::istream& in, ParseMode mode) {
-  return read_binary_core(in, /*stop_on_first=*/mode == ParseMode::kStrict);
 }
 
 ParseOutcome read_binary_archive_file_outcome(const std::string& path,

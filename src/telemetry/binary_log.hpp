@@ -38,19 +38,10 @@ void write_binary_archive(std::ostream& out,
 void write_binary_archive_file(const std::string& path,
                                const std::vector<JobLogRecord>& records);
 
-/// Parse a binary container. Strict mode throws std::runtime_error on the
-/// first malformed record or header; lenient mode skips bad records and
-/// counts them in `stats`.
-std::vector<JobLogRecord> read_binary_archive(std::istream& in,
-                                              bool strict = true,
-                                              ParseStats* stats = nullptr);
-std::vector<JobLogRecord> read_binary_archive_file(const std::string& path,
-                                                   bool strict = true,
-                                                   ParseStats* stats = nullptr);
-
-/// Non-throwing variants. Container-level corruption (bad magic/version,
-/// unreadable stream) sets ok=false; per-record corruption is quarantined
-/// with its byte offset. When the stream ends early, every record the
+/// Parse a binary container; corruption is reported, never thrown.
+/// Container-level corruption (bad magic/version, unreadable stream)
+/// sets ok=false; per-record corruption is quarantined with its byte
+/// offset. When the stream ends early, every record the
 /// header promised but the bytes no longer hold is quarantined as
 /// `truncated`, so quarantine counts match ground truth exactly even for
 /// hard-truncated files.

@@ -112,14 +112,9 @@ void write_archive(const std::string& path,
   for (const auto& rec : records) write_record(out, rec);
 }
 
-namespace {
-
-/// How the shared parse core reacts to a defect: strict records it and
-/// stops (the throwing entry points re-raise outcome.error); lenient
-/// records it and resynchronises at the next record boundary.
-enum class OnError { kStopFirst, kLenient };
-
-ParseOutcome parse_core(std::istream& in, OnError on_error) {
+// On a defect, strict mode records it and stops; lenient mode records it
+// and resynchronises at the next record boundary.
+ParseOutcome parse_archive_outcome(std::istream& in, ParseMode mode) {
   ParseOutcome out;
   util::LineReader lines(in);
   std::string_view line;
@@ -151,7 +146,7 @@ ParseOutcome parse_core(std::istream& in, OnError on_error) {
       out.quarantine.add({reason, rec.job_id, record_index, line_no, what});
     }
     record_bad = true;
-    if (on_error == OnError::kStopFirst) {
+    if (mode == ParseMode::kStrict) {
       out.ok = false;
       out.error = "line " + std::to_string(line_no) + ": " + what;
       stop = true;
@@ -267,42 +262,13 @@ ParseOutcome parse_core(std::istream& in, OnError on_error) {
       out.quarantine.add({util::Reason::kTruncated, rec.job_id, record_index,
                           line_no, "truncated final record"});
     }
-    if (on_error == OnError::kStopFirst) {
+    if (mode == ParseMode::kStrict) {
       out.ok = false;
       out.error = "line " + std::to_string(line_no) +
                   ": truncated final record";
     }
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<JobLogRecord> parse_archive(std::istream& in, bool strict,
-                                        ParseStats* stats) {
-  // Legacy throwing entry point, now a thin wrapper over the
-  // non-throwing core: strict mode re-raises the outcome's first defect
-  // with the historical message shape ("darshan parse error at line N:
-  // ...") so existing catch sites and tests see identical text.
-  auto outcome =
-      parse_core(in, strict ? OnError::kStopFirst : OnError::kLenient);
-  if (strict && !outcome.ok) {
-    throw std::runtime_error("darshan parse error at " + outcome.error);
-  }
-  if (stats != nullptr) *stats = outcome.stats();
-  return std::move(outcome.records);
-}
-
-std::vector<JobLogRecord> parse_archive_file(const std::string& path,
-                                             bool strict, ParseStats* stats) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("parse_archive_file: cannot open " + path);
-  return parse_archive(in, strict, stats);
-}
-
-ParseOutcome parse_archive_outcome(std::istream& in, ParseMode mode) {
-  return parse_core(in, mode == ParseMode::kStrict ? OnError::kStopFirst
-                                                   : OnError::kLenient);
 }
 
 ParseOutcome parse_archive_file_outcome(const std::string& path,

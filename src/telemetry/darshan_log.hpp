@@ -3,10 +3,11 @@
 // The simulator does not hand Tables to the models directly: it writes
 // job logs in this format and the dataset builder parses them back, so
 // the pipeline round-trips through files exactly like a production
-// Darshan deployment (modulo the binary container). The parser has a
-// strict mode (throw on first malformed record) and a lenient mode that
-// skips corrupt records and reports how many were dropped — production
-// log archives always contain a few.
+// Darshan deployment (modulo the binary container). The parser never
+// throws on corrupt input: it has a strict mode (stop at the first
+// malformed record) and a lenient mode that skips corrupt records and
+// reports how many were dropped — production log archives always
+// contain a few.
 //
 // Format, one record per job:
 //   # iotax darshan log version: 1.0
@@ -83,17 +84,8 @@ struct ParseOutcome {
   }
 };
 
-/// Parse all records from a stream. In strict mode any malformed record
-/// throws std::runtime_error with a line number; in lenient mode the
-/// record is skipped and counted in stats.
-std::vector<JobLogRecord> parse_archive(std::istream& in, bool strict = true,
-                                        ParseStats* stats = nullptr);
-
-std::vector<JobLogRecord> parse_archive_file(const std::string& path,
-                                             bool strict = true,
-                                             ParseStats* stats = nullptr);
-
-/// Non-throwing variants: corruption is reported, never thrown.
+/// Parse all records from a stream; corruption is reported, never
+/// thrown.
 ParseOutcome parse_archive_outcome(std::istream& in,
                                    ParseMode mode = ParseMode::kLenient);
 ParseOutcome parse_archive_file_outcome(const std::string& path,

@@ -40,11 +40,18 @@ TEST(Crc32c, SensitiveToEveryByte) {
   }
 }
 
+telemetry::ParseOutcome read_strict(std::istream& in) {
+  return telemetry::read_binary_archive_outcome(in,
+                                                telemetry::ParseMode::kStrict);
+}
+
 TEST(BinaryLog, RoundTripExact) {
   const auto records = sample_records(40);
   std::stringstream buf;
   telemetry::write_binary_archive(buf, records);
-  const auto parsed = telemetry::read_binary_archive(buf);
+  const auto outcome = read_strict(buf);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  const auto& parsed = outcome.records;
   ASSERT_EQ(parsed.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(parsed[i].job_id, records[i].job_id);
@@ -72,7 +79,9 @@ TEST(BinaryLog, MuchSmallerThanText) {
 TEST(BinaryLog, BadMagicRejected) {
   std::stringstream buf;
   buf << "NOTALOGX" << std::string(8, '\0');
-  EXPECT_THROW(telemetry::read_binary_archive(buf), std::runtime_error);
+  const auto outcome = read_strict(buf);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.quarantine.count(util::Reason::kBadMagic), 1u);
 }
 
 TEST(BinaryLog, WrongVersionRejected) {
@@ -82,8 +91,9 @@ TEST(BinaryLog, WrongVersionRejected) {
   auto data = buf.str();
   data[8] = 99;  // version byte
   std::stringstream corrupted(data);
-  EXPECT_THROW(telemetry::read_binary_archive(corrupted),
-               std::runtime_error);
+  const auto outcome = read_strict(corrupted);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.quarantine.count(util::Reason::kBadVersion), 1u);
 }
 
 TEST(BinaryLog, ChecksumDetectsPayloadCorruption) {
@@ -94,18 +104,20 @@ TEST(BinaryLog, ChecksumDetectsPayloadCorruption) {
   data[data.size() / 2] ^= 0x40;  // flip a bit mid-archive
   {
     std::stringstream corrupted(data);
-    EXPECT_THROW(telemetry::read_binary_archive(corrupted, /*strict=*/true),
-                 std::runtime_error);
+    const auto outcome = read_strict(corrupted);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.quarantine.count(util::Reason::kBadChecksum), 1u);
   }
   {
     std::stringstream corrupted(data);
-    telemetry::ParseStats stats;
-    const auto parsed =
-        telemetry::read_binary_archive(corrupted, /*strict=*/false, &stats);
+    const auto outcome = telemetry::read_binary_archive_outcome(
+        corrupted, telemetry::ParseMode::kLenient);
+    ASSERT_TRUE(outcome.ok);
+    const auto stats = outcome.stats();
     EXPECT_EQ(stats.parsed + stats.skipped, 3u);
     EXPECT_GE(stats.skipped, 1u);
     // Framing survives: remaining records still parse.
-    EXPECT_EQ(parsed.size(), stats.parsed);
+    EXPECT_EQ(outcome.records.size(), stats.parsed);
   }
 }
 
@@ -117,24 +129,26 @@ TEST(BinaryLog, TruncationHandled) {
   data.resize(data.size() - 30);
   {
     std::stringstream truncated(data);
-    EXPECT_THROW(telemetry::read_binary_archive(truncated, true),
-                 std::runtime_error);
+    const auto outcome = read_strict(truncated);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.quarantine.count(util::Reason::kTruncated), 1u);
   }
   {
     std::stringstream truncated(data);
-    telemetry::ParseStats stats;
-    const auto parsed =
-        telemetry::read_binary_archive(truncated, false, &stats);
-    EXPECT_EQ(parsed.size(), 4u);
-    EXPECT_EQ(stats.skipped, 1u);
+    const auto outcome = telemetry::read_binary_archive_outcome(
+        truncated, telemetry::ParseMode::kLenient);
+    ASSERT_TRUE(outcome.ok);
+    EXPECT_EQ(outcome.records.size(), 4u);
+    EXPECT_EQ(outcome.stats().skipped, 1u);
   }
 }
 
 TEST(BinaryLog, EmptyArchive) {
   std::stringstream buf;
   telemetry::write_binary_archive(buf, {});
-  const auto parsed = telemetry::read_binary_archive(buf);
-  EXPECT_TRUE(parsed.empty());
+  const auto outcome = read_strict(buf);
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_TRUE(outcome.records.empty());
 }
 
 TEST(BinaryLog, FileRoundTrip) {
@@ -142,8 +156,10 @@ TEST(BinaryLog, FileRoundTrip) {
   const auto path =
       (std::filesystem::temp_directory_path() / "iotax_bin.log").string();
   telemetry::write_binary_archive_file(path, records);
-  const auto parsed = telemetry::read_binary_archive_file(path);
-  EXPECT_EQ(parsed.size(), 10u);
+  const auto outcome = telemetry::read_binary_archive_file_outcome(
+      path, telemetry::ParseMode::kStrict);
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_EQ(outcome.records.size(), 10u);
   std::filesystem::remove(path);
 }
 

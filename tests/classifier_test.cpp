@@ -69,9 +69,10 @@ TEST(ClassificationMetrics, ConfusionAndRatiosHandComputed) {
 TEST(ClassificationMetrics, DegenerateRatiosAreZeroNotNan) {
   const std::vector<double> y = {1, 1, 0};
   const std::vector<double> none = {0, 0, 0};  // no positive predictions
-  EXPECT_DOUBLE_EQ(stats::precision(y, none), 0.0);
-  EXPECT_DOUBLE_EQ(stats::recall(y, none), 0.0);
-  EXPECT_DOUBLE_EQ(stats::f1_score(y, none), 0.0);
+  const auto c = stats::confusion_counts(y, none);
+  EXPECT_DOUBLE_EQ(stats::precision(c), 0.0);
+  EXPECT_DOUBLE_EQ(stats::recall(c), 0.0);
+  EXPECT_DOUBLE_EQ(stats::f1_score(c), 0.0);
 }
 
 TEST(ClassificationMetrics, RejectsNonBinaryLabels) {
@@ -143,7 +144,7 @@ TEST(BurstClassifier, LearnsAndCalibrates) {
     EXPECT_LE(v, 1.0);
   }
   const auto labels = clf.predict_labels(test.x);
-  EXPECT_GT(stats::accuracy(test.y, labels), 0.85);
+  EXPECT_GT(stats::accuracy(stats::confusion_counts(test.y, labels)), 0.85);
   EXPECT_GT(stats::roc_auc(test.y, prob), 0.9);
 }
 

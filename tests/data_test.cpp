@@ -71,14 +71,6 @@ TEST(Table, TakeRows) {
 
 TEST(Table, HcatAndVcat) {
   const auto t = make_table();
-  data::Table extra({"c"});
-  extra.add_row(std::vector<double>{5.0});
-  extra.add_row(std::vector<double>{6.0});
-  extra.add_row(std::vector<double>{7.0});
-  const auto wide = t.hcat(extra);
-  EXPECT_EQ(wide.n_cols(), 3u);
-  EXPECT_DOUBLE_EQ(wide.at(2, 2), 7.0);
-
   const auto tall = t.vcat(t);
   EXPECT_EQ(tall.n_rows(), 6u);
   EXPECT_DOUBLE_EQ(tall.at(4, 0), 2.0);
@@ -140,14 +132,9 @@ TEST(Scaler, TransformBeforeFitThrows) {
 }
 
 TEST(Scaler, SignedLog1p) {
-  data::Matrix m(1, 3);
-  m(0, 0) = 0.0;
-  m(0, 1) = 999.0;
-  m(0, 2) = -999.0;
-  const auto z = data::signed_log1p(m);
-  EXPECT_DOUBLE_EQ(z(0, 0), 0.0);
-  EXPECT_NEAR(z(0, 1), 3.0, 1e-9);
-  EXPECT_NEAR(z(0, 2), -3.0, 1e-9);
+  EXPECT_DOUBLE_EQ(data::signed_log1p_value(0.0), 0.0);
+  EXPECT_NEAR(data::signed_log1p_value(999.0), 3.0, 1e-9);
+  EXPECT_NEAR(data::signed_log1p_value(-999.0), -3.0, 1e-9);
 }
 
 data::Dataset make_dataset(std::size_t n) {
@@ -229,19 +216,26 @@ TEST(Split, RandomSplitRejectsBadFractions) {
 
 TEST(Split, TimeSplitRespectsBoundaries) {
   const auto ds = make_dataset(10);  // starts at 0,100,...,900
-  const auto s = data::time_split(ds, 500.0, 700.0);
+  const auto s = data::split_by_start_time(ds, 5);
   EXPECT_EQ(s.train.size(), 5u);
-  EXPECT_EQ(s.val.size(), 2u);
-  EXPECT_EQ(s.test.size(), 3u);
+  EXPECT_TRUE(s.val.empty());
+  EXPECT_EQ(s.test.size(), 5u);
   for (auto i : s.train) EXPECT_LT(ds.meta[i].start_time, 500.0);
-  for (auto i : s.test) EXPECT_GE(ds.meta[i].start_time, 700.0);
+  for (auto i : s.test) EXPECT_GE(ds.meta[i].start_time, 500.0);
 }
 
 TEST(Split, TimeSplitFractions) {
-  const auto ds = make_dataset(10);
-  const auto s = data::time_split_fractions(ds, 0.5, 0.2);
-  EXPECT_EQ(s.train.size() + s.val.size() + s.test.size(), 10u);
-  EXPECT_GE(s.train.size(), 4u);
+  // Out-of-order start times with ties: rows sort by start time, ties
+  // keep row order, and a cut past the end puts every row in train.
+  auto ds = make_dataset(6);
+  const double starts[] = {300.0, 100.0, 300.0, 0.0, 100.0, 200.0};
+  for (std::size_t i = 0; i < 6; ++i) ds.meta[i].start_time = starts[i];
+  const auto half = data::split_by_start_time(ds, 6 / 2);
+  EXPECT_EQ(half.train, (std::vector<std::size_t>{3, 1, 4}));
+  EXPECT_EQ(half.test, (std::vector<std::size_t>{5, 0, 2}));
+  const auto all = data::split_by_start_time(ds, 100);
+  EXPECT_EQ(all.train.size(), 6u);
+  EXPECT_TRUE(all.test.empty());
 }
 
 TEST(Split, GroupedSplitKeepsDuplicateSetsTogether) {

@@ -12,7 +12,6 @@
 #include "src/ml/kmeans.hpp"
 #include "src/sim/weather.hpp"
 #include "src/stats/descriptive.hpp"
-#include "src/stats/histogram.hpp"
 #include "src/taxonomy/duplicates.hpp"
 #include "src/util/rng.hpp"
 
@@ -109,15 +108,6 @@ TEST(EdgeCases, WeatherSingleEpochNoDegradations) {
   // Offset is a single constant over the whole horizon.
   EXPECT_DOUBLE_EQ(w.log_offset(0.0), w.log_offset(86000.0));
   EXPECT_FALSE(w.degraded(1000.0));
-}
-
-TEST(EdgeCases, HistogramSingleBin) {
-  stats::Histogram h(0.0, 1.0, 1);
-  h.add(0.5);
-  h.add(-100.0);
-  h.add(100.0);
-  EXPECT_EQ(h.count(0), 3u);
-  EXPECT_DOUBLE_EQ(h.density(0), 3.0 / 3.0);
 }
 
 TEST(EdgeCases, SplitsOnTinyDatasets) {

@@ -1,6 +1,6 @@
-// Tests for the later-added library features: GBT early stopping, the
-// tree-based uncertainty estimator, report serialization, model
-// interpretation, and the CLI argument parser.
+// Tests for the later-added library features: the tree-based
+// uncertainty estimator, report serialization, model interpretation,
+// and the CLI argument parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,61 +34,6 @@ Xy noisy_data(std::size_t n, std::uint64_t seed) {
     d.y[i] = std::sin(a) + 0.4 * b + rng.normal(0.0, 0.3);
   }
   return d;
-}
-
-TEST(EarlyStopping, StopsBeforeBudgetOnNoisyData) {
-  const auto train = noisy_data(600, 1);
-  const auto val = noisy_data(300, 2);
-  ml::GbtParams p;
-  p.n_estimators = 400;
-  p.max_depth = 6;
-  p.learning_rate = 0.3;  // aggressive: overfits quickly
-  p.early_stopping_rounds = 10;
-  ml::GradientBoostedTrees model(p);
-  model.fit_eval(train.x, train.y, val.x, val.y);
-  EXPECT_LT(model.n_trees(), 400u);
-  EXPECT_GT(model.n_trees(), 0u);
-}
-
-TEST(EarlyStopping, ImprovesGeneralisationOverFullBudget) {
-  const auto train = noisy_data(600, 3);
-  const auto val = noisy_data(300, 4);
-  const auto test = noisy_data(500, 5);
-  ml::GbtParams p;
-  p.n_estimators = 400;
-  p.max_depth = 6;
-  p.learning_rate = 0.3;
-  ml::GradientBoostedTrees full(p);
-  full.fit(train.x, train.y);
-  p.early_stopping_rounds = 15;
-  ml::GradientBoostedTrees stopped(p);
-  stopped.fit_eval(train.x, train.y, val.x, val.y);
-  EXPECT_LE(ml::rmse_log(test.y, stopped.predict(test.x)),
-            ml::rmse_log(test.y, full.predict(test.x)) * 1.02);
-}
-
-TEST(EarlyStopping, DisabledBehavesLikeFit) {
-  const auto train = noisy_data(300, 6);
-  const auto val = noisy_data(100, 7);
-  ml::GbtParams p;
-  p.n_estimators = 30;
-  ml::GradientBoostedTrees a(p);
-  a.fit(train.x, train.y);
-  ml::GradientBoostedTrees b(p);
-  b.fit_eval(train.x, train.y, val.x, val.y);  // rounds == 0: no stopping
-  EXPECT_EQ(a.n_trees(), b.n_trees());
-  const auto pa = a.predict(val.x);
-  const auto pb = b.predict(val.x);
-  for (std::size_t i = 0; i < pa.size(); ++i) ASSERT_DOUBLE_EQ(pa[i], pb[i]);
-}
-
-TEST(EarlyStopping, MismatchedValidationRejected) {
-  const auto train = noisy_data(100, 8);
-  ml::GradientBoostedTrees model;
-  data::Matrix x_val(5, 3);
-  std::vector<double> y_val(4);
-  EXPECT_THROW(model.fit_eval(train.x, train.y, x_val, y_val),
-               std::invalid_argument);
 }
 
 TEST(GbtUncertainty, RecoversHeteroscedasticNoise) {

@@ -101,11 +101,12 @@ TEST(TruncationSafety, BadMagicIsAnOutcomeNotACrash) {
   const auto outcome = telemetry::read_binary_archive_outcome(in);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.quarantine.count(util::Reason::kBadMagic), 1u);
-  // The legacy API keeps its contract: container-level corruption throws
-  // even in lenient mode.
+  // Strict mode refuses the foreign container the same way.
   std::istringstream again(junk);
-  EXPECT_THROW(telemetry::read_binary_archive(again, /*strict=*/false),
-               std::runtime_error);
+  const auto strict = telemetry::read_binary_archive_outcome(
+      again, telemetry::ParseMode::kStrict);
+  EXPECT_FALSE(strict.ok);
+  EXPECT_EQ(strict.quarantine.count(util::Reason::kBadMagic), 1u);
 }
 
 TEST(Ingest, StrictThrowsTypedErrorWithReason) {

@@ -755,8 +755,9 @@ TEST(KernelsDeterminism, GbtMatrixBitIdentical) {
       model.fit(x, y);
       const auto pred = model.predict(x);
       const ml::BinnedMatrix binned(x, params.max_bins);
-      const auto codes = binned.encode_all(x);
-      const auto cpred = model.predict_codes(codes);
+      const auto codes = binned.encode_all_ooc(x);
+      const auto cpred =
+          model.predict_codes_prefix(codes.codes(), model.n_trees());
       if (first) {
         ref_pred = pred;
         ref_codes_pred = cpred;
@@ -853,7 +854,8 @@ TEST(KernelsDeterminism, GbtSaveLoadPredictBitIdentical) {
         << "policy=" << policy;
   }
   std::vector<std::uint16_t> codes(x.cols(), 0);
-  EXPECT_THROW(loaded.predict_codes(codes), std::logic_error);
+  EXPECT_THROW(loaded.predict_codes_prefix(codes, loaded.n_trees()),
+               std::logic_error);
 }
 
 TEST(KernelsDispatch, PolicyResolution) {

@@ -441,7 +441,10 @@ TEST_F(SimulatorTest, RecordsRoundTripThroughLogFormat) {
     telemetry::write_record(out, res.records[i]);
   }
   std::istringstream in(out.str());
-  const auto parsed = telemetry::parse_archive(in);
+  const auto outcome =
+      telemetry::parse_archive_outcome(in, telemetry::ParseMode::kStrict);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  const auto& parsed = outcome.records;
   ASSERT_EQ(parsed.size(), 50u);
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(parsed[i].job_id, res.records[i].job_id);

@@ -207,11 +207,6 @@ TEST(ColumnStore, OutOfCoreBinningBitIdentical) {
     const auto b = ooc.row_codes(r);
     for (std::size_t c = 0; c < in_ram.cols(); ++c) ASSERT_EQ(a[c], b[c]);
   }
-
-  // Copies of a spilled matrix share the mapping and read the same codes.
-  const ml::BinnedMatrix copy(ooc);
-  EXPECT_TRUE(copy.spilled());
-  EXPECT_EQ(copy.code(5, 3), in_ram.code(5, 3));
 }
 
 TEST(ColumnStore, GbtAndGridSearchBitIdenticalThroughStore) {

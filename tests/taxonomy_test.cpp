@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/ml/metrics.hpp"
 #include "src/sim/presets.hpp"
@@ -345,11 +347,22 @@ TEST(LitmusSystem, TimeFeatureReducesErrorDuringWeather) {
   cfg.weather.degradation_max_severity = 0.35;
   cfg.weather.epoch_offset_sigma = 0.05;
   const auto res = sim::simulate(cfg);
-  const auto split = data::time_split_fractions(res.dataset, 0.6, 0.2);
+  const auto& ds = res.dataset;
+  // Train on the first 60% of the time extent and test on the last 20%.
+  double t_min = std::numeric_limits<double>::infinity();
+  double t_max = -std::numeric_limits<double>::infinity();
+  for (const auto& m : ds.meta) {
+    t_min = std::min(t_min, m.start_time);
+    t_max = std::max(t_max, m.start_time);
+  }
+  const double extent = t_max - t_min;
+  data::Split split;
+  split.train = ds.rows_in_window(t_min, t_min + extent * 0.6);
+  split.test = ds.rows_in_window(t_min + extent * (0.6 + 0.2),
+                                 std::numeric_limits<double>::infinity());
   ml::GbtParams params;
   params.n_estimators = 64;
   params.max_depth = 8;
-  const auto& ds = res.dataset;
   const std::vector<taxonomy::FeatureSet> app = {taxonomy::FeatureSet::kPosix};
   const std::vector<taxonomy::FeatureSet> timed = {
       taxonomy::FeatureSet::kPosix, taxonomy::FeatureSet::kStartTimeOnly};

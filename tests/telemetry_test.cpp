@@ -282,12 +282,18 @@ telemetry::JobLogRecord make_record() {
   return rec;
 }
 
+telemetry::ParseOutcome parse_strict(std::istream& in) {
+  return telemetry::parse_archive_outcome(in, telemetry::ParseMode::kStrict);
+}
+
 TEST(DarshanLog, RoundTripSingleRecord) {
   const auto rec = make_record();
   std::ostringstream out;
   telemetry::write_record(out, rec);
   std::istringstream in(out.str());
-  const auto parsed = telemetry::parse_archive(in);
+  const auto outcome = parse_strict(in);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  const auto& parsed = outcome.records;
   ASSERT_EQ(parsed.size(), 1u);
   const auto& p = parsed[0];
   EXPECT_EQ(p.job_id, rec.job_id);
@@ -312,7 +318,9 @@ TEST(DarshanLog, RoundTripManyRecords) {
   std::ostringstream out;
   for (const auto& r : recs) telemetry::write_record(out, r);
   std::istringstream in(out.str());
-  const auto parsed = telemetry::parse_archive(in);
+  const auto outcome = parse_strict(in);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  const auto& parsed = outcome.records;
   ASSERT_EQ(parsed.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(parsed[i].job_id, static_cast<std::uint64_t>(i));
@@ -327,8 +335,9 @@ TEST(DarshanLog, StrictModeThrowsOnCorruptCounter) {
   const auto pos = text.find("POSIX\t");
   text.replace(pos, 6, "BOGUSMOD\t");
   std::istringstream in(text);
-  EXPECT_THROW(telemetry::parse_archive(in, /*strict=*/true),
-               std::runtime_error);
+  const auto outcome = parse_strict(in);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.quarantine.count(util::Reason::kUnknownModule), 1u);
 }
 
 TEST(DarshanLog, LenientModeSkipsCorruptRecord) {
@@ -343,8 +352,10 @@ TEST(DarshanLog, LenientModeSkipsCorruptRecord) {
   const auto pos = text.find("POSIX_BYTES_READ\t");
   text.replace(pos + 17, 1, "x");
   std::istringstream in(text);
-  telemetry::ParseStats stats;
-  const auto parsed = telemetry::parse_archive(in, /*strict=*/false, &stats);
+  const auto outcome =
+      telemetry::parse_archive_outcome(in, telemetry::ParseMode::kLenient);
+  const auto& parsed = outcome.records;
+  const auto stats = outcome.stats();
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].job_id, 42u);
   EXPECT_EQ(stats.parsed, 1u);
@@ -359,14 +370,18 @@ TEST(DarshanLog, TruncatedFinalRecord) {
   text.resize(text.size() - 20);  // chop off end_of_record
   {
     std::istringstream in(text);
-    EXPECT_THROW(telemetry::parse_archive(in, true), std::runtime_error);
+    // The cut may land inside a counter line, so the first defect strict
+    // mode stops at is that line or the missing end marker.
+    const auto outcome = parse_strict(in);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_EQ(outcome.quarantine.total(), 1u);
   }
   {
     std::istringstream in(text);
-    telemetry::ParseStats stats;
-    const auto parsed = telemetry::parse_archive(in, false, &stats);
-    EXPECT_TRUE(parsed.empty());
-    EXPECT_EQ(stats.skipped, 1u);
+    const auto outcome =
+        telemetry::parse_archive_outcome(in, telemetry::ParseMode::kLenient);
+    EXPECT_TRUE(outcome.records.empty());
+    EXPECT_EQ(outcome.stats().skipped, 1u);
   }
 }
 
@@ -376,7 +391,9 @@ TEST(DarshanLog, IncompleteHeaderRejected) {
       "# jobid: 1\n"
       "# end_of_record\n";
   std::istringstream in(text);
-  EXPECT_THROW(telemetry::parse_archive(in, true), std::runtime_error);
+  const auto outcome = parse_strict(in);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.quarantine.count(util::Reason::kIncompleteHeader), 1u);
 }
 
 TEST(DarshanLog, FileRoundTrip) {
@@ -384,9 +401,11 @@ TEST(DarshanLog, FileRoundTrip) {
       std::filesystem::temp_directory_path() / "iotax_darshan.log";
   std::vector<telemetry::JobLogRecord> recs = {make_record()};
   telemetry::write_archive(path.string(), recs);
-  const auto parsed = telemetry::parse_archive_file(path.string());
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].job_id, 42u);
+  const auto outcome = telemetry::parse_archive_file_outcome(
+      path.string(), telemetry::ParseMode::kStrict);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  ASSERT_EQ(outcome.records.size(), 1u);
+  EXPECT_EQ(outcome.records[0].job_id, 42u);
   std::filesystem::remove(path);
 }
 

@@ -67,6 +67,20 @@ expect_fail("non-numeric dataset field"
             "${WORK_DIR}/nonnumeric.csv:4: bad-number" taxonomy
             --dataset "${WORK_DIR}/nonnumeric.csv")
 
+# A model parameter the family does not read is refused, not ignored.
+# The dataset is real so nothing but the key can fail.
+execute_process(
+  COMMAND "${IOTAX_CLI}" simulate --preset tiny --seed 3
+          --out "${WORK_DIR}/sim"
+  RESULT_VARIABLE sim_rc OUTPUT_QUIET)
+if(NOT sim_rc EQUAL 0)
+  message(FATAL_ERROR "cli_errors: simulate failed (rc=${sim_rc})")
+endif()
+expect_fail("gbt early_stopping_rounds"
+            "unknown gbt parameter 'early_stopping_rounds'" train
+            --dataset "${WORK_DIR}/sim/dataset.csv" --model gbt
+            --params "{\"early_stopping_rounds\": 5}")
+
 # Malformed fault plans.
 expect_fail("conflicting plan flags" "mutually exclusive" inject
             --in "${WORK_DIR}/x.log" --out "${WORK_DIR}/y.log"

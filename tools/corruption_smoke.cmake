@@ -2,7 +2,8 @@
 # simulate a tiny archive, corrupt it with a known fault plan, and check
 # that the audit's quarantine counts match the injector's ground truth
 # exactly, that strict mode refuses the corrupt archive but accepts the
-# clean one, and that a zero-rate plan is a byte-identical passthrough.
+# clean one, that `iotax parse` skips exactly the records a truncation
+# cut, and that a zero-rate plan is a byte-identical passthrough.
 # Invoked as
 #   cmake -DIOTAX_CLI=<path> -DWORK_DIR=<scratch> -P corruption_smoke.cmake
 # with IOTAX_SCALE=0.1 in the environment (set by the add_test wiring).
@@ -76,6 +77,27 @@ foreach(format text binary)
   endif()
   run("strict clean ${format}" zero audit --archive "${archive}" ${fmt_flag}
       --mode strict)
+
+  # A hard truncation: parse must skip every record the cut lost, the
+  # count the injector's ground truth expects.
+  run("inject truncate ${format}" zero inject --in "${archive}" ${fmt_flag}
+      --plan-json "{\"seed\": 5, \"truncate\": 0.5}"
+      --out "${WORK_DIR}/cut.${format}"
+      --report "${WORK_DIR}/cut.${format}.json")
+  file(READ "${WORK_DIR}/cut.${format}.json" cut_report)
+  string(JSON cut_expected GET "${cut_report}" expected_quarantine truncated)
+  if(cut_expected EQUAL 0)
+    set(cut_rc zero)
+  else()
+    set(cut_rc nonzero)
+  endif()
+  run("parse truncated ${format}" ${cut_rc} parse
+      --archive "${WORK_DIR}/cut.${format}" ${fmt_flag} --lenient)
+  string(FIND "${last_out}" "skipped ${cut_expected} corrupt" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "corruption_smoke: parse ${format} should skip "
+                        "${cut_expected} record(s): ${last_out}")
+  endif()
 
   # A zero-rate plan must reproduce the input byte for byte.
   run("passthrough ${format}" zero inject --in "${archive}" ${fmt_flag}

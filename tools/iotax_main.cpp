@@ -315,22 +315,26 @@ int cmd_simulate(const cli::Args& args) {
 
 int cmd_parse(const cli::Args& args) {
   args.check_allowed(with_obs({"archive", "binary", "lenient"}));
-  const bool strict = !args.has("lenient");
-  telemetry::ParseStats stats;
-  std::vector<telemetry::JobLogRecord> records;
-  if (args.has("binary")) {
-    records = telemetry::read_binary_archive_file(args.get("archive"),
-                                                  strict, &stats);
-  } else {
-    records =
-        telemetry::parse_archive_file(args.get("archive"), strict, &stats);
+  const auto mode = args.has("lenient") ? telemetry::ParseMode::kLenient
+                                        : telemetry::ParseMode::kStrict;
+  const auto outcome =
+      args.has("binary")
+          ? telemetry::read_binary_archive_file_outcome(args.get("archive"),
+                                                        mode)
+          : telemetry::parse_archive_file_outcome(args.get("archive"), mode);
+  if (!outcome.ok) {
+    std::fprintf(stderr, "iotax parse: %s\n", outcome.error.c_str());
+    return 1;
   }
+  // Counted as audit counts: every record the archive lost is skipped.
+  const auto stats = outcome.stats();
   std::printf("parsed %zu records, skipped %zu corrupt\n", stats.parsed,
               stats.skipped);
-  if (!records.empty()) {
+  if (!outcome.records.empty()) {
+    const auto& first = outcome.records.front();
     std::printf("first job: id=%llu nprocs=%u perf=%.1f MiB/s\n",
-                static_cast<unsigned long long>(records.front().job_id),
-                records.front().n_procs, records.front().agg_perf_mib);
+                static_cast<unsigned long long>(first.job_id), first.n_procs,
+                first.agg_perf_mib);
   }
   return stats.skipped == 0 ? 0 : 1;
 }
@@ -572,18 +576,9 @@ int cmd_train(const cli::Args& args) {
     // timeline, hold out the rest — what a site retraining a production
     // model actually does, and what the online-loop smoke test needs so
     // the production model has never seen the post-shift regime.
-    std::vector<std::size_t> order(ds.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return ds.meta[a].start_time < ds.meta[b].start_time;
-                     });
-    const auto n_train = static_cast<std::size_t>(
-        static_cast<double>(order.size()) * train_frac);
-    split.train.assign(order.begin(),
-                       order.begin() + static_cast<long>(n_train));
-    split.test.assign(order.begin() + static_cast<long>(n_train),
-                      order.end());
+    split = data::split_by_start_time(
+        ds, static_cast<std::size_t>(static_cast<double>(ds.size()) *
+                                     train_frac));
   } else {
     util::Rng rng(static_cast<std::uint64_t>(args.get_int_or("seed", 3)));
     split = data::random_split(ds.size(), train_frac, 0.0, rng);
